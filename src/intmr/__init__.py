@@ -32,7 +32,6 @@ from .selection import (
     CvResult,
     make_folds,
     default_grid,
-    cv_score,
     select,
 )
 from .sim import (

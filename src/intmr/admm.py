@@ -14,14 +14,15 @@ scaled dual variables tie each pair together.  One iteration sweeps:
   (e) groupwise soft threshold of B - B_dual onto B_bar,
   (f/g) dual ascent on both consensus residuals.
 
-The two ridge solves reuse Cholesky factorizations of X'X + n rho I and
-Z'Z + n rho I, computed once per dataset; rho stays fixed.  Convergence is
-declared when the augmented Lagrangian changes by less than tol between
-checks.  Reported coefficients are the consensus copies, so zeros are exact
-and the nonzero pattern of B is identical across datasets.
+Each step is one public function below; AdmmSolver.fit runs exactly those
+functions, passing the Cholesky factorizations of X'X + n rho I and
+Z'Z + n rho I that it computes once per dataset (rho stays fixed).
+Convergence is declared when the augmented Lagrangian changes by less than
+tol between checks.  Reported coefficients are the consensus copies, so
+zeros are exact and the nonzero pattern of B is identical across datasets;
+the penalized objective is evaluated once, at the returned fit.
 """
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,9 +33,10 @@ from .model import (
     HyperParams,
     ModelFit,
     group_norms,
+    objective,
     residual_matrix,
 )
-from .prox import soft_threshold
+from .prox import group_soft_threshold, soft_threshold
 
 __all__ = [
     "SolverOptions",
@@ -62,8 +64,8 @@ class SolverOptions:
     check_every: int = 1
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (self.tol > 0 and np.isfinite(self.tol)):
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.check_every < 1:
@@ -173,16 +175,7 @@ def threshold_shared(B, B_dual, thresh):
     B and B_dual are stacked (M, p, q); group (j, k) is the length-M vector
     at [:, j, k].
     """
-    if thresh < 0:
-        raise ValueError("threshold must be nonnegative")
-    A = B - B_dual
-    norms = np.sqrt((A * A).sum(axis=0))
-    # (norms - thresh)+ / norms, subtract-first like group_soft_threshold;
-    # where a group norm is zero the numerator is zero too, so the scale
-    # value there never matters
-    scale = np.zeros_like(norms)
-    np.divide(np.maximum(norms - thresh, 0.0), norms, out=scale, where=norms > 0)
-    return scale[None, :, :] * A
+    return group_soft_threshold(B - B_dual, thresh)
 
 
 def update_duals(state):
@@ -220,22 +213,6 @@ def augmented_lagrangian(data, state, hp):
         pen_b = 0.0
     pen_c = hp.gamma * sum(float(np.abs(c).sum()) for c in state.C_bar)
     return loss + pen_b + pen_c + quad
-
-
-def _objective_at_consensus(data, state, hp):
-    # Eq-style objective with coefficients taken from the consensus copies
-    loss = 0.0
-    for m, block in enumerate(data):
-        R = (
-            block.Y
-            - state.alpha[m][None, :]
-            - block.X @ state.B_bar[m]
-            - block.Z @ state.C_bar[m]
-        )
-        loss += 0.5 / block.n * float((R * R).sum())
-    pen_b = hp.lam * float(group_norms(state.B_bar).sum()) if data.p else 0.0
-    pen_c = hp.gamma * sum(float(np.abs(c).sum()) for c in state.C_bar)
-    return loss + pen_b + pen_c
 
 
 def consensus_gap(state):
@@ -299,7 +276,7 @@ class FitReport:
     fit: ModelFit
     iterations: int
     converged: bool
-    objective_trace: np.ndarray
+    objective: float
     lagrangian_trace: np.ndarray
     kkt_residual: float
     consensus_gap: float
@@ -339,29 +316,28 @@ class AdmmSolver:
         else:
             _check_state_matches(data, init)
             state = init.copy()
-        thresh_c = hp.gamma / hp.rho
-        thresh_b = hp.lam / hp.rho
-        nrho = [block.n * self.rho for block in data]
+        rho = self.rho
+        thresh_c = hp.gamma / rho
+        thresh_b = hp.lam / rho
 
         lagrangian_trace = []
-        objective_trace = []
         converged = False
         prev = None
         iterations = 0
         for it in range(1, opts.max_iter + 1):
             for m, block in enumerate(data):
-                ZC = block.Z @ state.C[m]
-                state.alpha[m] = (block.Y - block.X @ state.B[m] - ZC).mean(axis=0)
-                base = block.Y - state.alpha[m][None, :]
+                state.alpha[m] = update_intercept(block, state.B[m], state.C[m])
                 if block.p:
-                    rhs = block.X.T @ (base - ZC)
-                    rhs += nrho[m] * (state.B_bar[m] + state.B_dual[m])
-                    state.B[m] = cho_solve(self._fx[m], rhs)
+                    state.B[m] = update_shared_coef(
+                        block, state.alpha[m], state.C[m], state.B_bar[m],
+                        state.B_dual[m], rho, factor=self._fx[m],
+                    )
                 if block.r:
-                    rhs = block.Z.T @ (base - block.X @ state.B[m])
-                    rhs += nrho[m] * (state.C_bar[m] - state.C_dual[m])
-                    state.C[m] = cho_solve(self._fz[m], rhs)
-                    state.C_bar[m] = soft_threshold(state.C[m] + state.C_dual[m], thresh_c)
+                    state.C[m] = update_specific_coef(
+                        block, state.alpha[m], state.B[m], state.C_bar[m],
+                        state.C_dual[m], rho, factor=self._fz[m],
+                    )
+                    state.C_bar[m] = threshold_specific(state.C[m], state.C_dual[m], thresh_c)
             if data.p:
                 state.B_bar = threshold_shared(state.B, state.B_dual, thresh_b)
             update_duals(state)
@@ -378,7 +354,6 @@ class AdmmSolver:
             if it % opts.check_every == 0:
                 L = augmented_lagrangian(data, state, hp)
                 lagrangian_trace.append(L)
-                objective_trace.append(_objective_at_consensus(data, state, hp))
                 if prev is not None and abs(L - prev) < opts.tol:
                     converged = True
                     break
@@ -393,7 +368,7 @@ class AdmmSolver:
             fit=result,
             iterations=iterations,
             converged=converged,
-            objective_trace=np.asarray(objective_trace),
+            objective=objective(data, result, hp),
             lagrangian_trace=np.asarray(lagrangian_trace),
             kkt_residual=kkt_residual(data, result, hp),
             consensus_gap=consensus_gap(state),
@@ -416,9 +391,10 @@ def fit(data, hp, opts=None, init=None):
     Returns
     -------
     FitReport
-        Coefficients taken from the consensus copies (exact zeros), traces
-        of the objective and augmented Lagrangian, the stationarity
-        residual, the final consensus gap and the final state.
+        Coefficients taken from the consensus copies (exact zeros), the
+        penalized objective at those coefficients, the augmented Lagrangian
+        at every convergence check, the stationarity residual, the final
+        consensus gap and the final state.
     """
     if not isinstance(data, IntegratedDataset):
         data = IntegratedDataset(tuple(data))

@@ -9,6 +9,7 @@ problems, 1 runtime failures; errors are emitted as a JSON object on stderr.
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -53,7 +54,11 @@ def _add_common(p):
         choices=["paper", "conventional"],
         help="selection-rate denominator convention (default paper)",
     )
-    p.add_argument("--threads", type=int, help="worker threads (default 1)")
+    p.add_argument(
+        "--threads",
+        type=int,
+        help="accepted for compatibility and must be at least 1; fits run in one thread",
+    )
 
 
 def build_parser():
@@ -138,6 +143,10 @@ def _settings(args):
         merged["standardize"] = merged["standardize"] == "true"
     if merged["k"] < 2:
         raise UsageError("--k must be at least 2")
+    if not (merged["tol"] > 0 and math.isfinite(merged["tol"])):
+        raise UsageError("--tol must be positive and finite")
+    if merged["max_iter"] < 1:
+        raise UsageError("--max-iter must be at least 1")
     if merged["threads"] < 1:
         raise UsageError("--threads must be at least 1")
     if merged["lam"] < 0 or merged["gamma"] < 0:
@@ -182,7 +191,7 @@ def _meta(hp, rep, standardized, extra=None):
         "converged": rep.converged,
         "kkt_residual": rep.kkt_residual,
         "consensus_gap": rep.consensus_gap,
-        "objective": float(rep.objective_trace[-1]),
+        "objective": rep.objective,
         "standardized_fit": standardized,
     }
     if extra:
@@ -218,7 +227,6 @@ def _cmd_cv(cfg):
         seed=cfg["seed"],
         opts=opts,
         rho=cfg["rho"],
-        threads=cfg["threads"],
     )
     out = cfg["out"]
     io.write_cv_matrix_csv(result, os.path.join(out, "cv_matrix.csv"))
@@ -276,7 +284,6 @@ def _cmd_simulate(cfg):
         opts=opts,
         grid_size=grid_size,
         metric_mode=cfg["metric_mode"],
-        threads=cfg["threads"],
     )
     out = cfg["out"]
     io.write_boxplot_csv(metrics, os.path.join(out, "boxplot.csv"))

@@ -18,16 +18,19 @@ def soft_threshold(a, b):
 
 
 def group_soft_threshold(c, d):
-    """Blockwise soft threshold (1 - d / ||c||_2)+ c, with 0 mapped to 0.
+    """Groupwise soft threshold (1 - d / ||g||_2)+ g, with 0 mapped to 0.
 
-    Proximal operator of d * ||.||_2 on a vector.
+    Groups run along axis 0: for c of shape (M, ...) each group is the
+    length-M vector c[:, j, ...], and a 1-D vector is a single group.
+    Proximal operator of d times the sum of the group norms.
     """
     if d < 0:
         raise ValueError("threshold must be nonnegative")
     c = np.asarray(c, dtype=float)
-    norm = float(np.sqrt((c * c).sum()))
-    if norm == 0.0 or norm <= d:
-        return np.zeros_like(c)
-    # (norm - d) / norm rather than 1 - d / norm: subtracting first keeps
-    # full precision when d is close to the norm
-    return ((norm - d) / norm) * c
+    norms = np.sqrt((c * c).sum(axis=0))
+    # (norm - d)+ / norm rather than (1 - d / norm)+: subtracting first keeps
+    # full precision when d is close to the norm; a zero group has a zero
+    # numerator too, so its scale never matters
+    scale = np.zeros_like(norms)
+    np.divide(np.maximum(norms - d, 0.0), norms, out=scale, where=norms > 0)
+    return scale * c

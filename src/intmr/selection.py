@@ -11,7 +11,6 @@ starts, one chain per (fold, gamma) pair, so the expensive small-penalty
 fits start near a solution.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,6 @@ __all__ = [
     "CvResult",
     "make_folds",
     "default_grid",
-    "cv_score",
     "select",
 ]
 
@@ -151,19 +149,6 @@ def _held_out_score(fit, held_blocks):
     return s
 
 
-def cv_score(data, folds, hp, opts=None):
-    """Mean over folds of the held-out prediction criterion at one (lam, gamma)."""
-    if folds.K < 2:
-        raise ValueError("need at least 2 folds")
-    scores = []
-    for k in range(1, folds.K + 1):
-        train, held = _split(data, folds, k)
-        solver = AdmmSolver(train, rho=hp.rho)
-        rep = solver.fit(hp, opts=opts)
-        scores.append(_held_out_score(rep.fit, held))
-    return float(np.mean(scores))
-
-
 @dataclass(frozen=True)
 class CvResult:
     grid: CvGrid
@@ -186,12 +171,12 @@ def _chain(solver, held, lambdas, gamma, rho, opts):
     return out
 
 
-def select(data, grid, K=5, seed=0, opts=None, rho=1.0, threads=1):
+def select(data, grid, K=5, seed=0, opts=None, rho=1.0):
     """Evaluate the CV criterion over the grid and refit at the winner.
 
     Ties within 1e-12 of the minimum resolve to the largest lambda, then the
     largest gamma.  Each (fold, gamma) pair forms an independent warm-start
-    chain, so results do not depend on `threads`.
+    chain.
     """
     if not isinstance(data, IntegratedDataset):
         data = IntegratedDataset(tuple(data))
@@ -201,22 +186,12 @@ def select(data, grid, K=5, seed=0, opts=None, rho=1.0, threads=1):
     splits = [_split(data, folds, k) for k in range(1, folds.K + 1)]
     solvers = [AdmmSolver(train, rho=rho) for train, _ in splits]
 
-    tasks = [(k, j) for k in range(folds.K) for j in range(len(grid.gammas))]
-
-    def run(task):
-        k, j = task
-        return _chain(
-            solvers[k], splits[k][1], grid.lambdas, grid.gammas[j], rho, opts
-        )
-
     per_fold = np.zeros((folds.K, len(grid.lambdas), len(grid.gammas)))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-    for (k, j), col in zip(tasks, results):
-        per_fold[k, :, j] = col
+    for k in range(folds.K):
+        for j, gamma in enumerate(grid.gammas):
+            per_fold[k, :, j] = _chain(
+                solvers[k], splits[k][1], grid.lambdas, gamma, rho, opts
+            )
     cv_matrix = per_fold.mean(axis=0)
 
     best = float(cv_matrix.min())

@@ -11,7 +11,6 @@ stream and results are reproducible regardless of evaluation order.
 """
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -442,13 +441,12 @@ def run_study(
     opts=None,
     grid_size=(15, 15),
     metric_mode="paper",
-    threads=1,
 ):
     """Run every method on every scenario for the configured replicates.
 
     scenarios may be SimConfig objects or scenario-name strings.  Replicate
     r of a scenario uses generate(config, r) and fold seed r, so reruns are
-    reproducible and independent of `threads`.
+    reproducible.
     """
     methods = tuple(m.lower() for m in methods)
     for m in methods:
@@ -461,24 +459,14 @@ def run_study(
             cfg = replace(cfg, replicates=int(replicates))
         configs.append((scenario_name(cfg), cfg))
 
-    tasks = [
-        (name, cfg, rep) for name, cfg in configs for rep in range(cfg.replicates)
-    ]
-
-    def run(task):
-        name, cfg, rep = task
-        return _run_replicate(cfg, name, rep, methods, K, opts, grid_size, metric_mode)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-
     records, failures = [], []
-    for recs, fails in results:
-        records.extend(recs)
-        failures.extend(fails)
+    for name, cfg in configs:
+        for rep in range(cfg.replicates):
+            recs, fails = _run_replicate(
+                cfg, name, rep, methods, K, opts, grid_size, metric_mode
+            )
+            records.extend(recs)
+            failures.extend(fails)
     return StudyMetrics(
         records=tuple(records), failures=tuple(failures), metric_mode=metric_mode
     )

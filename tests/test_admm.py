@@ -23,6 +23,7 @@ from intmr.admm import (
     consensus_gap,
     kkt_residual,
 )
+from intmr.prox import group_soft_threshold
 from helpers import (
     make_data,
     random_fit,
@@ -226,6 +227,8 @@ class TestSteps:
                 c = target[:, j, k]
                 val = 0.5 * ((x - c) ** 2).sum() + thresh * np.linalg.norm(x)
                 assert val <= vector_prox_oracle(c, thresh) + 1e-8
+                # the stacked threshold is the vector prox, group by group
+                assert np.array_equal(x, group_soft_threshold(c, thresh))
 
     def test_dual_update_formula_and_fixed_point(self):
         rng = np.random.default_rng(11)
@@ -274,7 +277,7 @@ class TestFit:
         hp = HyperParams(0.3, 0.3)
         rep = fit(data, hp, SolverOptions(tol=1e-9, max_iter=50000, check_every=5))
         _, _, _, f_ref = prox_gradient_reference(data, 0.3, 0.3)
-        f_admm = rep.objective_trace[-1]
+        f_admm = rep.objective
         assert abs(f_admm - f_ref) <= 1e-6 * max(abs(f_admm), abs(f_ref))
         assert rep.kkt_residual <= 1e-4
 
@@ -321,9 +324,7 @@ class TestFit:
         opts = SolverOptions(tol=1e-12, max_iter=50000)
         rep1 = fit(data, HyperParams(0.3, 0.3, rho=1.0), opts)
         rep2 = fit(data, HyperParams(0.3, 0.3, rho=2.5), opts)
-        assert rep1.objective_trace[-1] == pytest.approx(
-            rep2.objective_trace[-1], rel=1e-7
-        )
+        assert rep1.objective == pytest.approx(rep2.objective, rel=1e-7)
 
     def test_dataset_permutation_equivariance(self):
         rng = np.random.default_rng(20)
@@ -371,6 +372,53 @@ class TestFit:
         solver = AdmmSolver(data, rho=1.0)
         with pytest.raises(ValueError):
             solver.fit(HyperParams(0.1, 0.1, rho=2.0))
+
+    def test_one_iteration_is_one_sweep_of_the_step_functions(self):
+        rng = np.random.default_rng(31)
+        data = make_data(rng, M=2, n=12, p=3, q=2, r=[2, 0])
+        hp = HyperParams(0.3, 0.2, rho=1.7)
+        start = random_state(rng, data)
+        rep = AdmmSolver(data, rho=hp.rho).fit(
+            hp, SolverOptions(max_iter=1), init=start
+        )
+        st = start.copy()
+        for m, b in enumerate(data):
+            st.alpha[m] = update_intercept(b, st.B[m], st.C[m])
+            st.B[m] = update_shared_coef(
+                b, st.alpha[m], st.C[m], st.B_bar[m], st.B_dual[m], hp.rho
+            )
+            if b.r:
+                st.C[m] = update_specific_coef(
+                    b, st.alpha[m], st.B[m], st.C_bar[m], st.C_dual[m], hp.rho
+                )
+                st.C_bar[m] = threshold_specific(st.C[m], st.C_dual[m], hp.gamma / hp.rho)
+        st.B_bar = threshold_shared(st.B, st.B_dual, hp.lam / hp.rho)
+        update_duals(st)
+        got = rep.state
+        assert rep.iterations == 1 and got.iteration == start.iteration + 1
+        for name in ("alpha", "B", "B_bar", "B_dual"):
+            assert np.array_equal(getattr(got, name), getattr(st, name)), name
+        for name in ("C", "C_bar", "C_dual"):
+            for m in range(data.M):
+                assert np.array_equal(getattr(got, name)[m], getattr(st, name)[m]), name
+
+    def test_reported_objective_is_model_objective_at_fit(self):
+        rng = np.random.default_rng(32)
+        data = make_data(rng, M=2, n=20, p=3, q=2, r=[1, 2])
+        hp = HyperParams(0.15, 0.1)
+        rep = fit(data, hp, SolverOptions(tol=1e-9, check_every=3))
+        assert rep.objective == objective(data, rep.fit, hp)
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize(
+        "kw",
+        [{"tol": 0.0}, {"tol": -1.0}, {"tol": np.inf}, {"tol": np.nan},
+         {"max_iter": 0}, {"check_every": 0}],
+    )
+    def test_bad_values_rejected(self, kw):
+        with pytest.raises(ValueError):
+            SolverOptions(**kw)
 
 
 class TestDiagnostics:

@@ -82,6 +82,16 @@ class TestUsageErrors:
     def test_bad_scenario_name(self, tmp_path, capsys):
         self.check(capsys, "simulate", "--scenario", "M9!bad", "--out", str(tmp_path))
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tol", "inf"), ("--tol", "nan"), ("--tol", "0"), ("--tol", "-1"),
+         ("--max-iter", "0")],
+    )
+    def test_bad_solver_setting(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path)
+        doc = self.check(capsys, "fit", "--config", cfg, "%s=%s" % (flag, value))
+        assert flag in doc["message"]
+
     def test_bad_grid_spec(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         self.check(capsys, "cv", "--config", cfg, "--grid", "banana")

@@ -335,20 +335,6 @@ class TestRunStudy:
             assert np.array_equal(a.mse, b.mse)
             assert a.fpr == b.fpr and a.fnr == b.fnr
 
-    def test_threads_do_not_change_records(self):
-        cfg = SimConfig(M=2, n=25, s=0, replicates=2, n_test=50, seed=12)
-        kw = dict(
-            methods=("mr", "lasso"),
-            K=3,
-            opts=SolverOptions(tol=1e-6, max_iter=2000),
-            grid_size=(3, 3),
-        )
-        m1 = run_study([cfg], threads=1, **kw)
-        m2 = run_study([cfg], threads=2, **kw)
-        assert len(m1.records) == len(m2.records)
-        for a, b in zip(m1.records, m2.records):
-            assert np.array_equal(a.mse, b.mse) and a.fpr == b.fpr
-
     def test_more_covariates_than_rows_runs(self):
         cfg = SimConfig(M=2, n=15, s=50, replicates=1, n_test=30, seed=13)
         metrics = run_study(
