@@ -14,25 +14,25 @@ scaled dual variables tie each pair together.  One iteration sweeps:
   (e) groupwise soft threshold of B - B_dual onto B_bar,
   (f/g) dual ascent on both consensus residuals.
 
-Each step is one public function below; AdmmSolver.fit runs exactly those
-functions, passing the Cholesky factorizations of X'X + n rho I and
-Z'Z + n rho I that it computes once per dataset (rho stays fixed).
-Convergence is declared when the augmented Lagrangian changes by less than
-tol between checks.  Reported coefficients are the consensus copies, so
-zeros are exact and the nonzero pattern of B is identical across datasets;
-the penalized objective is evaluated once, at the returned fit.
+Each step is one public function below, and each takes leading chain axes.
+run_chains advances a stack of warm-start chains (a cross-validation grid)
+through those functions in one loop; AdmmSolver.fit is its one-chain case.
+The ridge steps use a thin SVD of X and of Z computed once per dataset
+(rho stays fixed).  A fit stops when its augmented Lagrangian changes by
+less than tol between checks.  Reported coefficients are the consensus
+copies, so zeros are exact and the nonzero pattern of B is identical across
+datasets; the penalized objective is evaluated once, at the returned fit.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .model import (
     IntegratedDataset,
     HyperParams,
     ModelFit,
-    group_norms,
     objective,
     residual_matrix,
 )
@@ -43,8 +43,14 @@ __all__ = [
     "AdmmState",
     "FitReport",
     "AdmmSolver",
+    "PaddedBlock",
+    "RidgeFactor",
     "fit",
+    "run_chains",
     "zero_state",
+    "block_loss",
+    "ridge_factor",
+    "ridge_factors",
     "update_intercept",
     "update_shared_coef",
     "update_specific_coef",
@@ -72,12 +78,51 @@ class SolverOptions:
             raise ValueError("check_every must be at least 1")
 
 
+@dataclass(frozen=True)
+class PaddedBlock:
+    """One dataset's rows for a stack of chains.
+
+    Y (..., rows, q), X (..., rows, p) and Z (..., rows, r) carry leading
+    axes that broadcast against the chain axes, with rows zero-padded to a
+    common count; n holds the true row counts, shaped (..., 1, 1), and mask
+    (..., rows, 1) is 1 on true rows.  A zero row drops out of every step
+    on its own; only the loss needs the mask.
+    """
+
+    Y: np.ndarray
+    X: np.ndarray
+    Z: np.ndarray
+    n: np.ndarray
+    mask: np.ndarray
+
+    @property
+    def q(self):
+        return self.Y.shape[-1]
+
+    @property
+    def p(self):
+        return self.X.shape[-1]
+
+    @property
+    def r(self):
+        return self.Z.shape[-1]
+
+
+def block_loss(block, R):
+    """(1 / 2n) ||R||_F^2 of a residual block, per chain, with trailing
+    (1, 1) axes; padded rows count for nothing."""
+    if isinstance(block, PaddedBlock):
+        R = R * block.mask
+    return 0.5 * (R * R).sum(axis=(-2, -1), keepdims=True) / block.n
+
+
 @dataclass
 class AdmmState:
     """Mutable iterate: primal, consensus and scaled dual variables.
 
-    B-side variables are stacked (M, p, q); C-side variables are lists of
-    (r_m, q) arrays since r_m varies by dataset.
+    B-side variables are stacked (M, *chains, p, q) and alpha is
+    (M, *chains, q); C-side variables are lists of (*chains, r_m, q) arrays
+    since r_m varies by dataset.  A single fit has no chain axes.
     """
 
     alpha: np.ndarray
@@ -102,17 +147,18 @@ class AdmmState:
         )
 
 
-def zero_state(data):
-    """All-zero starting point shaped for `data`."""
-    M, p, q = data.M, data.p, data.q
+def zero_state(data, chains=()):
+    """All-zero starting point shaped for `data`, with leading chain axes."""
+    M, p, q = len(data), data[0].p, data[0].q
+    L = tuple(chains)
     return AdmmState(
-        alpha=np.zeros((M, q)),
-        B=np.zeros((M, p, q)),
-        C=[np.zeros((b.r, q)) for b in data],
-        B_bar=np.zeros((M, p, q)),
-        B_dual=np.zeros((M, p, q)),
-        C_bar=[np.zeros((b.r, q)) for b in data],
-        C_dual=[np.zeros((b.r, q)) for b in data],
+        alpha=np.zeros((M,) + L + (q,)),
+        B=np.zeros((M,) + L + (p, q)),
+        C=[np.zeros(L + (b.r, q)) for b in data],
+        B_bar=np.zeros((M,) + L + (p, q)),
+        B_dual=np.zeros((M,) + L + (p, q)),
+        C_bar=[np.zeros(L + (b.r, q)) for b in data],
+        C_dual=[np.zeros(L + (b.r, q)) for b in data],
     )
 
 
@@ -134,34 +180,73 @@ def _check_state_matches(data, state):
 
 # ---------------------------------------------------------------------------
 # single update steps
+#
+# Every step takes leading chain axes: coefficient blocks (..., rows, q) and
+# intercepts (..., q), against data whose arrays broadcast over those axes.
 
 
 def update_intercept(block, B_m, C_m):
     """Column means of Y - X B - Z C."""
-    return np.asarray((block.Y - block.X @ B_m - block.Z @ C_m).mean(axis=0))
+    R = block.Y - block.X @ B_m - block.Z @ C_m
+    return (R.sum(axis=-2, keepdims=True) / block.n)[..., 0, :]
 
 
-def _ridge_factor(G, n, rho):
-    A = G + n * rho * np.eye(G.shape[0])
-    return cho_factor(A)
+class RidgeFactor(NamedTuple):
+    """(A'A + c I)^{-1} v = v / c + V (w * V'v), from the thin SVD of A."""
+
+    V: np.ndarray
+    Vt: np.ndarray
+    w: np.ndarray
+    c: object
+
+
+def ridge_factor(A, n, rho):
+    """Thin-SVD factor of A'A + n rho I for a design A with any leading axes.
+
+    w = -s^2 / (c (s^2 + c)) with c = n rho equals 1 / (s^2 + c) - 1 / c
+    without its cancellation at large c.  Zero-padded rows add zero singular
+    values, whose w is 0.
+    """
+    _, s, Vt = np.linalg.svd(A, full_matrices=False)
+    c = n * rho
+    s2 = (s * s)[..., None]
+    V = np.ascontiguousarray(np.swapaxes(Vt, -1, -2))
+    return RidgeFactor(V=V, Vt=Vt, w=-s2 / (c * (s2 + c)), c=c)
+
+
+def ridge_factors(data, rho):
+    """(X factor, Z factor) per dataset block, None for an empty block."""
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    return [
+        (
+            ridge_factor(block.X, block.n, rho) if block.p else None,
+            ridge_factor(block.Z, block.n, rho) if block.r else None,
+        )
+        for block in data
+    ]
+
+
+def _ridge_solve(factor, rhs):
+    return rhs / factor.c + factor.V @ (factor.w * (factor.Vt @ rhs))
 
 
 def update_shared_coef(block, alpha_m, C_m, B_bar_m, B_dual_m, rho, factor=None):
     """Solve (X'X + n rho I) B = X'(Y - 1 alpha' - Z C) + n rho (B_bar + B_dual)."""
     if factor is None:
-        factor = _ridge_factor(block.X.T @ block.X, block.n, rho)
-    rhs = block.X.T @ (block.Y - alpha_m[None, :] - block.Z @ C_m)
-    rhs += block.n * rho * (B_bar_m + B_dual_m)
-    return cho_solve(factor, rhs)
+        factor = ridge_factor(block.X, block.n, rho)
+    rhs = np.swapaxes(block.X, -1, -2) @ (block.Y - alpha_m[..., None, :] - block.Z @ C_m)
+    rhs += factor.c * (B_bar_m + B_dual_m)
+    return _ridge_solve(factor, rhs)
 
 
 def update_specific_coef(block, alpha_m, B_m, C_bar_m, C_dual_m, rho, factor=None):
     """Solve (Z'Z + n rho I) C = Z'(Y - 1 alpha' - X B) + n rho (C_bar - C_dual)."""
     if factor is None:
-        factor = _ridge_factor(block.Z.T @ block.Z, block.n, rho)
-    rhs = block.Z.T @ (block.Y - alpha_m[None, :] - block.X @ B_m)
-    rhs += block.n * rho * (C_bar_m - C_dual_m)
-    return cho_solve(factor, rhs)
+        factor = ridge_factor(block.Z, block.n, rho)
+    rhs = np.swapaxes(block.Z, -1, -2) @ (block.Y - alpha_m[..., None, :] - block.X @ B_m)
+    rhs += factor.c * (C_bar_m - C_dual_m)
+    return _ridge_solve(factor, rhs)
 
 
 def threshold_specific(C_m, C_dual_m, thresh):
@@ -172,8 +257,8 @@ def threshold_specific(C_m, C_dual_m, thresh):
 def threshold_shared(B, B_dual, thresh):
     """Groupwise soft threshold of B - B_dual, groups running across datasets.
 
-    B and B_dual are stacked (M, p, q); group (j, k) is the length-M vector
-    at [:, j, k].
+    B and B_dual are stacked (M, *chains, p, q); group (j, k) of a chain is
+    the length-M vector at [:, ..., j, k].
     """
     return group_soft_threshold(B - B_dual, thresh)
 
@@ -190,29 +275,29 @@ def update_duals(state):
 # merit functions
 
 
+def _sumsq(A):
+    return (A * A).sum(axis=(-2, -1), keepdims=True)
+
+
 def augmented_lagrangian(data, state, hp):
     """Scaled augmented Lagrangian of the consensus splitting.
 
     Loss at the primal variables, penalties at the consensus copies, plus
     (rho/2) ||B_bar - B + B_dual||_F^2 and (rho/2) ||C - C_bar + C_dual||_F^2
-    summed over datasets.
+    summed over datasets.  One value per chain; hp.lam and hp.gamma may be
+    per-chain arrays shaped (*chains, 1, 1).
     """
-    loss = 0.0
-    quad = 0.0
+    total = 0.0
     for m, block in enumerate(data):
-        R = block.Y - state.alpha[m][None, :] - block.X @ state.B[m] - block.Z @ state.C[m]
-        loss += 0.5 / block.n * float((R * R).sum())
-        if block.r:
-            G = state.C[m] - state.C_bar[m] + state.C_dual[m]
-            quad += 0.5 * hp.rho * float((G * G).sum())
-    if data.p:
-        Gb = state.B_bar - state.B + state.B_dual
-        quad += 0.5 * hp.rho * float((Gb * Gb).sum())
-        pen_b = hp.lam * float(group_norms(state.B_bar).sum())
-    else:
-        pen_b = 0.0
-    pen_c = hp.gamma * sum(float(np.abs(c).sum()) for c in state.C_bar)
-    return loss + pen_b + pen_c + quad
+        R = block.Y - state.alpha[m][..., None, :] - block.X @ state.B[m] - block.Z @ state.C[m]
+        G = state.C[m] - state.C_bar[m] + state.C_dual[m]
+        total = total + block_loss(block, R) + 0.5 * hp.rho * _sumsq(G)
+        total = total + hp.gamma * np.abs(state.C_bar[m]).sum(axis=(-2, -1), keepdims=True)
+    Gb = state.B_bar - state.B + state.B_dual
+    norms = np.sqrt((state.B_bar * state.B_bar).sum(axis=0))
+    total = total + 0.5 * hp.rho * _sumsq(Gb).sum(axis=0)
+    total = total + hp.lam * norms.sum(axis=(-2, -1), keepdims=True)
+    return total[..., 0, 0][()]
 
 
 def consensus_gap(state):
@@ -283,82 +368,126 @@ class FitReport:
     state: AdmmState = field(repr=False, default=None)
 
 
+class _ChainParams(NamedTuple):
+    lam: np.ndarray
+    gamma: np.ndarray
+    rho: float
+
+
+def run_chains(data, factors, state, rho, lambdas, gammas, opts=None,
+               on_stop=None, trace=None):
+    """Advance a stack of warm-start chains through one ADMM loop.
+
+    The chains sit on the leading axes of `state` (after its dataset axis)
+    and of `gammas`, each chain's gamma; the arrays of `data`, one block per
+    dataset, broadcast against them.  factors[m] holds the ridge factors of
+    dataset m's X and Z (see ridge_factors).
+
+    Every chain fits lambdas[0], lambdas[1], ... in turn at its own gamma,
+    each fit warm-started from the state the previous one stopped in.  A fit
+    stops when its augmented Lagrangian changes by less than opts.tol
+    between two of its checks, or after opts.max_iter iterations.  When fits
+    stop, on_stop(state, stopped, position) gets the mask of the chains that
+    stopped and every chain's index into `lambdas`.  A chain at the end of
+    its path is still swept along but can no longer stop the loop or raise
+    FloatingPointError.  Each check appends the Lagrangian of every chain to
+    `trace` when one is given.
+
+    Returns the iteration count and convergence flag of every fit, shaped
+    gammas.shape + (len(lambdas),).
+    """
+    opts = opts or SolverOptions()
+    lambdas = np.asarray(lambdas, dtype=float)
+    gammas = np.asarray(gammas, dtype=float)
+    shape, n_fits = gammas.shape, len(lambdas)
+    position = np.zeros(shape, dtype=int)
+    it = np.zeros(shape, dtype=int)
+    prev = np.full(shape, np.nan)
+    active = np.ones(shape, dtype=bool)
+    iterations = np.zeros(shape + (n_fits,), dtype=int)
+    converged = np.zeros(shape + (n_fits,), dtype=bool)
+    hp = _ChainParams(lambdas[position][..., None, None], gammas[..., None, None], rho)
+    thresh_c = hp.gamma / rho
+    shared = data[0].p > 0
+    while active.any():
+        for m, block in enumerate(data):
+            fx, fz = factors[m]
+            state.alpha[m] = update_intercept(block, state.B[m], state.C[m])
+            if block.p:
+                state.B[m] = update_shared_coef(
+                    block, state.alpha[m], state.C[m], state.B_bar[m],
+                    state.B_dual[m], rho, factor=fx,
+                )
+            if block.r:
+                state.C[m] = update_specific_coef(
+                    block, state.alpha[m], state.B[m], state.C_bar[m],
+                    state.C_dual[m], rho, factor=fz,
+                )
+                state.C_bar[m] = threshold_specific(state.C[m], state.C_dual[m], thresh_c)
+        if shared:
+            state.B_bar = threshold_shared(state.B, state.B_dual, hp.lam / rho)
+        update_duals(state)
+        state.iteration += 1
+        it += 1
+        finite = np.isfinite(state.alpha).all(axis=(0, -1))
+        finite &= np.isfinite(state.B).all(axis=(0, -2, -1))
+        for c in state.C:
+            finite &= np.isfinite(c).all(axis=(-2, -1))
+        diverged = active & ~finite
+        if diverged.any():
+            raise FloatingPointError(
+                "solver diverged: non-finite iterate at iteration %d" % it[diverged].min()
+            )
+        check = it % opts.check_every == 0
+        met = np.zeros(shape, dtype=bool)
+        if check.any():
+            L = augmented_lagrangian(data, state, hp)
+            if trace is not None:
+                trace.append(L)
+            met = check & (np.abs(L - prev) < opts.tol)
+            prev = np.where(check, L, prev)
+        stopped = active & (met | (it >= opts.max_iter))
+        if not stopped.any():
+            continue
+        this_fit = stopped[..., None] & (np.arange(n_fits) == position[..., None])
+        np.copyto(iterations, it[..., None], where=this_fit)
+        np.copyto(converged, met[..., None], where=this_fit)
+        if on_stop is not None:
+            on_stop(state, stopped, position)
+        position = position + stopped
+        active = position < n_fits
+        np.copyto(it, 0, where=stopped)
+        np.copyto(prev, np.nan, where=stopped)
+        hp = hp._replace(lam=lambdas[np.minimum(position, n_fits - 1)][..., None, None])
+    return iterations, converged
+
+
 class AdmmSolver:
-    """Caches per-dataset ridge factorizations for repeated fits on one
-    dataset collection with a fixed rho (grids, warm starts)."""
+    """Caches per-dataset ridge factors for repeated fits on one dataset
+    collection with a fixed rho (warm starts, refits)."""
 
     def __init__(self, data, rho=1.0):
         if not isinstance(data, IntegratedDataset):
             data = IntegratedDataset(tuple(data))
-        if rho <= 0:
-            raise ValueError("rho must be positive")
+        self._factors = ridge_factors(data, rho)
         self.data = data
         self.rho = float(rho)
-        self._fx = []
-        self._fz = []
-        for block in data:
-            self._fx.append(
-                _ridge_factor(block.X.T @ block.X, block.n, rho) if block.p else None
-            )
-            self._fz.append(
-                _ridge_factor(block.Z.T @ block.Z, block.n, rho) if block.r else None
-            )
 
     def fit(self, hp, opts=None, init=None):
         if not isinstance(hp, HyperParams):
             raise TypeError("hp must be HyperParams")
         if hp.rho != self.rho:
             raise ValueError("hp.rho=%g does not match solver rho=%g" % (hp.rho, self.rho))
-        opts = opts or SolverOptions()
         data = self.data
         if init is None:
             state = zero_state(data)
         else:
             _check_state_matches(data, init)
             state = init.copy()
-        rho = self.rho
-        thresh_c = hp.gamma / rho
-        thresh_b = hp.lam / rho
-
-        lagrangian_trace = []
-        converged = False
-        prev = None
-        iterations = 0
-        for it in range(1, opts.max_iter + 1):
-            for m, block in enumerate(data):
-                state.alpha[m] = update_intercept(block, state.B[m], state.C[m])
-                if block.p:
-                    state.B[m] = update_shared_coef(
-                        block, state.alpha[m], state.C[m], state.B_bar[m],
-                        state.B_dual[m], rho, factor=self._fx[m],
-                    )
-                if block.r:
-                    state.C[m] = update_specific_coef(
-                        block, state.alpha[m], state.B[m], state.C_bar[m],
-                        state.C_dual[m], rho, factor=self._fz[m],
-                    )
-                    state.C_bar[m] = threshold_specific(state.C[m], state.C_dual[m], thresh_c)
-            if data.p:
-                state.B_bar = threshold_shared(state.B, state.B_dual, thresh_b)
-            update_duals(state)
-            state.iteration += 1
-            iterations = it
-            if not (
-                np.isfinite(state.alpha).all()
-                and np.isfinite(state.B).all()
-                and all(np.isfinite(c).all() for c in state.C)
-            ):
-                raise FloatingPointError(
-                    "solver diverged: non-finite iterate at iteration %d" % it
-                )
-            if it % opts.check_every == 0:
-                L = augmented_lagrangian(data, state, hp)
-                lagrangian_trace.append(L)
-                if prev is not None and abs(L - prev) < opts.tol:
-                    converged = True
-                    break
-                prev = L
-
+        trace = []
+        iterations, converged = run_chains(
+            data, self._factors, state, self.rho, [hp.lam], hp.gamma, opts, trace=trace
+        )
         result = ModelFit(
             alpha=tuple(state.alpha[m].copy() for m in range(data.M)),
             B=tuple(state.B_bar[m].copy() for m in range(data.M)),
@@ -366,10 +495,10 @@ class AdmmSolver:
         )
         return FitReport(
             fit=result,
-            iterations=iterations,
-            converged=converged,
+            iterations=int(iterations[0]),
+            converged=bool(converged[0]),
             objective=objective(data, result, hp),
-            lagrangian_trace=np.asarray(lagrangian_trace),
+            lagrangian_trace=np.asarray(trace),
             kkt_residual=kkt_residual(data, result, hp),
             consensus_gap=consensus_gap(state),
             state=state,

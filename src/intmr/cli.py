@@ -14,12 +14,14 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import admm, io, selection, sim
 from .model import HyperParams, objective
 
 __all__ = ["main", "cli", "UsageError"]
+
+
+_STANDARDIZE = ("true", "false")
+_METRIC_MODES = ("paper", "conventional")
 
 
 class UsageError(Exception):
@@ -40,7 +42,7 @@ def _add_common(p):
     p.add_argument("--max-iter", type=int, help="solver iteration cap (default 10000)")
     p.add_argument(
         "--standardize",
-        choices=["true", "false"],
+        choices=_STANDARDIZE,
         help="center and scale covariate columns before fitting (default false)",
     )
     p.add_argument(
@@ -51,7 +53,7 @@ def _add_common(p):
     )
     p.add_argument(
         "--metric-mode",
-        choices=["paper", "conventional"],
+        choices=_METRIC_MODES,
         help="selection-rate denominator convention (default paper)",
     )
     p.add_argument(
@@ -114,6 +116,43 @@ _DEFAULTS = {
     "rho": 1.0,
 }
 
+# Types a config value may take where its default does not tell.
+_CONFIG_TYPES = {
+    "standardize": (bool, str),
+    "replicates": (int,),
+    "scenario": (str, list),
+    "model": (str,),
+    "blocks": (list,),
+}
+_CONFIG_CHOICES = {
+    "standardize": (True, False) + _STANDARDIZE,
+    "metric_mode": _METRIC_MODES,
+}
+
+
+def _check_config_value(config, key, val):
+    """Reject a config value of the wrong JSON type, or outside the choices
+    its flag allows.  A number refuses true/false, an integer refuses 3.5,
+    and a key whose default is None also takes null."""
+    default = _DEFAULTS[key]
+    if val is None and default is None:
+        return
+    if key in _CONFIG_TYPES:
+        want = _CONFIG_TYPES[key]
+    else:
+        want = (int, float) if isinstance(default, float) else (type(default),)
+    if key in _CONFIG_CHOICES and val not in _CONFIG_CHOICES[key]:
+        raise UsageError(
+            "config file %s: %r must be one of %s, got %s"
+            % (config, key, ", ".join(map(json.dumps, _CONFIG_CHOICES[key])), json.dumps(val))
+        )
+    if isinstance(val, want) and (bool in want or not isinstance(val, bool)):
+        return
+    raise UsageError(
+        "config file %s: %r must be %s, got %s"
+        % (config, key, " or ".join(t.__name__ for t in want), json.dumps(val))
+    )
+
 
 def _settings(args):
     """Defaults, overlaid by the config file, overlaid by explicit flags."""
@@ -133,6 +172,7 @@ def _settings(args):
             norm = key.replace("-", "_")
             if norm not in merged:
                 raise UsageError("config file %s: unknown key %r" % (config, key))
+            _check_config_value(config, norm, val)
             merged[norm] = val
     for key, val in vars(args).items():
         if key in ("command", "config"):

@@ -257,8 +257,9 @@ def _check_fit_matches(data, fit):
 
 
 def predict(block, alpha, B, C):
-    """Fitted values 1 alpha' + X B + Z C for one dataset."""
-    return alpha[None, :] + block.X @ B + block.Z @ C
+    """Fitted values 1 alpha' + X B + Z C for one dataset; alpha, B and C
+    may carry leading axes that broadcast against the block's."""
+    return alpha[..., None, :] + block.X @ B + block.Z @ C
 
 
 def residual_matrix(block, alpha, B, C):

@@ -8,9 +8,10 @@ __all__ = ["soft_threshold", "group_soft_threshold"]
 def soft_threshold(a, b):
     """Entrywise soft threshold sign(a) * max(|a| - b, 0).
 
-    Proximal operator of b * |.|; a may be a scalar or an array.
+    Proximal operator of b * |.|; a may be a scalar or an array, and b a
+    threshold that broadcasts against it.
     """
-    if b < 0:
+    if np.any(np.less(b, 0)):
         raise ValueError("threshold must be nonnegative")
     a = np.asarray(a, dtype=float)
     out = np.sign(a) * np.maximum(np.abs(a) - b, 0.0)
@@ -22,9 +23,10 @@ def group_soft_threshold(c, d):
 
     Groups run along axis 0: for c of shape (M, ...) each group is the
     length-M vector c[:, j, ...], and a 1-D vector is a single group.
-    Proximal operator of d times the sum of the group norms.
+    Proximal operator of d times the sum of the group norms; d may be an
+    array that broadcasts against the group norms, c.shape[1:].
     """
-    if d < 0:
+    if np.any(np.less(d, 0)):
         raise ValueError("threshold must be nonnegative")
     c = np.asarray(c, dtype=float)
     norms = np.sqrt((c * c).sum(axis=0))

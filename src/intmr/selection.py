@@ -8,15 +8,25 @@ every dataset.  The score of a grid cell is the prediction criterion
 i.e. the same scaled squared-error loss the objective uses, without the
 penalty terms.  Lambda paths are swept from the largest value down with warm
 starts, one chain per (fold, gamma) pair, so the expensive small-penalty
-fits start near a solution.
+fits start near a solution.  All chains run as one stacked ADMM (see
+admm.run_chains): fold data is stored once per fold and broadcast over the
+gamma axis.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import DatasetBlock, IntegratedDataset, HyperParams, predict
-from .admm import AdmmSolver, SolverOptions
+from .admm import (
+    AdmmSolver,
+    PaddedBlock,
+    block_loss,
+    ridge_factors,
+    run_chains,
+    zero_state,
+)
 
 __all__ = [
     "FoldAssignment",
@@ -140,35 +150,51 @@ def _split(data, folds, k):
 
 
 def _held_out_score(fit, held_blocks):
-    s = 0.0
+    """Held-out loss, summed over datasets, of coefficients indexed by
+    dataset; per chain when they carry chain axes."""
+    s = np.zeros((1, 1))
     for m, block in enumerate(held_blocks):
         if block is None:
             continue
         R = block.Y - predict(block, fit.alpha[m], fit.B[m], fit.C[m])
-        s += 0.5 / block.n * float((R * R).sum())
-    return s
+        s = s + block_loss(block, R)
+    return s[..., 0, 0][()]
+
+
+def _stack_folds(blocks):
+    """One dataset's per-fold blocks, rows zero-padded to a common count,
+    stacked as (K, 1, rows, .); the singleton axis broadcasts over gammas."""
+    rows = max(b.n for b in blocks)
+
+    def pad(name):
+        arrays = [getattr(b, name) for b in blocks]
+        out = np.zeros((len(arrays), 1, rows, arrays[0].shape[1]))
+        for k, a in enumerate(arrays):
+            out[k, 0, : len(a)] = a
+        return out
+
+    n = np.array([b.n for b in blocks], dtype=float).reshape(-1, 1, 1, 1)
+    mask = (np.arange(rows)[:, None] < n).astype(float)
+    return PaddedBlock(Y=pad("Y"), X=pad("X"), Z=pad("Z"), n=n, mask=mask)
+
+
+_Consensus = namedtuple("_Consensus", "alpha B C")
 
 
 @dataclass(frozen=True)
 class CvResult:
+    """iterations and converged hold, per (fold, lambda, gamma) cell, the
+    iteration count of the fit scored there and whether it met the
+    stopping rule rather than the iteration cap."""
+
     grid: CvGrid
     cv_matrix: np.ndarray
     best_lambda: float
     best_gamma: float
     refit: object
     folds: FoldAssignment
-
-
-def _chain(solver, held, lambdas, gamma, rho, opts):
-    """Sweep the lambda path at one gamma with warm starts; returns held-out
-    scores per lambda."""
-    out = np.empty(len(lambdas))
-    init = None
-    for i, lam in enumerate(lambdas):
-        rep = solver.fit(HyperParams(lam=lam, gamma=gamma, rho=rho), opts=opts, init=init)
-        init = rep.state
-        out[i] = _held_out_score(rep.fit, held)
-    return out
+    iterations: np.ndarray = None
+    converged: np.ndarray = None
 
 
 def select(data, grid, K=5, seed=0, opts=None, rho=1.0):
@@ -184,14 +210,21 @@ def select(data, grid, K=5, seed=0, opts=None, rho=1.0):
         raise TypeError("grid must be a CvGrid")
     folds = make_folds(data, K, seed)
     splits = [_split(data, folds, k) for k in range(1, folds.K + 1)]
-    solvers = [AdmmSolver(train, rho=rho) for train, _ in splits]
-
+    train = tuple(_stack_folds([tr[m] for tr, _ in splits]) for m in range(data.M))
+    held = tuple(_stack_folds([he[m] for _, he in splits]) for m in range(data.M))
+    factors = ridge_factors(train, rho)
+    shape = (folds.K, len(grid.gammas))
     per_fold = np.zeros((folds.K, len(grid.lambdas), len(grid.gammas)))
-    for k in range(folds.K):
-        for j, gamma in enumerate(grid.gammas):
-            per_fold[k, :, j] = _chain(
-                solvers[k], splits[k][1], grid.lambdas, gamma, rho, opts
-            )
+
+    def score(state, stopped, position):
+        k, j = np.nonzero(stopped)
+        s = _held_out_score(_Consensus(state.alpha, state.B_bar, state.C_bar), held)
+        per_fold[k, position[k, j], j] = s[k, j]
+
+    iterations, converged = run_chains(
+        train, factors, zero_state(train, shape), float(rho), grid.lambdas,
+        np.broadcast_to(grid.gammas, shape), opts, on_stop=score,
+    )
     cv_matrix = per_fold.mean(axis=0)
 
     best = float(cv_matrix.min())
@@ -217,4 +250,6 @@ def select(data, grid, K=5, seed=0, opts=None, rho=1.0):
         best_gamma=best_gamma,
         refit=refit,
         folds=folds,
+        iterations=iterations.transpose(0, 2, 1),
+        converged=converged.transpose(0, 2, 1),
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import DatasetBlock, IntegratedDataset, ModelFit, predict
-from .selection import CvGrid, default_grid, select
+from .selection import default_grid, select
 
 __all__ = [
     "SimConfig",

@@ -20,6 +20,8 @@ from intmr.admm import (
     threshold_shared,
     update_duals,
     augmented_lagrangian,
+    PaddedBlock,
+    ridge_factor,
     consensus_gap,
     kkt_residual,
 )
@@ -181,6 +183,54 @@ class TestSteps:
         lhs = (b.Z.T @ b.Z + b.n * rho * np.eye(4)) @ C
         rhs = b.Z.T @ (b.Y - alpha - b.X @ B) + b.n * rho * (C_bar - C_dual)
         assert np.abs(lhs - rhs).max() < 1e-10
+
+    @pytest.mark.parametrize("n, p, rho", [(6, 15, 1.0), (40, 5, 0.3), (6, 15, 1e8), (40, 5, 1e8)])
+    def test_svd_solve_meets_its_normal_equations(self, n, p, rho):
+        rng = np.random.default_rng(33)
+        b = make_data(rng, M=1, n=n, p=p, q=2, r=3)[0]
+        alpha = rng.standard_normal(2)
+        C = rng.standard_normal((3, 2))
+        B_bar = rng.standard_normal((p, 2))
+        B_dual = rng.standard_normal((p, 2))
+        B = update_shared_coef(b, alpha, C, B_bar, B_dual, rho, factor=ridge_factor(b.X, n, rho))
+        lhs = (b.X.T @ b.X + n * rho * np.eye(p)) @ B
+        rhs = b.X.T @ (b.Y - alpha - b.Z @ C) + n * rho * (B_bar + B_dual)
+        assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
+
+    def test_steps_over_padded_chain_stack_match_per_chain_steps(self):
+        # two folds of unequal row counts, zero-padded and stacked as
+        # (fold, 1, rows, .), against three chains per fold
+        rng = np.random.default_rng(34)
+        blocks = [make_data(rng, M=1, n=n, p=4, q=2, r=3)[0] for n in (7, 5)]
+        rows = 7
+        pad = lambda get: np.stack(
+            [np.vstack([get(b), np.zeros((rows - b.n, get(b).shape[1]))]) for b in blocks]
+        )[:, None]
+        n = np.array([7.0, 5.0]).reshape(2, 1, 1, 1)
+        stack = PaddedBlock(
+            Y=pad(lambda b: b.Y), X=pad(lambda b: b.X), Z=pad(lambda b: b.Z),
+            n=n, mask=(np.arange(rows)[:, None] < n).astype(float),
+        )
+        alpha = rng.standard_normal((2, 3, 2))
+        B, B_bar, B_dual = (rng.standard_normal((2, 3, 4, 2)) for _ in range(3))
+        C, C_bar, C_dual = (rng.standard_normal((2, 3, 3, 2)) for _ in range(3))
+        rho = 0.8
+        got = {
+            "alpha": update_intercept(stack, B, C),
+            "B": update_shared_coef(stack, alpha, C, B_bar, B_dual, rho,
+                                    factor=ridge_factor(stack.X, stack.n, rho)),
+            "C": update_specific_coef(stack, alpha, B, C_bar, C_dual, rho,
+                                      factor=ridge_factor(stack.Z, stack.n, rho)),
+        }
+        for k, b in enumerate(blocks):
+            for j in range(3):
+                want = {
+                    "alpha": update_intercept(b, B[k, j], C[k, j]),
+                    "B": update_shared_coef(b, alpha[k, j], C[k, j], B_bar[k, j], B_dual[k, j], rho),
+                    "C": update_specific_coef(b, alpha[k, j], B[k, j], C_bar[k, j], C_dual[k, j], rho),
+                }
+                for name, w in want.items():
+                    assert np.abs(got[name][k, j] - w).max() <= 1e-12 * np.abs(w).max(), name
 
     def test_specific_threshold_is_entrywise_prox(self):
         rng = np.random.default_rng(7)

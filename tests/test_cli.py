@@ -92,6 +92,19 @@ class TestUsageErrors:
         doc = self.check(capsys, "fit", "--config", cfg, "%s=%s" % (flag, value))
         assert flag in doc["message"]
 
+    # each of these used to exit 1 with a TypeError or run with a silently
+    # truncated or coerced value
+    @pytest.mark.parametrize(
+        "key, value",
+        [("tol", "1e-6"), ("threads", "4"), ("max_iter", 3.5), ("k", 2.5),
+         ("max_iter", True), ("seed", True), ("standardize", "yes"),
+         ("metric_mode", "bogus")],
+    )
+    def test_wrongly_typed_config_value(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, out=str(tmp_path), **{key: value})
+        doc = self.check(capsys, "cv", "--config", cfg, "--grid", "2x2")
+        assert repr(key) in doc["message"]
+
     def test_bad_grid_spec(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         self.check(capsys, "cv", "--config", cfg, "--grid", "banana")
@@ -106,6 +119,15 @@ class TestUsageErrors:
 
     def test_report_without_model(self, capsys):
         self.check(capsys, "report")
+
+
+def test_config_values_of_the_right_type_are_accepted(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, out=str(tmp_path), tol=1, max_iter=200, seed=3, k=3,
+        standardize=False, replicates=None, lam=0, gamma=0.1,
+    )
+    code, _, err = run(capsys, "fit", "--config", cfg)
+    assert code == 0, err
 
 
 class TestRuntimeErrors:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from intmr.model import DatasetBlock, IntegratedDataset, HyperParams, predict
-from intmr.admm import AdmmSolver, SolverOptions, fit
+from intmr.admm import AdmmSolver, SolverOptions, fit, ridge_factors, run_chains, zero_state
 from intmr.selection import (
     FoldAssignment,
     CvGrid,
@@ -266,3 +266,130 @@ class TestSelect:
             if sel_mse <= corner_mse:
                 wins += 1
         assert wins >= 16
+
+
+def sequential_chains(data, grid, folds, opts=None, rho=1.0):
+    """Per-fold scores, iteration counts and convergence flags from one
+    warm-started AdmmSolver.fit chain per (fold, gamma): the unstacked
+    reference for select."""
+    shape = (folds.K, len(grid.lambdas), len(grid.gammas))
+    scores, iters, conv = np.zeros(shape), np.zeros(shape, int), np.zeros(shape, bool)
+    for k in range(folds.K):
+        train, held = _split(data, folds, k + 1)
+        solver = AdmmSolver(train, rho=rho)
+        for j, gam in enumerate(grid.gammas):
+            init = None
+            for i, lam in enumerate(grid.lambdas):
+                rep = solver.fit(HyperParams(lam, gam, rho), opts=opts, init=init)
+                init = rep.state
+                scores[k, i, j] = _held_out_score(rep.fit, held)
+                iters[k, i, j] = rep.iterations
+                conv[k, i, j] = rep.converged
+    return scores, iters, conv
+
+
+def assert_matches_sequential(data, grid, K, seed, opts=None):
+    res = select(data, grid, K=K, seed=seed, opts=opts)
+    scores, iters, conv = sequential_chains(data, grid, res.folds, opts)
+    ref = scores.mean(axis=0)
+    assert np.abs(res.cv_matrix - ref).max() <= 1e-9 * np.abs(ref).max()
+    assert np.array_equal(res.iterations, iters)
+    assert np.array_equal(res.converged, conv)
+    return res
+
+
+class TestStackedGrid:
+    def test_uneven_folds(self):
+        rng = np.random.default_rng(40)
+        data = make_data(rng, M=2, n=19, p=3, q=2, r=2)
+        res = assert_matches_sequential(data, default_grid(data, 3, 2), K=4, seed=3)
+        sizes = np.bincount(res.folds.labels[0])[1:]
+        assert sizes.min() < sizes.max()
+        assert res.iterations.shape == (4, 3, 2) and res.converged.all()
+
+    def test_dataset_without_specific_covariates(self):
+        rng = np.random.default_rng(41)
+        data = make_data(rng, M=2, n=16, p=3, q=2, r=[2, 0])
+        assert_matches_sequential(data, default_grid(data, 3, 3), K=4, seed=0)
+
+    def test_no_shared_covariates_route(self):
+        # the one-dataset p = 0 problem that fit_mlasso routes through select
+        rng = np.random.default_rng(42)
+        block = make_data(rng, M=1, n=20, p=4, q=2, r=3)[0]
+        routed = IntegratedDataset(
+            (DatasetBlock(Y=block.Y, X=np.zeros((20, 0)), Z=np.hstack([block.X, block.Z])),)
+        )
+        grid = default_grid(routed, n_lambdas=1, n_gammas=4)
+        assert_matches_sequential(routed, grid, K=5, seed=1)
+
+    def test_one_cell_grid(self):
+        rng = np.random.default_rng(43)
+        data = make_data(rng, M=2, n=15, p=3, q=2, r=1)
+        grid = CvGrid(lambdas=(0.2,), gammas=(0.1,))
+        assert_matches_sequential(data, grid, K=3, seed=2)
+
+    def test_each_fit_restarts_its_stopping_test(self):
+        # a repeated lambda starts its fit at the previous fit's solution;
+        # the new fit must still run to its own second check
+        rng = np.random.default_rng(48)
+        data = make_data(rng, M=2, n=15, p=3, q=2, r=1)
+        grid = CvGrid(lambdas=(0.2, 0.2), gammas=(0.1, 0.05))
+        res = assert_matches_sequential(data, grid, K=3, seed=0)
+        assert (res.iterations[:, 1] == 2).all()
+
+    def test_capped_chain_does_not_stop_the_others(self):
+        rng = np.random.default_rng(44)
+        data = make_data(rng, M=2, n=18, p=3, q=2, r=2)
+        grid = default_grid(data, 3, 3)
+        free = select(data, grid, K=3, seed=4)
+        cap = int(np.median(free.iterations))
+        res = assert_matches_sequential(
+            data, grid, K=3, seed=4, opts=SolverOptions(max_iter=cap)
+        )
+        assert res.converged.any() and not res.converged.all()
+        assert (res.iterations[~res.converged] == cap).all()
+
+    def test_tiny_max_iter_marks_capped_cells(self):
+        rng = np.random.default_rng(45)
+        data = make_data(rng, M=2, n=16, p=3, q=2, r=1)
+        res = select(data, default_grid(data, 2, 2), K=4, seed=0,
+                     opts=SolverOptions(max_iter=2))
+        assert res.iterations.shape == res.converged.shape == (4, 2, 2)
+        assert (res.iterations == 2).all() and not res.converged.any()
+        assert np.isfinite(res.cv_matrix).all()
+
+    def test_non_finite_iterate_raises(self):
+        rng = np.random.default_rng(46)
+        data = make_data(rng, M=2, n=12, p=3, q=2, r=1)
+        # one huge row: its square overflows in the ridge factor of every
+        # fold that trains on it
+        X = data[0].X.copy()
+        X[0] = 1e160
+        blocks = (DatasetBlock(Y=data[0].Y, X=X, Z=data[0].Z), data[1])
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            select(IntegratedDataset(blocks), CvGrid((0.1,), (0.1,)), K=3, seed=0)
+
+    def test_finished_chain_neither_stops_nor_raises(self):
+        rng = np.random.default_rng(48)
+        data = make_data(rng, M=2, n=20, p=3, q=2, r=2)
+        factors = ridge_factors(data, 1.0)
+        lambdas, gammas = (0.3, 0.02), np.array([0.5, 0.05, 0.005])
+
+        def run(on_stop=None):
+            return run_chains(
+                data, factors, zero_state(data, (3,)), 1.0, lambdas, gammas,
+                on_stop=on_stop,
+            )
+
+        iters, _ = run()
+        first = int(np.argmin(iters.sum(axis=1)))
+        assert iters.sum(axis=1)[first] < np.sort(iters.sum(axis=1))[1]
+
+        def poison(state, stopped, position):
+            # once the fastest chain ends its path, its iterate turns NaN
+            if stopped[first] and position[first] == len(lambdas) - 1:
+                state.B[:, first] = np.nan
+
+        with np.errstate(all="ignore"):
+            poisoned, conv = run(poison)
+        assert np.array_equal(poisoned, iters) and conv.all()
