@@ -14,17 +14,20 @@ scaled dual variables tie each pair together.  One iteration sweeps:
   (e) groupwise soft threshold of B - B_dual onto B_bar,
   (f/g) dual ascent on both consensus residuals.
 
-Each step is one public function below, and each takes leading chain axes.
-run_chains advances a stack of warm-start chains (a cross-validation grid)
-through those functions in one loop; AdmmSolver.fit is its one-chain case.
-The ridge steps use a thin SVD of X and of Z computed once per dataset
-(rho stays fixed).  A fit stops when its augmented Lagrangian changes by
-less than tol between checks.  Reported coefficients are the consensus
+Each step is one public function below.  Data and iterates are stacked
+with the dataset on the leading axis, then the chain axes (stack builds the
+data side, zero_state the iterate), so every step runs once per iteration
+on all datasets and chains.  run_chains advances a stack of warm-start
+chains (a cross-validation grid) through those functions in one loop;
+AdmmSolver.fit is its one-chain case.  The ridge steps use a thin SVD of X
+and of Z, one batched SVD each, computed once per stack (rho stays fixed).
+A fit stops when its augmented Lagrangian changes by less than tol between
+checks.  Reported coefficients are the consensus
 copies, so zeros are exact and the nonzero pattern of B is identical across
 datasets; the penalized objective is evaluated once, at the returned fit.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +49,7 @@ __all__ = [
     "PaddedBlock",
     "RidgeFactor",
     "fit",
+    "stack",
     "run_chains",
     "zero_state",
     "block_loss",
@@ -80,13 +84,14 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class PaddedBlock:
-    """One dataset's rows for a stack of chains.
+    """Every dataset's rows, stacked with the dataset on the leading axis.
 
-    Y (..., rows, q), X (..., rows, p) and Z (..., rows, r) carry leading
-    axes that broadcast against the chain axes, with rows zero-padded to a
-    common count; n holds the true row counts, shaped (..., 1, 1), and mask
-    (..., rows, 1) is 1 on true rows.  A zero row drops out of every step
-    on its own; only the loss needs the mask.
+    Y (M, ..., rows, q), X (M, ..., rows, p) and Z (M, ..., rows, r_max)
+    carry leading axes that broadcast against the chain axes.  Rows are
+    zero-padded to a common count and Z's columns to the largest r_m; n
+    holds the true row counts, shaped (M, ..., 1, 1), mask (M, ..., rows, 1)
+    is 1 on true rows, and r holds the true r_m.  A zero row or column drops
+    out of every step on its own; only the loss needs the mask.
     """
 
     Y: np.ndarray
@@ -94,6 +99,11 @@ class PaddedBlock:
     Z: np.ndarray
     n: np.ndarray
     mask: np.ndarray
+    r: tuple
+
+    @property
+    def M(self):
+        return len(self.r)
 
     @property
     def q(self):
@@ -103,16 +113,42 @@ class PaddedBlock:
     def p(self):
         return self.X.shape[-1]
 
-    @property
-    def r(self):
-        return self.Z.shape[-1]
+
+def stack(blocks):
+    """Zero-pad DatasetBlocks and stack them into one PaddedBlock.
+
+    blocks is a nested sequence of DatasetBlocks whose outer level is the
+    dataset: an IntegratedDataset gives the (M,) stack of a single fit, and
+    blocks[m][k][0], fold k's training rows of dataset m, the (M, K, 1) stack
+    of a CV grid, whose singleton axis broadcasts over gammas.  All blocks
+    of one dataset must have the same r.
+    """
+    cells = np.array(blocks, dtype=object)
+    flat = cells.ravel()
+    rows = max(b.n for b in flat)
+
+    def pad(name, width):
+        out = np.zeros((flat.size, rows, width))
+        for i, b in enumerate(flat):
+            a = getattr(b, name)
+            out[i, : a.shape[0], : a.shape[1]] = a
+        return out.reshape(cells.shape + (rows, width))
+
+    n = np.array([b.n for b in flat], dtype=float).reshape(cells.shape + (1, 1))
+    return PaddedBlock(
+        Y=pad("Y", flat[0].q),
+        X=pad("X", flat[0].p),
+        Z=pad("Z", max(b.r for b in flat)),
+        n=n,
+        mask=(np.arange(rows)[:, None] < n).astype(float),
+        r=tuple(b.r for b in cells.reshape(len(cells), -1)[:, 0]),
+    )
 
 
 def block_loss(block, R):
-    """(1 / 2n) ||R||_F^2 of a residual block, per chain, with trailing
-    (1, 1) axes; padded rows count for nothing."""
-    if isinstance(block, PaddedBlock):
-        R = R * block.mask
+    """(1 / 2n) ||R||_F^2 of a residual block, per dataset and chain, with
+    trailing (1, 1) axes; padded rows count for nothing."""
+    R = R * block.mask
     return 0.5 * (R * R).sum(axis=(-2, -1), keepdims=True) / block.n
 
 
@@ -120,69 +156,55 @@ def block_loss(block, R):
 class AdmmState:
     """Mutable iterate: primal, consensus and scaled dual variables.
 
-    B-side variables are stacked (M, *chains, p, q) and alpha is
-    (M, *chains, q); C-side variables are lists of (*chains, r_m, q) arrays
-    since r_m varies by dataset.  A single fit has no chain axes.
+    Every variable is stacked with the dataset on the leading axis, then the
+    chain axes: alpha (M, *chains, q), B, B_bar and B_dual
+    (M, *chains, p, q), and C, C_bar and C_dual (M, *chains, r_max, q),
+    whose rows past dataset m's r_m stay zero.  A single fit has no chain
+    axes.
     """
 
     alpha: np.ndarray
     B: np.ndarray
-    C: list
+    C: np.ndarray
     B_bar: np.ndarray
     B_dual: np.ndarray
-    C_bar: list
-    C_dual: list
+    C_bar: np.ndarray
+    C_dual: np.ndarray
     iteration: int = 0
 
     def copy(self):
-        return AdmmState(
-            alpha=self.alpha.copy(),
-            B=self.B.copy(),
-            C=[c.copy() for c in self.C],
-            B_bar=self.B_bar.copy(),
-            B_dual=self.B_dual.copy(),
-            C_bar=[c.copy() for c in self.C_bar],
-            C_dual=[c.copy() for c in self.C_dual],
-            iteration=self.iteration,
-        )
+        return replace(self, **{f.name: getattr(self, f.name).copy()
+                                for f in fields(self) if f.name != "iteration"})
 
 
-def zero_state(data, chains=()):
-    """All-zero starting point shaped for `data`, with leading chain axes."""
-    M, p, q = len(data), data[0].p, data[0].q
-    L = tuple(chains)
+def zero_state(block, chains=()):
+    """All-zero starting point shaped for a stacked block, with chain axes."""
+    L = (block.M,) + tuple(chains)
+    B, C = (np.zeros(L + (w, block.q)) for w in (block.p, block.Z.shape[-1]))
     return AdmmState(
-        alpha=np.zeros((M,) + L + (q,)),
-        B=np.zeros((M,) + L + (p, q)),
-        C=[np.zeros(L + (b.r, q)) for b in data],
-        B_bar=np.zeros((M,) + L + (p, q)),
-        B_dual=np.zeros((M,) + L + (p, q)),
-        C_bar=[np.zeros(L + (b.r, q)) for b in data],
-        C_dual=[np.zeros(L + (b.r, q)) for b in data],
+        alpha=np.zeros(L + (block.q,)), B=B, C=C,
+        B_bar=B.copy(), B_dual=B.copy(), C_bar=C.copy(), C_dual=C.copy(),
     )
 
 
-def _check_state_matches(data, state):
-    M, p, q = data.M, data.p, data.q
-    if state.B.shape != (M, p, q):
-        raise ValueError(
-            "state B has shape %s, expected %s" % (state.B.shape, (M, p, q))
-        )
-    if state.alpha.shape != (M, q):
-        raise ValueError("state alpha has shape %s" % (state.alpha.shape,))
-    for m, block in enumerate(data):
-        if state.C[m].shape != (block.r, q):
-            raise ValueError(
-                "state C[%d] has shape %s, expected %s"
-                % (m, state.C[m].shape, (block.r, q))
-            )
+def _check_state_matches(block, state):
+    want = zero_state(block)
+    for f in fields(state):
+        got, expected = np.shape(getattr(state, f.name)), np.shape(getattr(want, f.name))
+        if got != expected:
+            raise ValueError("state %s has shape %s, expected %s" % (f.name, got, expected))
+    padded = np.arange(block.Z.shape[-1]) >= np.array(block.r)[:, None]
+    for name in ("C", "C_bar", "C_dual"):
+        if getattr(state, name)[padded].any():
+            raise ValueError("state %s has nonzero rows past r_m" % name)
 
 
 # ---------------------------------------------------------------------------
 # single update steps
 #
-# Every step takes leading chain axes: coefficient blocks (..., rows, q) and
-# intercepts (..., q), against data whose arrays broadcast over those axes.
+# Every step takes leading axes: coefficient blocks (..., rows, q) and
+# intercepts (..., q), against data whose arrays broadcast over those axes,
+# whether one dataset's DatasetBlock or a stacked PaddedBlock.
 
 
 def update_intercept(block, B_m, C_m):
@@ -214,17 +236,14 @@ def ridge_factor(A, n, rho):
     return RidgeFactor(V=V, Vt=Vt, w=-s2 / (c * (s2 + c)), c=c)
 
 
-def ridge_factors(data, rho):
-    """(X factor, Z factor) per dataset block, None for an empty block."""
+def ridge_factors(block, rho):
+    """(X factor, Z factor) of a stacked block, each from one batched SVD;
+    None for a block without columns."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    return [
-        (
-            ridge_factor(block.X, block.n, rho) if block.p else None,
-            ridge_factor(block.Z, block.n, rho) if block.r else None,
-        )
-        for block in data
-    ]
+    return tuple(
+        ridge_factor(A, block.n, rho) if A.shape[-1] else None for A in (block.X, block.Z)
+    )
 
 
 def _ridge_solve(factor, rhs):
@@ -266,8 +285,7 @@ def threshold_shared(B, B_dual, thresh):
 def update_duals(state):
     """Dual ascent: B_dual += B_bar - B, C_dual += C - C_bar.  In place."""
     state.B_dual += state.B_bar - state.B
-    for m in range(len(state.C)):
-        state.C_dual[m] += state.C[m] - state.C_bar[m]
+    state.C_dual += state.C - state.C_bar
     return state
 
 
@@ -279,23 +297,22 @@ def _sumsq(A):
     return (A * A).sum(axis=(-2, -1), keepdims=True)
 
 
-def augmented_lagrangian(data, state, hp):
-    """Scaled augmented Lagrangian of the consensus splitting.
+def augmented_lagrangian(block, state, hp):
+    """Scaled augmented Lagrangian of the consensus splitting on a stacked
+    block.
 
     Loss at the primal variables, penalties at the consensus copies, plus
     (rho/2) ||B_bar - B + B_dual||_F^2 and (rho/2) ||C - C_bar + C_dual||_F^2
     summed over datasets.  One value per chain; hp.lam and hp.gamma may be
     per-chain arrays shaped (*chains, 1, 1).
     """
-    total = 0.0
-    for m, block in enumerate(data):
-        R = block.Y - state.alpha[m][..., None, :] - block.X @ state.B[m] - block.Z @ state.C[m]
-        G = state.C[m] - state.C_bar[m] + state.C_dual[m]
-        total = total + block_loss(block, R) + 0.5 * hp.rho * _sumsq(G)
-        total = total + hp.gamma * np.abs(state.C_bar[m]).sum(axis=(-2, -1), keepdims=True)
+    R = block.Y - state.alpha[..., None, :] - block.X @ state.B - block.Z @ state.C
+    G = state.C - state.C_bar + state.C_dual
+    per_dataset = block_loss(block, R) + 0.5 * hp.rho * _sumsq(G)
+    per_dataset = per_dataset + hp.gamma * np.abs(state.C_bar).sum(axis=(-2, -1), keepdims=True)
     Gb = state.B_bar - state.B + state.B_dual
     norms = np.sqrt((state.B_bar * state.B_bar).sum(axis=0))
-    total = total + 0.5 * hp.rho * _sumsq(Gb).sum(axis=0)
+    total = per_dataset.sum(axis=0) + 0.5 * hp.rho * _sumsq(Gb).sum(axis=0)
     total = total + hp.lam * norms.sum(axis=(-2, -1), keepdims=True)
     return total[..., 0, 0][()]
 
@@ -307,10 +324,9 @@ def consensus_gap(state):
     if state.B.size:
         diff = state.B_bar - state.B
         gap = float(np.sqrt((diff * diff).sum(axis=0)).max())
-    for m in range(len(state.C)):
-        if state.C[m].size:
-            d = state.C[m] - state.C_bar[m]
-            gap = max(gap, float(np.sqrt((d * d).sum())))
+    if state.C.size:
+        d = state.C - state.C_bar
+        gap = max(gap, float(np.sqrt((d * d).sum(axis=(-2, -1))).max()))
     return gap
 
 
@@ -374,14 +390,14 @@ class _ChainParams(NamedTuple):
     rho: float
 
 
-def run_chains(data, factors, state, rho, lambdas, gammas, opts=None,
+def run_chains(block, factors, state, rho, lambdas, gammas, opts=None,
                on_stop=None, trace=None):
     """Advance a stack of warm-start chains through one ADMM loop.
 
     The chains sit on the leading axes of `state` (after its dataset axis)
-    and of `gammas`, each chain's gamma; the arrays of `data`, one block per
-    dataset, broadcast against them.  factors[m] holds the ridge factors of
-    dataset m's X and Z (see ridge_factors).
+    and of `gammas`, each chain's gamma; the arrays of the stacked `block`
+    broadcast against them, and `factors` holds its ridge factors (see
+    ridge_factors).
 
     Every chain fits lambdas[0], lambdas[1], ... in turn at its own gamma,
     each fit warm-started from the state the previous one stopped in.  A fit
@@ -408,31 +424,26 @@ def run_chains(data, factors, state, rho, lambdas, gammas, opts=None,
     converged = np.zeros(shape + (n_fits,), dtype=bool)
     hp = _ChainParams(lambdas[position][..., None, None], gammas[..., None, None], rho)
     thresh_c = hp.gamma / rho
-    shared = data[0].p > 0
+    fx, fz = factors
     while active.any():
-        for m, block in enumerate(data):
-            fx, fz = factors[m]
-            state.alpha[m] = update_intercept(block, state.B[m], state.C[m])
-            if block.p:
-                state.B[m] = update_shared_coef(
-                    block, state.alpha[m], state.C[m], state.B_bar[m],
-                    state.B_dual[m], rho, factor=fx,
-                )
-            if block.r:
-                state.C[m] = update_specific_coef(
-                    block, state.alpha[m], state.B[m], state.C_bar[m],
-                    state.C_dual[m], rho, factor=fz,
-                )
-                state.C_bar[m] = threshold_specific(state.C[m], state.C_dual[m], thresh_c)
-        if shared:
+        state.alpha = update_intercept(block, state.B, state.C)
+        if fx is not None:
+            state.B = update_shared_coef(
+                block, state.alpha, state.C, state.B_bar, state.B_dual, rho, factor=fx
+            )
+        if fz is not None:
+            state.C = update_specific_coef(
+                block, state.alpha, state.B, state.C_bar, state.C_dual, rho, factor=fz
+            )
+            state.C_bar = threshold_specific(state.C, state.C_dual, thresh_c)
+        if fx is not None:
             state.B_bar = threshold_shared(state.B, state.B_dual, hp.lam / rho)
         update_duals(state)
         state.iteration += 1
         it += 1
         finite = np.isfinite(state.alpha).all(axis=(0, -1))
         finite &= np.isfinite(state.B).all(axis=(0, -2, -1))
-        for c in state.C:
-            finite &= np.isfinite(c).all(axis=(-2, -1))
+        finite &= np.isfinite(state.C).all(axis=(0, -2, -1))
         diverged = active & ~finite
         if diverged.any():
             raise FloatingPointError(
@@ -441,7 +452,7 @@ def run_chains(data, factors, state, rho, lambdas, gammas, opts=None,
         check = it % opts.check_every == 0
         met = np.zeros(shape, dtype=bool)
         if check.any():
-            L = augmented_lagrangian(data, state, hp)
+            L = augmented_lagrangian(block, state, hp)
             if trace is not None:
                 trace.append(L)
             met = check & (np.abs(L - prev) < opts.tol)
@@ -463,13 +474,14 @@ def run_chains(data, factors, state, rho, lambdas, gammas, opts=None,
 
 
 class AdmmSolver:
-    """Caches per-dataset ridge factors for repeated fits on one dataset
-    collection with a fixed rho (warm starts, refits)."""
+    """Caches the stacked data and its ridge factors for repeated fits on
+    one dataset collection with a fixed rho (warm starts, refits)."""
 
     def __init__(self, data, rho=1.0):
         if not isinstance(data, IntegratedDataset):
             data = IntegratedDataset(tuple(data))
-        self._factors = ridge_factors(data, rho)
+        self.block = stack(data)
+        self._factors = ridge_factors(self.block, rho)
         self.data = data
         self.rho = float(rho)
 
@@ -478,20 +490,20 @@ class AdmmSolver:
             raise TypeError("hp must be HyperParams")
         if hp.rho != self.rho:
             raise ValueError("hp.rho=%g does not match solver rho=%g" % (hp.rho, self.rho))
-        data = self.data
+        data, block = self.data, self.block
         if init is None:
-            state = zero_state(data)
+            state = zero_state(block)
         else:
-            _check_state_matches(data, init)
+            _check_state_matches(block, init)
             state = init.copy()
         trace = []
         iterations, converged = run_chains(
-            data, self._factors, state, self.rho, [hp.lam], hp.gamma, opts, trace=trace
+            block, self._factors, state, self.rho, [hp.lam], hp.gamma, opts, trace=trace
         )
         result = ModelFit(
-            alpha=tuple(state.alpha[m].copy() for m in range(data.M)),
-            B=tuple(state.B_bar[m].copy() for m in range(data.M)),
-            C=tuple(c.copy() for c in state.C_bar),
+            alpha=tuple(state.alpha.copy()),
+            B=tuple(state.B_bar.copy()),
+            C=tuple(c[:r] for c, r in zip(state.C_bar.copy(), block.r)),
         )
         return FitReport(
             fit=result,

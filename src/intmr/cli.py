@@ -183,6 +183,10 @@ def _settings(args):
         merged["standardize"] = merged["standardize"] == "true"
     if merged["k"] < 2:
         raise UsageError("--k must be at least 2")
+    if merged["seed"] < 0:
+        raise UsageError("--seed must be nonnegative")
+    if merged["replicates"] is not None and merged["replicates"] < 1:
+        raise UsageError("--replicates must be at least 1")
     if not (merged["tol"] > 0 and math.isfinite(merged["tol"])):
         raise UsageError("--tol must be positive and finite")
     if merged["max_iter"] < 1:
@@ -194,11 +198,22 @@ def _settings(args):
     return merged
 
 
+def _grid_size(spec):
+    """(N, M) of an NxM grid spec, None for any other spec."""
+    m = re.fullmatch(r"(\d+)x(\d+)", spec)
+    if m is None:
+        return None
+    size = int(m.group(1)), int(m.group(2))
+    if min(size) < 1:
+        raise UsageError("grid %r needs at least one lambda and one gamma" % spec)
+    return size
+
+
 def _parse_grid_spec(spec, data):
     spec = str(spec)
-    m = re.fullmatch(r"(\d+)x(\d+)", spec)
-    if m:
-        return selection.default_grid(data, int(m.group(1)), int(m.group(2)))
+    size = _grid_size(spec)
+    if size:
+        return selection.default_grid(data, *size)
     if ";" in spec:
         try:
             lam_part, gam_part = spec.split(";")
@@ -303,11 +318,14 @@ def _cmd_simulate(cfg):
     if isinstance(scenarios, str):
         scenarios = [scenarios]
     methods = [m.strip() for m in str(cfg["methods"]).split(",") if m.strip()]
-    grid_spec = str(cfg["grid"])
-    m = re.fullmatch(r"(\d+)x(\d+)", grid_spec)
-    if not m:
-        raise UsageError("simulate --grid must be NxM, got %r" % grid_spec)
-    grid_size = (int(m.group(1)), int(m.group(2)))
+    if not methods or any(m.lower() not in sim.METHODS for m in methods):
+        raise UsageError(
+            "--methods must list one or more of %s, got %r"
+            % (",".join(sim.METHODS), cfg["methods"])
+        )
+    grid_size = _grid_size(str(cfg["grid"]))
+    if grid_size is None:
+        raise UsageError("simulate --grid must be NxM, got %r" % cfg["grid"])
     try:
         configs = [
             sim.parse_scenario(s, seed=cfg["seed"], n_test=cfg["n_test"])
@@ -315,6 +333,12 @@ def _cmd_simulate(cfg):
         ]
     except ValueError as exc:
         raise UsageError(str(exc))
+    for config in configs:
+        if cfg["k"] > config.n:
+            raise UsageError(
+                "--k %d exceeds the %d rows per dataset of scenario %s"
+                % (cfg["k"], config.n, sim.scenario_name(config))
+            )
     opts = admm.SolverOptions(tol=cfg["tol"], max_iter=cfg["max_iter"])
     metrics = sim.run_study(
         configs,

@@ -25,7 +25,6 @@ __all__ = [
     "RowCountMismatchError",
     "ZeroVarianceError",
     "read_table",
-    "split_common_specific",
     "load_dataset",
     "ScalingRecord",
     "standardize",
@@ -89,35 +88,11 @@ def read_table(path):
     return header, data
 
 
-def split_common_specific(tables):
-    """Partition per-dataset covariate tables into shared and specific blocks.
-
-    tables is a list of (header, matrix) pairs.  Columns whose header
-    appears in every table become the shared block, ordered as in the first
-    table; the remainder stays dataset-specific in original order.  Returns
-    (shared_header, [shared_matrix], [(specific_header, specific_matrix)]).
-    """
-    if not tables:
-        raise ValueError("need at least one table")
-    common = set(tables[0][0])
-    for header, _ in tables[1:]:
-        common &= set(header)
-    shared_header = tuple(h for h in tables[0][0] if h in common)
-    shared, specific = [], []
-    for header, mat in tables:
-        pos = {h: j for j, h in enumerate(header)}
-        shared.append(mat[:, [pos[h] for h in shared_header]])
-        keep = [j for j, h in enumerate(header) if h not in common]
-        specific.append((tuple(header[j] for j in keep), mat[:, keep]))
-    return shared_header, shared, specific
-
-
 @dataclass(frozen=True)
 class LoadedData:
     data: IntegratedDataset
     x_header: tuple
     z_headers: tuple
-    y_headers: tuple
 
 
 def load_dataset(block_paths):
@@ -132,9 +107,8 @@ def load_dataset(block_paths):
     blocks = []
     x_header = None
     z_headers = []
-    y_headers = []
     for i, paths in enumerate(block_paths):
-        yh, Y = read_table(paths["y"])
+        _, Y = read_table(paths["y"])
         xh, X = read_table(paths["x"])
         if X.shape[0] != Y.shape[0]:
             raise RowCountMismatchError(
@@ -157,12 +131,10 @@ def load_dataset(block_paths):
             zh, Z = (), np.zeros((Y.shape[0], 0))
         blocks.append(DatasetBlock(Y=Y, X=X, Z=Z))
         z_headers.append(zh)
-        y_headers.append(yh)
     return LoadedData(
         data=IntegratedDataset(tuple(blocks)),
         x_header=x_header,
         z_headers=tuple(z_headers),
-        y_headers=tuple(y_headers),
     )
 
 

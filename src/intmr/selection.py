@@ -9,24 +9,16 @@ i.e. the same scaled squared-error loss the objective uses, without the
 penalty terms.  Lambda paths are swept from the largest value down with warm
 starts, one chain per (fold, gamma) pair, so the expensive small-penalty
 fits start near a solution.  All chains run as one stacked ADMM (see
-admm.run_chains): fold data is stored once per fold and broadcast over the
-gamma axis.
+admm.run_chains): fold data is stacked once as (dataset, fold, 1) and
+broadcast over the gamma axis.
 """
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import DatasetBlock, IntegratedDataset, HyperParams, predict
-from .admm import (
-    AdmmSolver,
-    PaddedBlock,
-    block_loss,
-    ridge_factors,
-    run_chains,
-    zero_state,
-)
+from .admm import AdmmSolver, block_loss, ridge_factors, run_chains, stack, zero_state
 
 __all__ = [
     "FoldAssignment",
@@ -142,43 +134,9 @@ def _split(data, folds, k):
         mask = folds.labels[m] == k
         if mask.all():
             raise ValueError("fold %d leaves dataset %d with no training rows" % (k, m))
-        tr = DatasetBlock(Y=block.Y[~mask], X=block.X[~mask], Z=block.Z[~mask])
-        he = DatasetBlock(Y=block.Y[mask], X=block.X[mask], Z=block.Z[mask]) if mask.any() else None
-        train_blocks.append(tr)
-        held_blocks.append(he)
-    return IntegratedDataset(tuple(train_blocks)), held_blocks
-
-
-def _held_out_score(fit, held_blocks):
-    """Held-out loss, summed over datasets, of coefficients indexed by
-    dataset; per chain when they carry chain axes."""
-    s = np.zeros((1, 1))
-    for m, block in enumerate(held_blocks):
-        if block is None:
-            continue
-        R = block.Y - predict(block, fit.alpha[m], fit.B[m], fit.C[m])
-        s = s + block_loss(block, R)
-    return s[..., 0, 0][()]
-
-
-def _stack_folds(blocks):
-    """One dataset's per-fold blocks, rows zero-padded to a common count,
-    stacked as (K, 1, rows, .); the singleton axis broadcasts over gammas."""
-    rows = max(b.n for b in blocks)
-
-    def pad(name):
-        arrays = [getattr(b, name) for b in blocks]
-        out = np.zeros((len(arrays), 1, rows, arrays[0].shape[1]))
-        for k, a in enumerate(arrays):
-            out[k, 0, : len(a)] = a
-        return out
-
-    n = np.array([b.n for b in blocks], dtype=float).reshape(-1, 1, 1, 1)
-    mask = (np.arange(rows)[:, None] < n).astype(float)
-    return PaddedBlock(Y=pad("Y"), X=pad("X"), Z=pad("Z"), n=n, mask=mask)
-
-
-_Consensus = namedtuple("_Consensus", "alpha B C")
+        train_blocks.append(DatasetBlock(Y=block.Y[~mask], X=block.X[~mask], Z=block.Z[~mask]))
+        held_blocks.append(DatasetBlock(Y=block.Y[mask], X=block.X[mask], Z=block.Z[mask]))
+    return IntegratedDataset(tuple(train_blocks)), IntegratedDataset(tuple(held_blocks))
 
 
 @dataclass(frozen=True)
@@ -210,15 +168,16 @@ def select(data, grid, K=5, seed=0, opts=None, rho=1.0):
         raise TypeError("grid must be a CvGrid")
     folds = make_folds(data, K, seed)
     splits = [_split(data, folds, k) for k in range(1, folds.K + 1)]
-    train = tuple(_stack_folds([tr[m] for tr, _ in splits]) for m in range(data.M))
-    held = tuple(_stack_folds([he[m] for _, he in splits]) for m in range(data.M))
+    # each side's (fold, dataset) blocks stack as (dataset, fold, 1)
+    train, held = (stack(np.array(side, dtype=object).T[..., None]) for side in zip(*splits))
     factors = ridge_factors(train, rho)
     shape = (folds.K, len(grid.gammas))
     per_fold = np.zeros((folds.K, len(grid.lambdas), len(grid.gammas)))
 
     def score(state, stopped, position):
         k, j = np.nonzero(stopped)
-        s = _held_out_score(_Consensus(state.alpha, state.B_bar, state.C_bar), held)
+        R = held.Y - predict(held, state.alpha, state.B_bar, state.C_bar)
+        s = block_loss(held, R).sum(axis=0)[..., 0, 0]
         per_fold[k, position[k, j], j] = s[k, j]
 
     iterations, converged = run_chains(

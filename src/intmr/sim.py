@@ -30,6 +30,7 @@ __all__ = [
     "fit_ur",
     "fit_mlasso",
     "run_study",
+    "METHODS",
     "scenario_name",
     "parse_scenario",
 ]
@@ -285,7 +286,7 @@ def _combine_block_fits(parts):
 # study driver
 
 
-_METHODS = ("mr", "ur", "mlasso", "lasso")
+METHODS = ("mr", "ur", "mlasso", "lasso")
 
 
 @dataclass(frozen=True)
@@ -407,7 +408,7 @@ def _fit_method(method, data, K, seed, opts, grid_size):
                 )
             )
         return _combine_block_fits(parts)
-    raise ValueError("unknown method %r (choose from %s)" % (method, ", ".join(_METHODS)))
+    raise ValueError("unknown method %r (choose from %s)" % (method, ", ".join(METHODS)))
 
 
 def _run_replicate(config, name, rep, methods, K, opts, grid_size, metric_mode):
@@ -435,7 +436,7 @@ def _run_replicate(config, name, rep, methods, K, opts, grid_size, metric_mode):
 
 def run_study(
     scenarios,
-    methods=_METHODS,
+    methods=METHODS,
     replicates=None,
     K=5,
     opts=None,
@@ -450,8 +451,8 @@ def run_study(
     """
     methods = tuple(m.lower() for m in methods)
     for m in methods:
-        if m not in _METHODS:
-            raise ValueError("unknown method %r (choose from %s)" % (m, ", ".join(_METHODS)))
+        if m not in METHODS:
+            raise ValueError("unknown method %r (choose from %s)" % (m, ", ".join(METHODS)))
     configs = []
     for sc in scenarios:
         cfg = parse_scenario(sc) if isinstance(sc, str) else sc

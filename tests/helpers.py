@@ -22,7 +22,12 @@ def make_data(
     sparse_truth=True,
     intercept=None,
 ):
-    """Random well-conditioned instance with a sparse shared-support truth."""
+    """Random well-conditioned instance with a sparse shared-support truth.
+
+    n and r may be one count for every dataset or a list of per-dataset
+    counts."""
+    if np.isscalar(n):
+        n = [n] * M
     if np.isscalar(r):
         r = [r] * M
     B_true = np.zeros((p, q))
@@ -34,15 +39,15 @@ def make_data(
     blocks = []
     C_true = []
     for m in range(M):
-        X = rng.standard_normal((n, p))
-        Z = rng.standard_normal((n, r[m]))
+        X = rng.standard_normal((n[m], p))
+        Z = rng.standard_normal((n[m], r[m]))
         Cm = np.zeros((r[m], q))
         if r[m]:
             Cm[0] = rng.standard_normal(q)
         C_true.append(Cm)
         a = rng.standard_normal(q) if intercept is None else np.full(q, intercept)
         scale = rng.uniform(0.5, 1.5)
-        Y = a + X @ (B_true * scale) + Z @ Cm + noise * rng.standard_normal((n, q))
+        Y = a + X @ (B_true * scale) + Z @ Cm + noise * rng.standard_normal((n[m], q))
         blocks.append(DatasetBlock(Y=Y, X=X, Z=Z))
     return IntegratedDataset(tuple(blocks))
 

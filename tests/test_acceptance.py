@@ -20,6 +20,7 @@ from intmr.admm import (
     kkt_residual,
     augmented_lagrangian,
     zero_state,
+    stack,
     update_intercept,
     update_shared_coef,
     update_specific_coef,
@@ -169,39 +170,40 @@ def test_criterion_6_primal_steps_never_increase_merit_function():
     checked = 0
     for _ in range(1000):
         data = make_data(rng, M=2, n=8, p=3, q=2, r=2)
-        st = zero_state(data)
+        block = stack(data)
+        st = zero_state(block)
         st.alpha = rng.standard_normal(st.alpha.shape)
         st.B = rng.standard_normal(st.B.shape)
         st.B_bar = rng.standard_normal(st.B.shape)
         st.B_dual = rng.standard_normal(st.B.shape)
-        st.C = [rng.standard_normal(c.shape) for c in st.C]
-        st.C_bar = [rng.standard_normal(c.shape) for c in st.C_bar]
-        st.C_dual = [rng.standard_normal(c.shape) for c in st.C_dual]
-        L = augmented_lagrangian(data, st, hp)
+        st.C = rng.standard_normal(st.C.shape)
+        st.C_bar = rng.standard_normal(st.C.shape)
+        st.C_dual = rng.standard_normal(st.C.shape)
+        L = augmented_lagrangian(block, st, hp)
         for m, b in enumerate(data):
             st.alpha[m] = update_intercept(b, st.B[m], st.C[m])
-        L = _assert_no_increase(data, st, hp, L)
+        L = _assert_no_increase(block, st, hp, L)
         for m, b in enumerate(data):
             st.B[m] = update_shared_coef(
                 b, st.alpha[m], st.C[m], st.B_bar[m], st.B_dual[m], hp.rho
             )
-        L = _assert_no_increase(data, st, hp, L)
+        L = _assert_no_increase(block, st, hp, L)
         for m, b in enumerate(data):
             st.C[m] = update_specific_coef(
                 b, st.alpha[m], st.B[m], st.C_bar[m], st.C_dual[m], hp.rho
             )
-        L = _assert_no_increase(data, st, hp, L)
+        L = _assert_no_increase(block, st, hp, L)
         for m in range(data.M):
             st.C_bar[m] = threshold_specific(st.C[m], st.C_dual[m], hp.gamma / hp.rho)
-        L = _assert_no_increase(data, st, hp, L)
+        L = _assert_no_increase(block, st, hp, L)
         st.B_bar = threshold_shared(st.B, st.B_dual, hp.lam / hp.rho)
-        _assert_no_increase(data, st, hp, L)
+        _assert_no_increase(block, st, hp, L)
         checked += 1
     announce(6, "5 update steps non-increasing on %d random states (tol 1e-10)" % checked)
 
 
-def _assert_no_increase(data, st, hp, L_before):
-    L_after = augmented_lagrangian(data, st, hp)
+def _assert_no_increase(block, st, hp, L_before):
+    L_after = augmented_lagrangian(block, st, hp)
     assert L_after <= L_before + 1e-10
     return L_after
 

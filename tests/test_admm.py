@@ -20,7 +20,7 @@ from intmr.admm import (
     threshold_shared,
     update_duals,
     augmented_lagrangian,
-    PaddedBlock,
+    stack,
     ridge_factor,
     consensus_gap,
     kkt_residual,
@@ -36,15 +36,17 @@ from helpers import (
 )
 
 
-def random_state(rng, data):
-    st = zero_state(data)
+def random_state(rng, block):
+    """Random iterate for a stacked block; C rows past each r_m stay zero."""
+    st = zero_state(block)
+    live = np.arange(st.C.shape[-2])[:, None] < np.array(block.r)[:, None, None]
     st.alpha = rng.standard_normal(st.alpha.shape)
     st.B = rng.standard_normal(st.B.shape)
     st.B_bar = rng.standard_normal(st.B.shape)
     st.B_dual = rng.standard_normal(st.B.shape)
-    st.C = [rng.standard_normal(c.shape) for c in st.C]
-    st.C_bar = [rng.standard_normal(c.shape) for c in st.C_bar]
-    st.C_dual = [rng.standard_normal(c.shape) for c in st.C_dual]
+    st.C = np.where(live, rng.standard_normal(st.C.shape), 0.0)
+    st.C_bar = np.where(live, rng.standard_normal(st.C.shape), 0.0)
+    st.C_dual = np.where(live, rng.standard_normal(st.C.shape), 0.0)
     return st
 
 
@@ -53,11 +55,12 @@ def lagrangian_reference(data, st, hp):
     implementation."""
     total = 0.0
     for m, block in enumerate(data):
-        R = block.Y - st.alpha[m] - block.X @ st.B[m] - block.Z @ st.C[m]
+        C, C_bar, C_dual = (a[m, : block.r] for a in (st.C, st.C_bar, st.C_dual))
+        R = block.Y - st.alpha[m] - block.X @ st.B[m] - block.Z @ C
         total += (R * R).sum() / (2 * block.n)
-        diff = st.C[m] - st.C_bar[m] + st.C_dual[m]
+        diff = C - C_bar + C_dual
         total += hp.rho / 2 * (diff * diff).sum()
-        total += hp.gamma * np.abs(st.C_bar[m]).sum()
+        total += hp.gamma * np.abs(C_bar).sum()
     stacked = st.B_bar
     total += hp.lam * np.sqrt((stacked**2).sum(axis=0)).sum()
     diff = st.B_bar - st.B + st.B_dual
@@ -70,9 +73,10 @@ class TestLagrangian:
         rng = np.random.default_rng(0)
         for _ in range(20):
             data = make_data(rng, M=2, n=6, p=3, q=2, r=[2, 1])
-            st = random_state(rng, data)
+            block = stack(data)
+            st = random_state(rng, block)
             hp = HyperParams(*rng.uniform(0.1, 1.0, 2))
-            assert augmented_lagrangian(data, st, hp) == pytest.approx(
+            assert augmented_lagrangian(block, st, hp) == pytest.approx(
                 lagrangian_reference(data, st, hp), rel=1e-12
             )
 
@@ -80,18 +84,19 @@ class TestLagrangian:
         # with B_bar = B, C_bar = C and zero duals the quadratic terms vanish
         rng = np.random.default_rng(1)
         data = make_data(rng, M=2, n=6, p=3, q=2, r=2)
-        st = random_state(rng, data)
+        block = stack(data)
+        st = random_state(rng, block)
         st.B_bar = st.B.copy()
-        st.C_bar = [c.copy() for c in st.C]
+        st.C_bar = st.C.copy()
         st.B_dual = np.zeros_like(st.B)
-        st.C_dual = [np.zeros_like(c) for c in st.C]
+        st.C_dual = np.zeros_like(st.C)
         hp = HyperParams(0.7, 0.3)
         mf = ModelFit(
             alpha=tuple(st.alpha),
             B=tuple(st.B),
             C=tuple(st.C),
         )
-        assert augmented_lagrangian(data, st, hp) == pytest.approx(
+        assert augmented_lagrangian(block, st, hp) == pytest.approx(
             objective(data, mf, hp), rel=1e-12
         )
 
@@ -99,7 +104,8 @@ class TestLagrangian:
         data = IntegratedDataset(
             (DatasetBlock(Y=np.zeros((3, 2)), X=np.zeros((3, 2))),)
         )
-        assert augmented_lagrangian(data, zero_state(data), HyperParams(1, 1)) == 0.0
+        block = stack(data)
+        assert augmented_lagrangian(block, zero_state(block), HyperParams(1, 1)) == 0.0
 
 
 class TestSteps:
@@ -202,25 +208,17 @@ class TestSteps:
         # (fold, 1, rows, .), against three chains per fold
         rng = np.random.default_rng(34)
         blocks = [make_data(rng, M=1, n=n, p=4, q=2, r=3)[0] for n in (7, 5)]
-        rows = 7
-        pad = lambda get: np.stack(
-            [np.vstack([get(b), np.zeros((rows - b.n, get(b).shape[1]))]) for b in blocks]
-        )[:, None]
-        n = np.array([7.0, 5.0]).reshape(2, 1, 1, 1)
-        stack = PaddedBlock(
-            Y=pad(lambda b: b.Y), X=pad(lambda b: b.X), Z=pad(lambda b: b.Z),
-            n=n, mask=(np.arange(rows)[:, None] < n).astype(float),
-        )
+        stacked = stack([[b] for b in blocks])
         alpha = rng.standard_normal((2, 3, 2))
         B, B_bar, B_dual = (rng.standard_normal((2, 3, 4, 2)) for _ in range(3))
         C, C_bar, C_dual = (rng.standard_normal((2, 3, 3, 2)) for _ in range(3))
         rho = 0.8
         got = {
-            "alpha": update_intercept(stack, B, C),
-            "B": update_shared_coef(stack, alpha, C, B_bar, B_dual, rho,
-                                    factor=ridge_factor(stack.X, stack.n, rho)),
-            "C": update_specific_coef(stack, alpha, B, C_bar, C_dual, rho,
-                                      factor=ridge_factor(stack.Z, stack.n, rho)),
+            "alpha": update_intercept(stacked, B, C),
+            "B": update_shared_coef(stacked, alpha, C, B_bar, B_dual, rho,
+                                    factor=ridge_factor(stacked.X, stacked.n, rho)),
+            "C": update_specific_coef(stacked, alpha, B, C_bar, C_dual, rho,
+                                      factor=ridge_factor(stacked.Z, stacked.n, rho)),
         }
         for k, b in enumerate(blocks):
             for j in range(3):
@@ -283,18 +281,15 @@ class TestSteps:
     def test_dual_update_formula_and_fixed_point(self):
         rng = np.random.default_rng(11)
         data = make_data(rng, M=2, n=5, p=2, q=2, r=1)
-        st = random_state(rng, data)
+        st = random_state(rng, stack(data))
         before_b = st.B_dual.copy()
-        before_c = [c.copy() for c in st.C_dual]
+        before_c = st.C_dual.copy()
         update_duals(st)
         assert np.allclose(st.B_dual, before_b + st.B_bar - st.B, atol=1e-15)
-        for m in range(2):
-            assert np.allclose(
-                st.C_dual[m], before_c[m] + st.C[m] - st.C_bar[m], atol=1e-15
-            )
+        assert np.allclose(st.C_dual, before_c + st.C - st.C_bar, atol=1e-15)
         # at consensus the duals stay put
         st.B_bar = st.B.copy()
-        st.C_bar = [c.copy() for c in st.C]
+        st.C_bar = st.C.copy()
         frozen_b = st.B_dual.copy()
         update_duals(st)
         assert np.array_equal(st.B_dual, frozen_b)
@@ -412,9 +407,22 @@ class TestFit:
         rng = np.random.default_rng(23)
         data = make_data(rng, M=2, n=10, p=3, q=2, r=1)
         other = make_data(rng, M=2, n=10, p=4, q=2, r=1)
-        st = zero_state(other)
+        st = zero_state(stack(other))
         with pytest.raises(ValueError):
             fit(data, HyperParams(0.1, 0.1), init=st)
+
+    def test_nonzero_padded_warm_start_rejected(self):
+        # dataset 1 has r = 1 of r_max = 2 rows of C; its second row must
+        # stay zero in every C-side variable
+        rng = np.random.default_rng(35)
+        data = make_data(rng, M=2, n=10, p=3, q=2, r=[2, 1])
+        solver = AdmmSolver(data)
+        solver.fit(HyperParams(0.1, 0.1), init=zero_state(solver.block))
+        for name in ("C", "C_bar", "C_dual"):
+            st = zero_state(solver.block)
+            getattr(st, name)[1, 1, 0] = 1e-3
+            with pytest.raises(ValueError):
+                solver.fit(HyperParams(0.1, 0.1), init=st)
 
     def test_mismatched_rho_rejected(self):
         rng = np.random.default_rng(24)
@@ -424,33 +432,40 @@ class TestFit:
             solver.fit(HyperParams(0.1, 0.1, rho=2.0))
 
     def test_one_iteration_is_one_sweep_of_the_step_functions(self):
-        rng = np.random.default_rng(31)
-        data = make_data(rng, M=2, n=12, p=3, q=2, r=[2, 0])
-        hp = HyperParams(0.3, 0.2, rho=1.7)
-        start = random_state(rng, data)
-        rep = AdmmSolver(data, rho=hp.rho).fit(
-            hp, SolverOptions(max_iter=1), init=start
-        )
-        st = start.copy()
-        for m, b in enumerate(data):
-            st.alpha[m] = update_intercept(b, st.B[m], st.C[m])
-            st.B[m] = update_shared_coef(
-                b, st.alpha[m], st.C[m], st.B_bar[m], st.B_dual[m], hp.rho
-            )
-            if b.r:
-                st.C[m] = update_specific_coef(
-                    b, st.alpha[m], st.B[m], st.C_bar[m], st.C_dual[m], hp.rho
+        # the reference steps each unpadded DatasetBlock on its own.  With
+        # equal n_m and no partly padded C it must match exactly; with
+        # unequal n_m and r_m the stack routes a dataset's products through
+        # other BLAS kernel shapes (r_m = 1 is a one-row product in the
+        # reference), so there it agrees to rounding: at most 17 units of
+        # eps times each array's largest entry over 400 random draws
+        for n, r, rel in ((12, [2, 0], 0.0), ([12, 15, 10], [2, 0, 1], 1e-14)):
+            rng = np.random.default_rng(31)
+            data = make_data(rng, M=len(r), n=n, p=3, q=2, r=r)
+            hp = HyperParams(0.3, 0.2, rho=1.7)
+            solver = AdmmSolver(data, rho=hp.rho)
+            start = random_state(rng, solver.block)
+            rep = solver.fit(hp, SolverOptions(max_iter=1), init=start)
+            st = start.copy()
+            for m, b in enumerate(data):
+                C, C_bar, C_dual = (a[m, : b.r] for a in (st.C, st.C_bar, st.C_dual))
+                st.alpha[m] = update_intercept(b, st.B[m], C)
+                st.B[m] = update_shared_coef(
+                    b, st.alpha[m], C, st.B_bar[m], st.B_dual[m], hp.rho
                 )
-                st.C_bar[m] = threshold_specific(st.C[m], st.C_dual[m], hp.gamma / hp.rho)
-        st.B_bar = threshold_shared(st.B, st.B_dual, hp.lam / hp.rho)
-        update_duals(st)
-        got = rep.state
-        assert rep.iterations == 1 and got.iteration == start.iteration + 1
-        for name in ("alpha", "B", "B_bar", "B_dual"):
-            assert np.array_equal(getattr(got, name), getattr(st, name)), name
-        for name in ("C", "C_bar", "C_dual"):
-            for m in range(data.M):
-                assert np.array_equal(getattr(got, name)[m], getattr(st, name)[m]), name
+                if b.r:
+                    C[...] = update_specific_coef(b, st.alpha[m], st.B[m], C_bar, C_dual, hp.rho)
+                    C_bar[...] = threshold_specific(C, C_dual, hp.gamma / hp.rho)
+            st.B_bar = threshold_shared(st.B, st.B_dual, hp.lam / hp.rho)
+            update_duals(st)
+            got = rep.state
+            assert rep.iterations == 1 and got.iteration == start.iteration + 1
+            for name in ("alpha", "B", "C", "B_bar", "B_dual", "C_bar", "C_dual"):
+                want = getattr(st, name)
+                gap = np.abs(getattr(got, name) - want).max()
+                assert gap <= rel * np.abs(want).max(), (name, r)
+            padded = np.arange(max(r)) >= np.array(r)[:, None]
+            for name in ("C", "C_bar", "C_dual"):
+                assert (getattr(got, name)[padded] == 0).all(), (name, r)
 
     def test_reported_objective_is_model_objective_at_fit(self):
         rng = np.random.default_rng(32)
@@ -521,30 +536,31 @@ class TestBlockwiseDescent:
         hp = HyperParams(0.4, 0.3)
         for _ in range(60):
             data = make_data(rng, M=2, n=8, p=3, q=2, r=2)
-            st = random_state(rng, data)
-            L = augmented_lagrangian(data, st, hp)
+            block = stack(data)
+            st = random_state(rng, block)
+            L = augmented_lagrangian(block, st, hp)
             for m, b in enumerate(data):
                 st.alpha[m] = update_intercept(b, st.B[m], st.C[m])
-            L2 = augmented_lagrangian(data, st, hp)
+            L2 = augmented_lagrangian(block, st, hp)
             assert L2 <= L + 1e-10
             for m, b in enumerate(data):
                 st.B[m] = update_shared_coef(
                     b, st.alpha[m], st.C[m], st.B_bar[m], st.B_dual[m], 1.0
                 )
-            L3 = augmented_lagrangian(data, st, hp)
+            L3 = augmented_lagrangian(block, st, hp)
             assert L3 <= L2 + 1e-10
             for m, b in enumerate(data):
                 st.C[m] = update_specific_coef(
                     b, st.alpha[m], st.B[m], st.C_bar[m], st.C_dual[m], 1.0
                 )
-            L4 = augmented_lagrangian(data, st, hp)
+            L4 = augmented_lagrangian(block, st, hp)
             assert L4 <= L3 + 1e-10
             for m in range(data.M):
                 st.C_bar[m] = threshold_specific(st.C[m], st.C_dual[m], hp.gamma)
-            L5 = augmented_lagrangian(data, st, hp)
+            L5 = augmented_lagrangian(block, st, hp)
             assert L5 <= L4 + 1e-10
             st.B_bar = threshold_shared(st.B, st.B_dual, hp.lam)
-            L6 = augmented_lagrangian(data, st, hp)
+            L6 = augmented_lagrangian(block, st, hp)
             assert L6 <= L5 + 1e-10
 
 

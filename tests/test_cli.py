@@ -120,6 +120,33 @@ class TestUsageErrors:
     def test_report_without_model(self, capsys):
         self.check(capsys, "report")
 
+    # each of these used to exit 1, or exit 0 with every replicate failed,
+    # after fits had started
+    @pytest.mark.parametrize(
+        "args, needle",
+        [(["cv", "--grid", "0x3"], "grid"),
+         (["cv", "--seed", "-1"], "--seed"),
+         (["simulate", "--grid", "0x2"], "grid"),
+         (["simulate", "--replicates", "0"], "--replicates"),
+         (["simulate", "--methods", "mr,foo"], "--methods"),
+         (["simulate", "--seed", "-1"], "--seed"),
+         (["simulate", "--scenario", "M2_n4_s5_rx01_ry01", "--k", "5"], "--k")],
+        ids=["cv-grid-0x3", "cv-seed-negative", "simulate-grid-0x2", "simulate-replicates-0",
+             "simulate-unknown-method", "simulate-seed-negative", "simulate-k-above-n"],
+    )
+    def test_rejected_before_any_fit(self, tmp_path, capsys, monkeypatch, args, needle):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit started")
+
+        monkeypatch.setattr(intmr.selection, "select", no_fit)
+        monkeypatch.setattr(intmr.sim, "run_study", no_fit)
+        if args[0] == "cv":
+            args = args + ["--config", write_config(tmp_path)]
+        elif "--scenario" not in args:
+            args = args + ["--scenario", "M2_n15_s5_rx01_ry01"]
+        doc = self.check(capsys, *args, "--out", str(tmp_path))
+        assert needle in doc["message"]
+
 
 def test_config_values_of_the_right_type_are_accepted(tmp_path, capsys):
     cfg = write_config(

@@ -16,7 +16,6 @@ from intmr.io import (
     RowCountMismatchError,
     ZeroVarianceError,
     read_table,
-    split_common_specific,
     load_dataset,
     standardize,
     fit_to_dict,
@@ -73,31 +72,6 @@ class TestReadTable:
         p.write_text("a,b\n")
         header, mat = read_table(p)
         assert mat.shape == (0, 2)
-
-
-class TestSplitCommonSpecific:
-    def test_partition(self):
-        t1 = (("g1", "u1", "g2"), np.arange(6.0).reshape(2, 3))
-        t2 = (("g2", "g1", "u2"), np.arange(6.0, 12.0).reshape(2, 3))
-        shared_header, shared, specific = split_common_specific([t1, t2])
-        assert shared_header == ("g1", "g2")
-        assert np.array_equal(shared[0], t1[1][:, [0, 2]])
-        assert np.array_equal(shared[1], t2[1][:, [1, 0]])
-        assert specific[0][0] == ("u1",)
-        assert specific[1][0] == ("u2",)
-        assert np.array_equal(specific[0][1], t1[1][:, [1]])
-
-    def test_no_overlap(self):
-        t1 = (("a",), np.ones((2, 1)))
-        t2 = (("b",), np.ones((2, 1)))
-        shared_header, shared, specific = split_common_specific([t1, t2])
-        assert shared_header == ()
-        assert shared[0].shape == (2, 0)
-        assert specific[0][0] == ("a",)
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            split_common_specific([])
 
 
 class TestLoadDataset:

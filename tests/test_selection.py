@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from intmr.model import DatasetBlock, IntegratedDataset, HyperParams, predict
-from intmr.admm import AdmmSolver, SolverOptions, fit, ridge_factors, run_chains, zero_state
+from intmr.model import DatasetBlock, IntegratedDataset, HyperParams, residual_matrix
+from intmr.admm import (
+    AdmmSolver, SolverOptions, fit, ridge_factors, run_chains, stack, zero_state,
+)
 from intmr.selection import (
     FoldAssignment,
     CvGrid,
@@ -10,21 +12,30 @@ from intmr.selection import (
     default_grid,
     penalty_ceiling,
     select,
-    _held_out_score,
     _split,
 )
 from intmr.sim import generate, SimConfig, mse
 from helpers import make_data
 
 
+def held_out_score(fit, held):
+    """Held-out loss of a fit, (1 / 2n) ||Y - fitted||_F^2 summed over
+    datasets."""
+    total = 0.0
+    for m, block in enumerate(held):
+        R = residual_matrix(block, fit.alpha[m], fit.B[m], fit.C[m])
+        total += 0.5 * (R * R).sum() / block.n
+    return total
+
+
 def cv_score(data, folds, hp, opts=None):
     """CV criterion at one (lam, gamma) from cold-start fits, over the same
-    fold split and held-out score that select uses."""
+    fold split that select uses."""
     scores = []
     for k in range(1, folds.K + 1):
         train, held = _split(data, folds, k)
         rep = AdmmSolver(train, rho=hp.rho).fit(hp, opts=opts)
-        scores.append(_held_out_score(rep.fit, held))
+        scores.append(held_out_score(rep.fit, held))
     return float(np.mean(scores))
 
 
@@ -282,7 +293,7 @@ def sequential_chains(data, grid, folds, opts=None, rho=1.0):
             for i, lam in enumerate(grid.lambdas):
                 rep = solver.fit(HyperParams(lam, gam, rho), opts=opts, init=init)
                 init = rep.state
-                scores[k, i, j] = _held_out_score(rep.fit, held)
+                scores[k, i, j] = held_out_score(rep.fit, held)
                 iters[k, i, j] = rep.iterations
                 conv[k, i, j] = rep.converged
     return scores, iters, conv
@@ -300,16 +311,18 @@ def assert_matches_sequential(data, grid, K, seed, opts=None):
 
 class TestStackedGrid:
     def test_uneven_folds(self):
+        # uneven folds within a dataset and unequal n_m across datasets
         rng = np.random.default_rng(40)
-        data = make_data(rng, M=2, n=19, p=3, q=2, r=2)
+        data = make_data(rng, M=2, n=[19, 26], p=3, q=2, r=2)
         res = assert_matches_sequential(data, default_grid(data, 3, 2), K=4, seed=3)
-        sizes = np.bincount(res.folds.labels[0])[1:]
-        assert sizes.min() < sizes.max()
+        for labels in res.folds.labels:
+            sizes = np.bincount(labels)[1:]
+            assert sizes.min() < sizes.max()
         assert res.iterations.shape == (4, 3, 2) and res.converged.all()
 
     def test_dataset_without_specific_covariates(self):
         rng = np.random.default_rng(41)
-        data = make_data(rng, M=2, n=16, p=3, q=2, r=[2, 0])
+        data = make_data(rng, M=3, n=[16, 13, 21], p=3, q=2, r=[2, 0, 1])
         assert_matches_sequential(data, default_grid(data, 3, 3), K=4, seed=0)
 
     def test_no_shared_covariates_route(self):
@@ -372,12 +385,13 @@ class TestStackedGrid:
     def test_finished_chain_neither_stops_nor_raises(self):
         rng = np.random.default_rng(48)
         data = make_data(rng, M=2, n=20, p=3, q=2, r=2)
-        factors = ridge_factors(data, 1.0)
+        block = stack([[b] for b in data])  # (dataset, 1): broadcasts over 3 chains
+        factors = ridge_factors(block, 1.0)
         lambdas, gammas = (0.3, 0.02), np.array([0.5, 0.05, 0.005])
 
         def run(on_stop=None):
             return run_chains(
-                data, factors, zero_state(data, (3,)), 1.0, lambdas, gammas,
+                block, factors, zero_state(block, (3,)), 1.0, lambdas, gammas,
                 on_stop=on_stop,
             )
 
