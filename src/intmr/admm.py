@@ -14,17 +14,18 @@ scaled dual variables tie each pair together.  One iteration sweeps:
   (e) groupwise soft threshold of B - B_dual onto B_bar,
   (f/g) dual ascent on both consensus residuals.
 
-Each step is one public function below.  Data and iterates are stacked
-with the dataset on the leading axis, then the chain axes (stack builds the
-data side, zero_state the iterate), so every step runs once per iteration
-on all datasets and chains.  run_chains advances a stack of warm-start
-chains (a cross-validation grid) through those functions in one loop;
-AdmmSolver.fit is its one-chain case.  The ridge steps use a thin SVD of X
-and of Z, one batched SVD each, computed once per stack (rho stays fixed).
-A fit stops when its augmented Lagrangian changes by less than tol between
-checks.  Reported coefficients are the consensus
-copies, so zeros are exact and the nonzero pattern of B is identical across
-datasets; the penalized objective is evaluated once, at the returned fit.
+Each step is one public function below, separable by response column.
+Data and iterates are stacked with the dataset on the leading axis, then a
+fold axis for a cross-validation grid, and a fold's warm-start chains, one
+per gamma, sit side by side as groups of q columns (stack builds the data
+side, zero_state the iterate).  run_chains advances such a grid through the
+steps in one loop, narrowed to the chains still running; AdmmSolver.fit is
+its one-chain case.  The ridge steps use a thin SVD of X and of Z, one
+batched SVD each, computed once per stack (rho stays fixed).  A fit stops
+when its augmented Lagrangian changes by less than tol between checks.
+Reported coefficients are the consensus copies, so zeros are exact and the
+nonzero pattern of B is identical across datasets; the penalized objective
+is evaluated once, at the returned fit.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -53,6 +54,7 @@ __all__ = [
     "run_chains",
     "zero_state",
     "block_loss",
+    "chain_sums",
     "ridge_factor",
     "ridge_factors",
     "update_intercept",
@@ -86,12 +88,13 @@ class SolverOptions:
 class PaddedBlock:
     """Every dataset's rows, stacked with the dataset on the leading axis.
 
-    Y (M, ..., rows, q), X (M, ..., rows, p) and Z (M, ..., rows, r_max)
-    carry leading axes that broadcast against the chain axes.  Rows are
-    zero-padded to a common count and Z's columns to the largest r_m; n
-    holds the true row counts, shaped (M, ..., 1, 1), mask (M, ..., rows, 1)
-    is 1 on true rows, and r holds the true r_m.  A zero row or column drops
-    out of every step on its own; only the loss needs the mask.
+    Y (M, *folds, rows, G q) holds the q responses once per chain, X
+    (M, *folds, rows, p) and Z (M, *folds, rows, r_max) the covariates; a CV
+    grid has one fold axis.  Rows are zero-padded to a common count and Z's
+    columns to the largest r_m; n holds the true row counts, shaped
+    (M, *folds, 1, 1), mask (M, *folds, rows, 1) is 1 on true rows, and r
+    holds the true r_m.  A zero row or column drops out of every step on its
+    own; only the loss needs the mask.
     """
 
     Y: np.ndarray
@@ -100,28 +103,30 @@ class PaddedBlock:
     n: np.ndarray
     mask: np.ndarray
     r: tuple
+    q: int
 
     @property
     def M(self):
         return len(self.r)
 
     @property
-    def q(self):
-        return self.Y.shape[-1]
-
-    @property
     def p(self):
         return self.X.shape[-1]
 
+    def narrow(self, folds, chains):
+        """The folds at index tuple `folds`, Y cut to its first `chains`."""
+        pick = lambda a: a[(slice(None),) + folds]
+        return replace(self, Y=pick(self.Y)[..., : chains * self.q], X=pick(self.X),
+                       Z=pick(self.Z), n=pick(self.n), mask=pick(self.mask))
 
-def stack(blocks):
-    """Zero-pad DatasetBlocks and stack them into one PaddedBlock.
+
+def stack(blocks, chains=1):
+    """Zero-pad DatasetBlocks and stack them into one PaddedBlock of chains.
 
     blocks is a nested sequence of DatasetBlocks whose outer level is the
     dataset: an IntegratedDataset gives the (M,) stack of a single fit, and
-    blocks[m][k][0], fold k's training rows of dataset m, the (M, K, 1) stack
-    of a CV grid, whose singleton axis broadcasts over gammas.  All blocks
-    of one dataset must have the same r.
+    blocks[m][k], fold k's training rows of dataset m, the (M, K) stack of a
+    CV grid.  All blocks of one dataset must have the same r.
     """
     cells = np.array(blocks, dtype=object)
     flat = cells.ravel()
@@ -136,31 +141,42 @@ def stack(blocks):
 
     n = np.array([b.n for b in flat], dtype=float).reshape(cells.shape + (1, 1))
     return PaddedBlock(
-        Y=pad("Y", flat[0].q),
+        Y=np.tile(pad("Y", flat[0].q), chains),
         X=pad("X", flat[0].p),
         Z=pad("Z", max(b.r for b in flat)),
         n=n,
         mask=(np.arange(rows)[:, None] < n).astype(float),
         r=tuple(b.r for b in cells.reshape(len(cells), -1)[:, 0]),
+        q=flat[0].q,
     )
 
 
+def _colsum(A):
+    """Sums over the row axis, kept; a ones-row product is several times
+    faster than numpy's reduction over a non-last axis of few columns."""
+    return np.ones((1, A.shape[-2])) @ A
+
+
 def block_loss(block, R):
-    """(1 / 2n) ||R||_F^2 of a residual block, per dataset and chain, with
-    trailing (1, 1) axes; padded rows count for nothing."""
+    """(1 / 2n) times the column sums of squares of a residual block, per
+    dataset, with a trailing row axis of 1; padded rows count for nothing."""
     R = R * block.mask
-    return 0.5 * (R * R).sum(axis=(-2, -1), keepdims=True) / block.n
+    return 0.5 * _colsum(R * R) / block.n
+
+
+def chain_sums(a, q):
+    """Sums of the last axis of `a` over each chain's group of q columns."""
+    return a.reshape(a.shape[:-1] + (-1, q)).sum(axis=-1)
 
 
 @dataclass
 class AdmmState:
     """Mutable iterate: primal, consensus and scaled dual variables.
 
-    Every variable is stacked with the dataset on the leading axis, then the
-    chain axes: alpha (M, *chains, q), B, B_bar and B_dual
-    (M, *chains, p, q), and C, C_bar and C_dual (M, *chains, r_max, q),
-    whose rows past dataset m's r_m stay zero.  A single fit has no chain
-    axes.
+    Every variable is stacked like the data: alpha (M, *folds, G q), B,
+    B_bar and B_dual (M, *folds, p, G q), and C, C_bar and C_dual
+    (M, *folds, r_max, G q), whose rows past dataset m's r_m stay zero.  A
+    single fit has no fold axis and one chain, G = 1.
     """
 
     alpha: np.ndarray
@@ -177,12 +193,12 @@ class AdmmState:
                                 for f in fields(self) if f.name != "iteration"})
 
 
-def zero_state(block, chains=()):
-    """All-zero starting point shaped for a stacked block, with chain axes."""
-    L = (block.M,) + tuple(chains)
-    B, C = (np.zeros(L + (w, block.q)) for w in (block.p, block.Z.shape[-1]))
+def zero_state(block):
+    """All-zero starting point shaped for a stacked block and its chains."""
+    L, cols = block.n.shape[:-2], block.Y.shape[-1]
+    B, C = (np.zeros(L + (w, cols)) for w in (block.p, block.Z.shape[-1]))
     return AdmmState(
-        alpha=np.zeros(L + (block.q,)), B=B, C=C,
+        alpha=np.zeros(L + (cols,)), B=B, C=C,
         B_bar=B.copy(), B_dual=B.copy(), C_bar=C.copy(), C_dual=C.copy(),
     )
 
@@ -293,28 +309,26 @@ def update_duals(state):
 # merit functions
 
 
-def _sumsq(A):
-    return (A * A).sum(axis=(-2, -1), keepdims=True)
-
-
 def augmented_lagrangian(block, state, hp):
     """Scaled augmented Lagrangian of the consensus splitting on a stacked
     block.
 
     Loss at the primal variables, penalties at the consensus copies, plus
     (rho/2) ||B_bar - B + B_dual||_F^2 and (rho/2) ||C - C_bar + C_dual||_F^2
-    summed over datasets.  One value per chain; hp.lam and hp.gamma may be
-    per-chain arrays shaped (*chains, 1, 1).
+    summed over datasets: one value per chain, the sum over its q columns,
+    shaped (*folds, G).  hp.lam and hp.gamma may be per-column arrays shaped
+    (*folds, 1, G q).
     """
     R = block.Y - state.alpha[..., None, :] - block.X @ state.B - block.Z @ state.C
     G = state.C - state.C_bar + state.C_dual
-    per_dataset = block_loss(block, R) + 0.5 * hp.rho * _sumsq(G)
-    per_dataset = per_dataset + hp.gamma * np.abs(state.C_bar).sum(axis=(-2, -1), keepdims=True)
+    per_dataset = block_loss(block, R) + _colsum(
+        0.5 * hp.rho * G * G + hp.gamma * np.abs(state.C_bar)
+    )
     Gb = state.B_bar - state.B + state.B_dual
-    norms = np.sqrt((state.B_bar * state.B_bar).sum(axis=0))
-    total = per_dataset.sum(axis=0) + 0.5 * hp.rho * _sumsq(Gb).sum(axis=0)
-    total = total + hp.lam * norms.sum(axis=(-2, -1), keepdims=True)
-    return total[..., 0, 0][()]
+    shared = 0.5 * hp.rho * (Gb * Gb).sum(axis=0)
+    shared += hp.lam * np.sqrt((state.B_bar * state.B_bar).sum(axis=0))
+    total = per_dataset.sum(axis=0) + _colsum(shared)
+    return chain_sums(total[..., 0, :], block.q)
 
 
 def consensus_gap(state):
@@ -390,40 +404,57 @@ class _ChainParams(NamedTuple):
     rho: float
 
 
+def _columns(v, q):
+    """Per-chain values (..., G) as per-column thresholds (..., 1, G q)."""
+    return np.repeat(v, q, axis=-1)[..., None, :]
+
+
+def _take_columns(a, folds, cols):
+    """a[:, *folds] with its last axis taken per fold at cols."""
+    a = a[(slice(None),) + folds]
+    shape = (1,) + cols.shape[:-1] + (1,) * (a.ndim - cols.ndim - 1) + cols.shape[-1:]
+    return np.take_along_axis(a, cols.reshape(shape), axis=-1)
+
+
 def run_chains(block, factors, state, rho, lambdas, gammas, opts=None,
                on_stop=None, trace=None):
-    """Advance a stack of warm-start chains through one ADMM loop.
+    """Advance a grid of warm-start chains through one ADMM loop.
 
-    The chains sit on the leading axes of `state` (after its dataset axis)
-    and of `gammas`, each chain's gamma; the arrays of the stacked `block`
-    broadcast against them, and `factors` holds its ridge factors (see
-    ridge_factors).
+    Chain g of a fold is the g-th group of q columns of block.Y and of the
+    state (see stack), with gamma gammas[g]; the grid's cells are
+    (*folds, G).  `factors` holds the block's ridge factors.
 
     Every chain fits lambdas[0], lambdas[1], ... in turn at its own gamma,
     each fit warm-started from the state the previous one stopped in.  A fit
     stops when its augmented Lagrangian changes by less than opts.tol
-    between two of its checks, or after opts.max_iter iterations.  When fits
-    stop, on_stop(state, stopped, position) gets the mask of the chains that
-    stopped and every chain's index into `lambdas`.  A chain at the end of
-    its path is still swept along but can no longer stop the loop or raise
-    FloatingPointError.  Each check appends the Lagrangian of every chain to
-    `trace` when one is given.
+    between two of its checks, or after opts.max_iter iterations.
+
+    When a chain ends its path, block, factors and state narrow to the
+    folds with a running chain and, per fold, its running chains, padded
+    with its finished ones to the largest running count.  A padded chain is
+    swept along but can no longer stop the loop or raise FloatingPointError.
+    When fits stop, on_stop(state, stopped, cell, position) gets the working
+    state, the mask of the working chains that stopped, every working
+    chain's cell (its flat index into the grid) and its index into
+    `lambdas`.  Each check appends the Lagrangian of every working chain to
+    `trace` when one is given; `state` ends holding the last working set.
 
     Returns the iteration count and convergence flag of every fit, shaped
-    gammas.shape + (len(lambdas),).
+    (*folds, G, len(lambdas)).
     """
     opts = opts or SolverOptions()
     lambdas = np.asarray(lambdas, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
-    shape, n_fits = gammas.shape, len(lambdas)
-    position = np.zeros(shape, dtype=int)
-    it = np.zeros(shape, dtype=int)
-    prev = np.full(shape, np.nan)
-    active = np.ones(shape, dtype=bool)
-    iterations = np.zeros(shape + (n_fits,), dtype=int)
-    converged = np.zeros(shape + (n_fits,), dtype=bool)
-    hp = _ChainParams(lambdas[position][..., None, None], gammas[..., None, None], rho)
-    thresh_c = hp.gamma / rho
+    q, n_fits = block.q, len(lambdas)
+    grid = block.n.shape[1:-2] + gammas.shape
+    cell = np.arange(np.prod(grid, dtype=int)).reshape(grid)
+    position = np.zeros(grid, dtype=int)
+    it = np.zeros(grid, dtype=int)
+    prev = np.full(grid, np.nan)
+    active = np.ones(grid, dtype=bool)
+    iterations = np.zeros(grid + (n_fits,), dtype=int)
+    converged = np.zeros(grid + (n_fits,), dtype=bool)
+    hp = _ChainParams(_columns(lambdas[position], q), _columns(gammas[cell % len(gammas)], q), rho)
     fx, fz = factors
     while active.any():
         state.alpha = update_intercept(block, state.B, state.C)
@@ -435,22 +466,23 @@ def run_chains(block, factors, state, rho, lambdas, gammas, opts=None,
             state.C = update_specific_coef(
                 block, state.alpha, state.B, state.C_bar, state.C_dual, rho, factor=fz
             )
-            state.C_bar = threshold_specific(state.C, state.C_dual, thresh_c)
+            state.C_bar = threshold_specific(state.C, state.C_dual, hp.gamma / rho)
         if fx is not None:
             state.B_bar = threshold_shared(state.B, state.B_dual, hp.lam / rho)
         update_duals(state)
         state.iteration += 1
         it += 1
-        finite = np.isfinite(state.alpha).all(axis=(0, -1))
-        finite &= np.isfinite(state.B).all(axis=(0, -2, -1))
-        finite &= np.isfinite(state.C).all(axis=(0, -2, -1))
-        diverged = active & ~finite
-        if diverged.any():
-            raise FloatingPointError(
-                "solver diverged: non-finite iterate at iteration %d" % it[diverged].min()
-            )
+        if not all(np.isfinite(a).all() for a in (state.alpha, state.B, state.C)):
+            finite = np.isfinite(state.alpha).all(axis=0)
+            finite &= np.isfinite(state.B).all(axis=(0, -2))
+            finite &= np.isfinite(state.C).all(axis=(0, -2))
+            diverged = active & ~finite.reshape(it.shape + (q,)).all(axis=-1)
+            if diverged.any():
+                raise FloatingPointError(
+                    "solver diverged: non-finite iterate at iteration %d" % it[diverged].min()
+                )
         check = it % opts.check_every == 0
-        met = np.zeros(shape, dtype=bool)
+        met = np.zeros(it.shape, dtype=bool)
         if check.any():
             L = augmented_lagrangian(block, state, hp)
             if trace is not None:
@@ -460,16 +492,33 @@ def run_chains(block, factors, state, rho, lambdas, gammas, opts=None,
         stopped = active & (met | (it >= opts.max_iter))
         if not stopped.any():
             continue
-        this_fit = stopped[..., None] & (np.arange(n_fits) == position[..., None])
-        np.copyto(iterations, it[..., None], where=this_fit)
-        np.copyto(converged, met[..., None], where=this_fit)
+        done = cell[stopped], position[stopped]
+        iterations.reshape(-1, n_fits)[done] = it[stopped]
+        converged.reshape(-1, n_fits)[done] = met[stopped]
         if on_stop is not None:
-            on_stop(state, stopped, position)
+            on_stop(state, stopped, cell, position)
         position = position + stopped
         active = position < n_fits
-        np.copyto(it, 0, where=stopped)
-        np.copyto(prev, np.nan, where=stopped)
-        hp = hp._replace(lam=lambdas[np.minimum(position, n_fits - 1)][..., None, None])
+        it[stopped] = 0
+        prev[stopped] = np.nan
+        keep, width = active.any(axis=-1), active.sum(axis=-1).max()
+        if keep.any() and (width < active.shape[-1] or not keep.all()):
+            # the folds with a running chain; per fold, running chains first
+            folds = (np.flatnonzero(keep),) if keep.ndim else ()
+            order = np.argsort(~active[folds], axis=-1, kind="stable")[..., :width]
+            cols = (order[..., None] * q + np.arange(q)).reshape(order.shape[:-1] + (-1,))
+            block = block.narrow(folds, width)
+            fx, fz = (None if f is None else RidgeFactor(*(a[(slice(None),) + folds] for a in f))
+                      for f in (fx, fz))
+            for f in fields(state):
+                if f.name != "iteration":
+                    setattr(state, f.name, _take_columns(getattr(state, f.name), folds, cols))
+            cell, position, it, prev, active = (
+                np.take_along_axis(a[folds], order, axis=-1)
+                for a in (cell, position, it, prev, active)
+            )
+            hp = hp._replace(gamma=_columns(gammas[cell % len(gammas)], q))
+        hp = hp._replace(lam=_columns(lambdas[np.minimum(position, n_fits - 1)], q))
     return iterations, converged
 
 
@@ -498,7 +547,7 @@ class AdmmSolver:
             state = init.copy()
         trace = []
         iterations, converged = run_chains(
-            block, self._factors, state, self.rho, [hp.lam], hp.gamma, opts, trace=trace
+            block, self._factors, state, self.rho, [hp.lam], [hp.gamma], opts, trace=trace
         )
         result = ModelFit(
             alpha=tuple(state.alpha.copy()),
@@ -507,10 +556,10 @@ class AdmmSolver:
         )
         return FitReport(
             fit=result,
-            iterations=int(iterations[0]),
-            converged=bool(converged[0]),
+            iterations=int(iterations[0, 0]),
+            converged=bool(converged[0, 0]),
             objective=objective(data, result, hp),
-            lagrangian_trace=np.asarray(trace),
+            lagrangian_trace=np.ravel(trace),
             kkt_residual=kkt_residual(data, result, hp),
             consensus_gap=consensus_gap(state),
             state=state,

@@ -273,6 +273,9 @@ def _cmd_fit(cfg):
 
 def _cmd_cv(cfg):
     loaded, data, record = _load_blocks(cfg)
+    n_min = min(b.n for b in data)
+    if cfg["k"] > n_min:
+        raise UsageError("--k %d exceeds the %d rows of the smallest dataset" % (cfg["k"], n_min))
     grid = _parse_grid_spec(cfg["grid"], data)
     opts = admm.SolverOptions(tol=cfg["tol"], max_iter=cfg["max_iter"])
     result = selection.select(

@@ -9,8 +9,10 @@ i.e. the same scaled squared-error loss the objective uses, without the
 penalty terms.  Lambda paths are swept from the largest value down with warm
 starts, one chain per (fold, gamma) pair, so the expensive small-penalty
 fits start near a solution.  All chains run as one stacked ADMM (see
-admm.run_chains): fold data is stacked once as (dataset, fold, 1) and
-broadcast over the gamma axis.
+admm.run_chains): fold data is stacked once as (dataset, fold), with the
+responses repeated once per gamma so that a fold's chains are side-by-side
+column groups of one iterate, and the grid narrows to the chains still
+running as chains end their paths.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DatasetBlock, IntegratedDataset, HyperParams, predict
-from .admm import AdmmSolver, block_loss, ridge_factors, run_chains, stack, zero_state
+from .admm import AdmmSolver, block_loss, chain_sums, ridge_factors, run_chains, stack, zero_state
 
 __all__ = [
     "FoldAssignment",
@@ -168,21 +170,21 @@ def select(data, grid, K=5, seed=0, opts=None, rho=1.0):
         raise TypeError("grid must be a CvGrid")
     folds = make_folds(data, K, seed)
     splits = [_split(data, folds, k) for k in range(1, folds.K + 1)]
-    # each side's (fold, dataset) blocks stack as (dataset, fold, 1)
-    train, held = (stack(np.array(side, dtype=object).T[..., None]) for side in zip(*splits))
-    factors = ridge_factors(train, rho)
     shape = (folds.K, len(grid.gammas))
+    # each side's (fold, dataset) blocks stack as (dataset, fold)
+    train, held = (stack(np.array(side, dtype=object).T, shape[1]) for side in zip(*splits))
     per_fold = np.zeros((folds.K, len(grid.lambdas), len(grid.gammas)))
 
-    def score(state, stopped, position):
-        k, j = np.nonzero(stopped)
-        R = held.Y - predict(held, state.alpha, state.B_bar, state.C_bar)
-        s = block_loss(held, R).sum(axis=0)[..., 0, 0]
-        per_fold[k, position[k, j], j] = s[k, j]
+    def score(state, stopped, cell, position):
+        k, j = np.unravel_index(cell, shape)
+        h = held.narrow((k[:, 0],), k.shape[1])
+        R = h.Y - predict(h, state.alpha, state.B_bar, state.C_bar)
+        s = chain_sums(block_loss(h, R).sum(axis=0)[..., 0, :], h.q)
+        per_fold[k[stopped], position[stopped], j[stopped]] = s[stopped]
 
     iterations, converged = run_chains(
-        train, factors, zero_state(train, shape), float(rho), grid.lambdas,
-        np.broadcast_to(grid.gammas, shape), opts, on_stop=score,
+        train, ridge_factors(train, rho), zero_state(train), float(rho), grid.lambdas,
+        grid.gammas, opts, on_stop=score,
     )
     cv_matrix = per_fold.mean(axis=0)
 

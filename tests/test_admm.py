@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,7 @@ from helpers import (
 def random_state(rng, block):
     """Random iterate for a stacked block; C rows past each r_m stay zero."""
     st = zero_state(block)
-    live = np.arange(st.C.shape[-2])[:, None] < np.array(block.r)[:, None, None]
+    live = np.arange(st.C.shape[-2])[:, None] < np.reshape(block.r, (-1,) + (1,) * (st.C.ndim - 1))
     st.alpha = rng.standard_normal(st.alpha.shape)
     st.B = rng.standard_normal(st.B.shape)
     st.B_bar = rng.standard_normal(st.B.shape)
@@ -99,6 +101,30 @@ class TestLagrangian:
         assert augmented_lagrangian(block, st, hp) == pytest.approx(
             objective(data, mf, hp), rel=1e-12
         )
+
+    def test_one_value_per_chain_of_a_column_stack(self):
+        # two folds with unequal rows and r = [2, 1], three chains per fold
+        # side by side in the columns, each with its own lam and gamma
+        rng = np.random.default_rng(36)
+        folds = [make_data(rng, M=2, n=n, p=3, q=2, r=[2, 1]) for n in ([6, 8], [7, 5])]
+        block = stack([[f[m] for f in folds] for m in range(2)], chains=3)
+        st = random_state(rng, block)
+        lam, gamma = rng.uniform(0.1, 1.0, (2, 2, 3))
+        per_column = SimpleNamespace(
+            lam=np.repeat(lam, 2, axis=-1)[:, None, :],
+            gamma=np.repeat(gamma, 2, axis=-1)[:, None, :],
+            rho=1.3,
+        )
+        got = augmented_lagrangian(block, st, per_column)
+        assert got.shape == (2, 3)
+        for k, data in enumerate(folds):
+            for j in range(3):
+                c = slice(2 * j, 2 * j + 2)
+                chain = zero_state(stack(data))
+                for name in ("alpha", "B", "C", "B_bar", "B_dual", "C_bar", "C_dual"):
+                    setattr(chain, name, getattr(st, name)[:, k, ..., c])
+                hp = HyperParams(lam[k, j], gamma[k, j], rho=1.3)
+                assert got[k, j] == pytest.approx(lagrangian_reference(data, chain, hp), rel=1e-12)
 
     def test_zero_state_zero_data(self):
         data = IntegratedDataset(
@@ -205,13 +231,14 @@ class TestSteps:
 
     def test_steps_over_padded_chain_stack_match_per_chain_steps(self):
         # two folds of unequal row counts, zero-padded and stacked as
-        # (fold, 1, rows, .), against three chains per fold
+        # (dataset, fold, rows, .), against three chains per fold side by
+        # side in the columns
         rng = np.random.default_rng(34)
         blocks = [make_data(rng, M=1, n=n, p=4, q=2, r=3)[0] for n in (7, 5)]
-        stacked = stack([[b] for b in blocks])
-        alpha = rng.standard_normal((2, 3, 2))
-        B, B_bar, B_dual = (rng.standard_normal((2, 3, 4, 2)) for _ in range(3))
-        C, C_bar, C_dual = (rng.standard_normal((2, 3, 3, 2)) for _ in range(3))
+        stacked = stack([blocks], chains=3)
+        alpha = rng.standard_normal((1, 2, 6))
+        B, B_bar, B_dual = (rng.standard_normal((1, 2, 4, 6)) for _ in range(3))
+        C, C_bar, C_dual = (rng.standard_normal((1, 2, 3, 6)) for _ in range(3))
         rho = 0.8
         got = {
             "alpha": update_intercept(stacked, B, C),
@@ -222,13 +249,16 @@ class TestSteps:
         }
         for k, b in enumerate(blocks):
             for j in range(3):
+                c = slice(2 * j, 2 * j + 2)
                 want = {
-                    "alpha": update_intercept(b, B[k, j], C[k, j]),
-                    "B": update_shared_coef(b, alpha[k, j], C[k, j], B_bar[k, j], B_dual[k, j], rho),
-                    "C": update_specific_coef(b, alpha[k, j], B[k, j], C_bar[k, j], C_dual[k, j], rho),
+                    "alpha": update_intercept(b, B[0, k, :, c], C[0, k, :, c]),
+                    "B": update_shared_coef(b, alpha[0, k, c], C[0, k, :, c], B_bar[0, k, :, c],
+                                            B_dual[0, k, :, c], rho),
+                    "C": update_specific_coef(b, alpha[0, k, c], B[0, k, :, c], C_bar[0, k, :, c],
+                                              C_dual[0, k, :, c], rho),
                 }
                 for name, w in want.items():
-                    assert np.abs(got[name][k, j] - w).max() <= 1e-12 * np.abs(w).max(), name
+                    assert np.abs(got[name][0, k, ..., c] - w).max() <= 1e-12 * np.abs(w).max(), name
 
     def test_specific_threshold_is_entrywise_prox(self):
         rng = np.random.default_rng(7)

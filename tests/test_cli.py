@@ -126,13 +126,15 @@ class TestUsageErrors:
         "args, needle",
         [(["cv", "--grid", "0x3"], "grid"),
          (["cv", "--seed", "-1"], "--seed"),
+         (["cv", "--k", "20"], "--k"),
          (["simulate", "--grid", "0x2"], "grid"),
          (["simulate", "--replicates", "0"], "--replicates"),
          (["simulate", "--methods", "mr,foo"], "--methods"),
          (["simulate", "--seed", "-1"], "--seed"),
          (["simulate", "--scenario", "M2_n4_s5_rx01_ry01", "--k", "5"], "--k")],
-        ids=["cv-grid-0x3", "cv-seed-negative", "simulate-grid-0x2", "simulate-replicates-0",
-             "simulate-unknown-method", "simulate-seed-negative", "simulate-k-above-n"],
+        ids=["cv-grid-0x3", "cv-seed-negative", "cv-k-above-n", "simulate-grid-0x2",
+             "simulate-replicates-0", "simulate-unknown-method", "simulate-seed-negative",
+             "simulate-k-above-n"],
     )
     def test_rejected_before_any_fit(self, tmp_path, capsys, monkeypatch, args, needle):
         def no_fit(*args, **kwargs):

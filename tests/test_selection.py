@@ -5,6 +5,7 @@ from intmr.model import DatasetBlock, IntegratedDataset, HyperParams, residual_m
 from intmr.admm import (
     AdmmSolver, SolverOptions, fit, ridge_factors, run_chains, stack, zero_state,
 )
+from intmr import selection
 from intmr.selection import (
     FoldAssignment,
     CvGrid,
@@ -299,65 +300,104 @@ def sequential_chains(data, grid, folds, opts=None, rho=1.0):
     return scores, iters, conv
 
 
-def assert_matches_sequential(data, grid, K, seed, opts=None):
+@pytest.fixture
+def working_shapes(monkeypatch):
+    """(folds, columns) of the working state at every stop event of the
+    grid loop of select."""
+    shapes = []
+
+    def spy(block, factors, state, rho, lambdas, gammas, opts=None, on_stop=None):
+        def record(state, *rest):
+            shapes.append(state.alpha.shape[1:])
+            on_stop(state, *rest)
+
+        return run_chains(block, factors, state, rho, lambdas, gammas, opts, on_stop=record)
+
+    monkeypatch.setattr(selection, "run_chains", spy)
+    return shapes
+
+
+def assert_matches_sequential(data, grid, K, seed, opts=None, shapes=None):
+    """select against sequential chains; with the working_shapes of the
+    run, also that the grid narrowed before a later fit stopped."""
     res = select(data, grid, K=K, seed=seed, opts=opts)
     scores, iters, conv = sequential_chains(data, grid, res.folds, opts)
     ref = scores.mean(axis=0)
     assert np.abs(res.cv_matrix - ref).max() <= 1e-9 * np.abs(ref).max()
     assert np.array_equal(res.iterations, iters)
     assert np.array_equal(res.converged, conv)
+    if shapes is not None:
+        assert shapes[0] == (K, len(grid.gammas) * data.q)
+        assert len(set(shapes)) > 1, "the grid never narrowed before a stop"
     return res
 
 
+def two_fold_stack(rng, chains, n=(20, 26)):
+    """One dataset pair per fold, stacked (dataset, fold) with `chains`
+    chains per fold."""
+    folds = [make_data(rng, M=2, n=nk, p=3, q=2, r=2) for nk in n]
+    return stack([[f[m] for f in folds] for m in range(2)], chains=chains)
+
+
 class TestStackedGrid:
-    def test_uneven_folds(self):
+    def test_uneven_folds(self, working_shapes):
         # uneven folds within a dataset and unequal n_m across datasets
         rng = np.random.default_rng(40)
         data = make_data(rng, M=2, n=[19, 26], p=3, q=2, r=2)
-        res = assert_matches_sequential(data, default_grid(data, 3, 2), K=4, seed=3)
+        res = assert_matches_sequential(data, default_grid(data, 3, 2), K=4, seed=3,
+                                        shapes=working_shapes)
         for labels in res.folds.labels:
             sizes = np.bincount(labels)[1:]
             assert sizes.min() < sizes.max()
         assert res.iterations.shape == (4, 3, 2) and res.converged.all()
 
-    def test_dataset_without_specific_covariates(self):
+    def test_dataset_without_specific_covariates(self, working_shapes):
         rng = np.random.default_rng(41)
         data = make_data(rng, M=3, n=[16, 13, 21], p=3, q=2, r=[2, 0, 1])
-        assert_matches_sequential(data, default_grid(data, 3, 3), K=4, seed=0)
+        assert_matches_sequential(data, default_grid(data, 3, 3), K=4, seed=0,
+                                  shapes=working_shapes)
 
-    def test_no_shared_covariates_route(self):
-        # the one-dataset p = 0 problem that fit_mlasso routes through select
+    def test_no_shared_covariates_route(self, working_shapes):
+        # the one-dataset p = 0 problem that fit_mlasso routes through
+        # select; its width-0 B is narrowed with the rest of the state
         rng = np.random.default_rng(42)
         block = make_data(rng, M=1, n=20, p=4, q=2, r=3)[0]
         routed = IntegratedDataset(
             (DatasetBlock(Y=block.Y, X=np.zeros((20, 0)), Z=np.hstack([block.X, block.Z])),)
         )
         grid = default_grid(routed, n_lambdas=1, n_gammas=4)
-        assert_matches_sequential(routed, grid, K=5, seed=1)
+        assert_matches_sequential(routed, grid, K=5, seed=1, shapes=working_shapes)
 
-    def test_one_cell_grid(self):
+    def test_single_response(self, working_shapes):
+        rng = np.random.default_rng(47)
+        data = make_data(rng, M=2, n=[18, 23], p=3, q=1, r=[1, 2])
+        assert_matches_sequential(data, default_grid(data, 3, 3), K=3, seed=5,
+                                  shapes=working_shapes)
+
+    def test_one_cell_grid(self, working_shapes):
         rng = np.random.default_rng(43)
         data = make_data(rng, M=2, n=15, p=3, q=2, r=1)
         grid = CvGrid(lambdas=(0.2,), gammas=(0.1,))
-        assert_matches_sequential(data, grid, K=3, seed=2)
+        assert_matches_sequential(data, grid, K=3, seed=2, shapes=working_shapes)
 
-    def test_each_fit_restarts_its_stopping_test(self):
+    def test_each_fit_restarts_its_stopping_test(self, working_shapes):
         # a repeated lambda starts its fit at the previous fit's solution;
         # the new fit must still run to its own second check
         rng = np.random.default_rng(48)
         data = make_data(rng, M=2, n=15, p=3, q=2, r=1)
         grid = CvGrid(lambdas=(0.2, 0.2), gammas=(0.1, 0.05))
-        res = assert_matches_sequential(data, grid, K=3, seed=0)
+        res = assert_matches_sequential(data, grid, K=3, seed=0, shapes=working_shapes)
         assert (res.iterations[:, 1] == 2).all()
 
-    def test_capped_chain_does_not_stop_the_others(self):
+    def test_capped_chain_does_not_stop_the_others(self, working_shapes):
         rng = np.random.default_rng(44)
         data = make_data(rng, M=2, n=18, p=3, q=2, r=2)
         grid = default_grid(data, 3, 3)
         free = select(data, grid, K=3, seed=4)
         cap = int(np.median(free.iterations))
+        working_shapes.clear()
         res = assert_matches_sequential(
-            data, grid, K=3, seed=4, opts=SolverOptions(max_iter=cap)
+            data, grid, K=3, seed=4, opts=SolverOptions(max_iter=cap), shapes=working_shapes
         )
         assert res.converged.any() and not res.converged.all()
         assert (res.iterations[~res.converged] == cap).all()
@@ -383,27 +423,69 @@ class TestStackedGrid:
             select(IntegratedDataset(blocks), CvGrid((0.1,), (0.1,)), K=3, seed=0)
 
     def test_finished_chain_neither_stops_nor_raises(self):
-        rng = np.random.default_rng(48)
-        data = make_data(rng, M=2, n=20, p=3, q=2, r=2)
-        block = stack([[b] for b in data])  # (dataset, 1): broadcasts over 3 chains
+        # two folds of three chains: when the fastest of the six ends its
+        # path, the other fold still runs three, so the finished chain stays
+        # in the working set as padding
+        block = two_fold_stack(np.random.default_rng(48), chains=3)
         factors = ridge_factors(block, 1.0)
         lambdas, gammas = (0.3, 0.02), np.array([0.5, 0.05, 0.005])
 
         def run(on_stop=None):
             return run_chains(
-                block, factors, zero_state(block, (3,)), 1.0, lambdas, gammas,
-                on_stop=on_stop,
+                block, factors, zero_state(block), 1.0, lambdas, gammas, on_stop=on_stop,
             )
 
         iters, _ = run()
-        first = int(np.argmin(iters.sum(axis=1)))
-        assert iters.sum(axis=1)[first] < np.sort(iters.sum(axis=1))[1]
+        totals = iters.sum(axis=-1).ravel()
+        first = int(np.argmin(totals))
+        assert totals[first] < np.sort(totals)[1]
+        swept = []
 
-        def poison(state, stopped, position):
+        def poison(state, stopped, cell, position):
             # once the fastest chain ends its path, its iterate turns NaN
-            if stopped[first] and position[first] == len(lambdas) - 1:
-                state.B[:, first] = np.nan
+            mine = cell == first
+            if mine.any() and np.isnan(state.B).any():
+                swept.append(True)
+            if (stopped & mine).any() and position[mine] == len(lambdas) - 1:
+                k, j = np.argwhere(mine)[0]
+                state.B[:, k, :, 2 * j : 2 * j + 2] = np.nan
 
         with np.errstate(all="ignore"):
             poisoned, conv = run(poison)
-        assert np.array_equal(poisoned, iters) and conv.all()
+        assert swept and np.array_equal(poisoned, iters) and conv.all()
+
+    def test_running_chain_still_raises_after_narrowing(self):
+        block = two_fold_stack(np.random.default_rng(49), chains=3)
+        factors = ridge_factors(block, 1.0)
+        lambdas, gammas = (0.3, 0.02), np.array([0.5, 0.05, 0.005])
+        seen = []
+
+        def poison(state, stopped, cell, position):
+            # after the first narrowing, a chain that keeps running turns NaN
+            seen.append(state.alpha.shape)
+            if seen[-1] != seen[0]:
+                k, j = np.argwhere(~stopped & (position < len(lambdas)))[0]
+                state.C[:, k, :, 2 * j] = np.nan
+
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            run_chains(block, factors, zero_state(block), 1.0, lambdas, gammas, on_stop=poison)
+        assert seen[-1] != seen[0]
+
+    def test_state_narrows_to_the_running_chains(self):
+        block = two_fold_stack(np.random.default_rng(50), chains=3, n=(20, 60))
+        factors = ridge_factors(block, 1.0)
+        lambdas, gammas = (0.3, 0.1, 0.02), np.array([0.5, 0.05, 0.005])
+        seen = []
+
+        def record(state, stopped, cell, position):
+            # the working state holds the running chains, padded per fold
+            # with finished ones to the largest running count
+            running = position < len(lambdas)
+            assert running.any(axis=-1).all()
+            assert running.sum(axis=-1).max() == cell.shape[-1]
+            assert state.B.shape[1:] == (cell.shape[0], 3, 2 * cell.shape[1])
+            seen.append(cell.shape)
+
+        run_chains(block, factors, zero_state(block), 1.0, lambdas, gammas, on_stop=record)
+        assert seen[0] == (2, 3) and seen[-1] == (1, 1)
+        assert all(a >= b for prev, now in zip(seen, seen[1:]) for a, b in zip(prev, now))
