@@ -17,10 +17,10 @@ scaled dual variables tie each pair together.  One iteration sweeps:
 Each step is one public function below, separable by response column.
 Data and iterates are stacked with the dataset on the leading axis, then a
 fold axis for a cross-validation grid, and a fold's warm-start chains, one
-per gamma, sit side by side as groups of q columns (stack builds the data
-side, zero_state the iterate).  run_chains advances such a grid through the
-steps in one loop, narrowed to the chains still running; AdmmSolver.fit is
-its one-chain case.  The ridge steps use a thin SVD of X and of Z, one
+per gamma, sit side by side as groups of q columns (model.stack builds
+the data side, zero_state the iterate).  run_chains advances such a grid
+through the steps in one loop, narrowed to the chains still running;
+AdmmSolver.fit is its one-chain case.  The ridge steps use a thin SVD of X and of Z, one
 batched SVD each, computed once per stack (rho stays fixed).  A fit stops
 when its augmented Lagrangian changes by less than tol between checks.
 Reported coefficients are the consensus copies, so zeros are exact and the
@@ -37,8 +37,14 @@ from .model import (
     IntegratedDataset,
     HyperParams,
     ModelFit,
+    _colsum,
+    block_loss,
+    group_norms,
+    loss_gradient,
     objective,
-    residual_matrix,
+    predict,
+    stack,
+    stack_fit,
 )
 from .prox import group_soft_threshold, soft_threshold
 
@@ -47,13 +53,10 @@ __all__ = [
     "AdmmState",
     "FitReport",
     "AdmmSolver",
-    "PaddedBlock",
     "RidgeFactor",
     "fit",
-    "stack",
     "run_chains",
     "zero_state",
-    "block_loss",
     "chain_sums",
     "ridge_factor",
     "ridge_factors",
@@ -82,86 +85,6 @@ class SolverOptions:
             raise ValueError("max_iter must be at least 1")
         if self.check_every < 1:
             raise ValueError("check_every must be at least 1")
-
-
-@dataclass(frozen=True)
-class PaddedBlock:
-    """Every dataset's rows, stacked with the dataset on the leading axis.
-
-    Y (M, *folds, rows, G q) holds the q responses once per chain, X
-    (M, *folds, rows, p) and Z (M, *folds, rows, r_max) the covariates; a CV
-    grid has one fold axis.  Rows are zero-padded to a common count and Z's
-    columns to the largest r_m; n holds the true row counts, shaped
-    (M, *folds, 1, 1), mask (M, *folds, rows, 1) is 1 on true rows, and r
-    holds the true r_m.  A zero row or column drops out of every step on its
-    own; only the loss needs the mask.
-    """
-
-    Y: np.ndarray
-    X: np.ndarray
-    Z: np.ndarray
-    n: np.ndarray
-    mask: np.ndarray
-    r: tuple
-    q: int
-
-    @property
-    def M(self):
-        return len(self.r)
-
-    @property
-    def p(self):
-        return self.X.shape[-1]
-
-    def narrow(self, folds, chains):
-        """The folds at index tuple `folds`, Y cut to its first `chains`."""
-        pick = lambda a: a[(slice(None),) + folds]
-        return replace(self, Y=pick(self.Y)[..., : chains * self.q], X=pick(self.X),
-                       Z=pick(self.Z), n=pick(self.n), mask=pick(self.mask))
-
-
-def stack(blocks, chains=1):
-    """Zero-pad DatasetBlocks and stack them into one PaddedBlock of chains.
-
-    blocks is a nested sequence of DatasetBlocks whose outer level is the
-    dataset: an IntegratedDataset gives the (M,) stack of a single fit, and
-    blocks[m][k], fold k's training rows of dataset m, the (M, K) stack of a
-    CV grid.  All blocks of one dataset must have the same r.
-    """
-    cells = np.array(blocks, dtype=object)
-    flat = cells.ravel()
-    rows = max(b.n for b in flat)
-
-    def pad(name, width):
-        out = np.zeros((flat.size, rows, width))
-        for i, b in enumerate(flat):
-            a = getattr(b, name)
-            out[i, : a.shape[0], : a.shape[1]] = a
-        return out.reshape(cells.shape + (rows, width))
-
-    n = np.array([b.n for b in flat], dtype=float).reshape(cells.shape + (1, 1))
-    return PaddedBlock(
-        Y=np.tile(pad("Y", flat[0].q), chains),
-        X=pad("X", flat[0].p),
-        Z=pad("Z", max(b.r for b in flat)),
-        n=n,
-        mask=(np.arange(rows)[:, None] < n).astype(float),
-        r=tuple(b.r for b in cells.reshape(len(cells), -1)[:, 0]),
-        q=flat[0].q,
-    )
-
-
-def _colsum(A):
-    """Sums over the row axis, kept; a ones-row product is several times
-    faster than numpy's reduction over a non-last axis of few columns."""
-    return np.ones((1, A.shape[-2])) @ A
-
-
-def block_loss(block, R):
-    """(1 / 2n) times the column sums of squares of a residual block, per
-    dataset, with a trailing row axis of 1; padded rows count for nothing."""
-    R = R * block.mask
-    return 0.5 * _colsum(R * R) / block.n
 
 
 def chain_sums(a, q):
@@ -226,7 +149,7 @@ def _check_state_matches(block, state):
 def update_intercept(block, B_m, C_m):
     """Column means of Y - X B - Z C."""
     R = block.Y - block.X @ B_m - block.Z @ C_m
-    return (R.sum(axis=-2, keepdims=True) / block.n)[..., 0, :]
+    return (_colsum(R) / block.n)[..., 0, :]
 
 
 class RidgeFactor(NamedTuple):
@@ -255,8 +178,8 @@ def ridge_factor(A, n, rho):
 def ridge_factors(block, rho):
     """(X factor, Z factor) of a stacked block, each from one batched SVD;
     None for a block without columns."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not (rho > 0 and np.isfinite(rho)):
+        raise ValueError("rho must be positive and finite")
     return tuple(
         ridge_factor(A, block.n, rho) if A.shape[-1] else None for A in (block.X, block.Z)
     )
@@ -326,7 +249,7 @@ def augmented_lagrangian(block, state, hp):
     )
     Gb = state.B_bar - state.B + state.B_dual
     shared = 0.5 * hp.rho * (Gb * Gb).sum(axis=0)
-    shared += hp.lam * np.sqrt((state.B_bar * state.B_bar).sum(axis=0))
+    shared += hp.lam * group_norms(state.B_bar)
     total = per_dataset.sum(axis=0) + _colsum(shared)
     return chain_sums(total[..., 0, :], block.q)
 
@@ -336,8 +259,7 @@ def consensus_gap(state):
     Frobenius norm of C - C_bar."""
     gap = 0.0
     if state.B.size:
-        diff = state.B_bar - state.B
-        gap = float(np.sqrt((diff * diff).sum(axis=0)).max())
+        gap = float(group_norms(state.B_bar - state.B).max())
     if state.C.size:
         d = state.C - state.C_bar
         gap = max(gap, float(np.sqrt((d * d).sum(axis=(-2, -1))).max()))
@@ -350,36 +272,16 @@ def kkt_residual(data, fit, hp):
     Checks the zero intercept gradient, the groupwise condition on B (active
     groups must match the penalty gradient exactly, zero groups must have
     loss gradient norm at most lam) and the entrywise analogue on C with
-    gamma.
+    gamma, which padded entries of C meet with their zero gradients.
     """
-    worst = 0.0
-    GB = np.zeros((data.M, data.p, data.q)) if data.p else None
-    for m, block in enumerate(data):
-        R = residual_matrix(block, fit.alpha[m], fit.B[m], fit.C[m])
-        worst = max(worst, float(np.abs(R.mean(axis=0)).max()))
-        if data.p:
-            GB[m] = -(block.X.T @ R) / block.n
-        if block.r:
-            GC = -(block.Z.T @ R) / block.n
-            C = fit.C[m]
-            nz = C != 0
-            if nz.any():
-                worst = max(worst, float(np.abs(GC[nz] + hp.gamma * np.sign(C[nz])).max()))
-            if (~nz).any():
-                worst = max(worst, max(0.0, float(np.abs(GC[~nz]).max()) - hp.gamma))
-    if data.p:
-        Bst = np.stack(fit.B, axis=0)
-        norms = np.sqrt((Bst * Bst).sum(axis=0))
-        active = norms > 0
-        if active.any():
-            # gradient of lam * ||beta_jk|| is lam * beta / ||beta||
-            direction = Bst[:, active] / norms[active][None, :]
-            viol = GB[:, active] + hp.lam * direction
-            worst = max(worst, float(np.sqrt((viol * viol).sum(axis=0)).max()))
-        if (~active).any():
-            gn = np.sqrt((GB[:, ~active] ** 2).sum(axis=0))
-            worst = max(worst, max(0.0, float(gn.max()) - hp.lam))
-    return worst
+    block, alpha, B, C = stack_fit(data, fit)
+    g_alpha, GB, GC = loss_gradient(block, block.Y - predict(block, alpha, B, C))
+    norms = group_norms(B)
+    # gradient of lam * ||beta_jk|| is lam * beta / ||beta||
+    direction = np.divide(B, norms, out=np.zeros_like(B), where=norms > 0)
+    viol_B = np.where(norms > 0, group_norms(GB + hp.lam * direction), group_norms(GB) - hp.lam)
+    viol_C = np.where(C != 0, np.abs(GC + hp.gamma * np.sign(C)), np.abs(GC) - hp.gamma)
+    return float(max(v.max(initial=0.0) for v in (np.abs(g_alpha), viol_B, viol_C)))
 
 
 # ---------------------------------------------------------------------------

@@ -193,8 +193,10 @@ def _settings(args):
         raise UsageError("--max-iter must be at least 1")
     if merged["threads"] < 1:
         raise UsageError("--threads must be at least 1")
-    if merged["lam"] < 0 or merged["gamma"] < 0:
-        raise UsageError("penalties must be nonnegative")
+    if not (0 <= merged["lam"] < math.inf and 0 <= merged["gamma"] < math.inf):
+        raise UsageError("--lambda and --gamma must be nonnegative and finite")
+    if not 0 < merged["rho"] < math.inf:
+        raise UsageError("rho must be positive and finite")
     return merged
 
 

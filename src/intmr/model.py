@@ -12,9 +12,13 @@ where the shared-covariate coefficients B^m are tied across datasets through
 a group penalty on the vectors (B^1[j,k], ..., B^M[j,k]), so a shared
 covariate is selected for a response in all datasets or in none, and the
 specific coefficients C^m carry an entrywise l1 penalty.
+
+Fits are evaluated on the solver's layout, the PaddedBlock that stack
+builds: the loss, its gradient, the group norms and the objective are each
+one expression over every dataset at once.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,8 +27,13 @@ __all__ = [
     "IntegratedDataset",
     "HyperParams",
     "ModelFit",
+    "PaddedBlock",
+    "stack",
+    "stack_fit",
     "residual_matrix",
     "predict",
+    "block_loss",
+    "loss_gradient",
     "group_norms",
     "objective",
 ]
@@ -256,9 +265,88 @@ def _check_fit_matches(data, fit):
             )
 
 
+@dataclass(frozen=True)
+class PaddedBlock:
+    """Every dataset's rows, stacked with the dataset on the leading axis.
+
+    Y (M, *folds, rows, G q) holds the q responses once per chain, X
+    (M, *folds, rows, p) and Z (M, *folds, rows, r_max) the covariates; a CV
+    grid has one fold axis.  Rows are zero-padded to a common count and Z's
+    columns to the largest r_m; n holds the true row counts, shaped
+    (M, *folds, 1, 1), mask (M, *folds, rows, 1) is 1 on true rows, and r
+    holds the true r_m.  A zero row or column drops out of every product on
+    its own; a residual is nonzero on padded rows only through the
+    intercept, and the loss and its gradient mask those rows.
+    """
+
+    Y: np.ndarray
+    X: np.ndarray
+    Z: np.ndarray
+    n: np.ndarray
+    mask: np.ndarray
+    r: tuple
+    q: int
+
+    @property
+    def p(self):
+        return self.X.shape[-1]
+
+    def narrow(self, folds, chains):
+        """The folds at index tuple `folds`, Y cut to its first `chains`."""
+        pick = lambda a: a[(slice(None),) + folds]
+        return replace(self, Y=pick(self.Y)[..., : chains * self.q], X=pick(self.X),
+                       Z=pick(self.Z), n=pick(self.n), mask=pick(self.mask))
+
+
+def _pad(arrays, shape):
+    """Zero-pad 2-d arrays to `shape` and stack them on a new leading axis."""
+    out = np.zeros((len(arrays),) + shape)
+    for i, a in enumerate(arrays):
+        out[i, : a.shape[0], : a.shape[1]] = a
+    return out
+
+
+def stack(blocks, chains=1):
+    """Zero-pad DatasetBlocks and stack them into one PaddedBlock of chains.
+
+    blocks is a nested sequence of DatasetBlocks whose outer level is the
+    dataset: an IntegratedDataset gives the (M,) stack of a single fit, and
+    blocks[m][k], fold k's training rows of dataset m, the (M, K) stack of a
+    CV grid.  All blocks of one dataset must have the same r.
+    """
+    cells = np.array(blocks, dtype=object)
+    flat = cells.ravel()
+    rows = max(b.n for b in flat)
+
+    def pad(name, width):
+        arrays = [getattr(b, name) for b in flat]
+        return _pad(arrays, (rows, width)).reshape(cells.shape + (rows, width))
+
+    n = np.array([b.n for b in flat], dtype=float).reshape(cells.shape + (1, 1))
+    return PaddedBlock(
+        Y=np.tile(pad("Y", flat[0].q), chains),
+        X=pad("X", flat[0].p),
+        Z=pad("Z", max(b.r for b in flat)),
+        n=n,
+        mask=(np.arange(rows)[:, None] < n).astype(float),
+        r=tuple(b.r for b in cells.reshape(len(cells), -1)[:, 0]),
+        q=flat[0].q,
+    )
+
+
+def stack_fit(data, fit):
+    """`data` stacked as one PaddedBlock, and `fit` stacked like it: alpha
+    (M, q), B (M, p, q) and C (M, r_max, q), with C's rows past r_m zero."""
+    _check_fit_matches(data, fit)
+    block = stack(data)
+    C = _pad(fit.C, (block.Z.shape[-1], fit.q))
+    return block, np.array(fit.alpha), np.array(fit.B), C
+
+
 def predict(block, alpha, B, C):
-    """Fitted values 1 alpha' + X B + Z C for one dataset; alpha, B and C
-    may carry leading axes that broadcast against the block's."""
+    """Fitted values 1 alpha' + X B + Z C for one dataset or a stacked
+    block; alpha, B and C may carry leading axes that broadcast against the
+    block's."""
     return alpha[..., None, :] + block.X @ B + block.Z @ C
 
 
@@ -276,14 +364,37 @@ def residual_matrix(block, alpha, B, C):
     return block.Y - predict(block, alpha, B, C)
 
 
-def group_norms(B_list):
+def _colsum(A):
+    """Sums over the row axis, kept; a ones-row product is several times
+    faster than numpy's reduction over a non-last axis of few columns."""
+    return np.ones((1, A.shape[-2])) @ A
+
+
+def block_loss(block, R):
+    """(1 / 2n) times the column sums of squares of a residual block, per
+    dataset, with a trailing row axis of 1; padded rows count for nothing."""
+    R = R * block.mask
+    return 0.5 * _colsum(R * R) / block.n
+
+
+def loss_gradient(block, R):
+    """Gradients of the loss at residual R with respect to the intercept
+    (..., 1, q), B (..., p, q) and C (..., r_max, q), per dataset; padded
+    rows count for nothing."""
+    R = R * block.mask
+    XtR, ZtR = (np.swapaxes(A, -1, -2) @ R for A in (block.X, block.Z))
+    return -_colsum(R) / block.n, -XtR / block.n, -ZtR / block.n
+
+
+def group_norms(B):
     """l2 norms of the cross-dataset coefficient groups.
 
-    Entry (j, k) is || (B^1[j,k], ..., B^M[j,k]) ||_2.  Returns a p x q
-    matrix.
+    B holds one coefficient array per dataset, stacked on its leading axis
+    or given as a sequence; entry [j, k] of the result is
+    || (B^1[j,k], ..., B^M[j,k]) ||_2.
     """
-    stacked = np.stack([np.asarray(b, dtype=float) for b in B_list], axis=0)
-    return np.sqrt((stacked * stacked).sum(axis=0))
+    B = np.asarray(B, dtype=float)
+    return np.sqrt((B * B).sum(axis=0))
 
 
 def objective(data, fit, hp):
@@ -294,11 +405,6 @@ def objective(data, fit, hp):
     cross-dataset group norms of B, plus gamma times the entrywise l1 norm
     of every C.
     """
-    _check_fit_matches(data, fit)
-    loss = 0.0
-    for m, block in enumerate(data):
-        R = residual_matrix(block, fit.alpha[m], fit.B[m], fit.C[m])
-        loss += 0.5 / block.n * float((R * R).sum())
-    pen_b = float(group_norms(fit.B).sum()) if data.p else 0.0
-    pen_c = sum(float(np.abs(c).sum()) for c in fit.C)
-    return loss + hp.lam * pen_b + hp.gamma * pen_c
+    block, alpha, B, C = stack_fit(data, fit)
+    loss = float(block_loss(block, block.Y - predict(block, alpha, B, C)).sum())
+    return loss + hp.lam * float(group_norms(B).sum()) + hp.gamma * float(np.abs(C).sum())

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from .model import group_norms
+
 __all__ = ["soft_threshold", "group_soft_threshold"]
 
 
@@ -29,7 +31,7 @@ def group_soft_threshold(c, d):
     if np.any(np.less(d, 0)):
         raise ValueError("threshold must be nonnegative")
     c = np.asarray(c, dtype=float)
-    norms = np.sqrt((c * c).sum(axis=0))
+    norms = group_norms(c)
     # (norm - d)+ / norm rather than (1 - d / norm)+: subtracting first keeps
     # full precision when d is close to the norm; a zero group has a zero
     # numerator too, so its scale never matters

@@ -19,8 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DatasetBlock, IntegratedDataset, HyperParams, predict
-from .admm import AdmmSolver, block_loss, chain_sums, ridge_factors, run_chains, stack, zero_state
+from .model import (
+    DatasetBlock, IntegratedDataset, HyperParams, block_loss, group_norms,
+    loss_gradient, predict, stack,
+)
+from .admm import AdmmSolver, chain_sums, ridge_factors, run_chains, zero_state
 
 __all__ = [
     "FoldAssignment",
@@ -92,19 +95,18 @@ class CvGrid:
 def penalty_ceiling(data):
     """Smallest (lam, gamma) at which the intercept-only fit is stationary.
 
-    Gradients of the loss at the intercept-only fit: lam_ref is the largest
+    Gradients of the loss at the intercept-only fit, whose intercepts are
+    the column means of Y (glmnet's lambda_max): lam_ref is the largest
     cross-dataset group norm over the shared covariates, gamma_ref the
     largest absolute entry over the specific covariates.
     """
-    gx = np.zeros((data.M, data.p, data.q)) if data.p else None
-    gamma_ref = 0.0
-    for m, block in enumerate(data):
-        Rc = block.Y - block.Y.mean(axis=0)[None, :]
-        if data.p:
-            gx[m] = (block.X.T @ Rc) / block.n
-        if block.r:
-            gamma_ref = max(gamma_ref, float(np.abs((block.Z.T @ Rc) / block.n).max()))
-    lam_ref = float(np.sqrt((gx * gx).sum(axis=0)).max()) if data.p else 0.0
+    block = stack(data)
+    # summed in row order like Y.mean(axis=0); _colsum rounds differently
+    # and shifts about 1 ceiling in 7, and so the written grid, by an ulp
+    mean = block.Y.sum(axis=-2, keepdims=True) / block.n
+    _, g_B, g_C = loss_gradient(block, block.Y - mean)
+    lam_ref = float(group_norms(g_B).max(initial=0.0))
+    gamma_ref = float(np.abs(g_C).max(initial=0.0))
     # tiny relative bump keeps the ceiling strictly inside the all-zero
     # region, so the grid corner is intercept-only despite roundoff
     return lam_ref * (1 + 1e-6), gamma_ref * (1 + 1e-6)

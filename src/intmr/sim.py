@@ -246,6 +246,14 @@ class MlassoResult:
     C: np.ndarray
 
 
+def _route(block):
+    """One dataset as a one-dataset problem with p = 0 whose specific
+    covariates are [X Z], so that only the entrywise penalty applies."""
+    return IntegratedDataset(
+        (DatasetBlock(Y=block.Y, X=np.zeros((block.n, 0)), Z=np.hstack([block.X, block.Z])),)
+    )
+
+
 def fit_mlasso(block, K=5, seed=0, opts=None, grid=None, n_gammas=15):
     """Entrywise-l1 fit of one dataset over all of its covariates.
 
@@ -253,15 +261,7 @@ def fit_mlasso(block, K=5, seed=0, opts=None, grid=None, n_gammas=15):
     joint solver (a one-dataset problem with p = 0), so the group penalty
     plays no role and the model is a plain multivariate lasso.
     """
-    routed = IntegratedDataset(
-        (
-            DatasetBlock(
-                Y=block.Y,
-                X=np.zeros((block.n, 0)),
-                Z=np.hstack([block.X, block.Z]),
-            ),
-        )
-    )
+    routed = _route(block)
     g = grid if grid is not None else default_grid(routed, n_lambdas=1, n_gammas=n_gammas)
     res = select(routed, g, K=K, seed=seed, opts=opts)
     coef = res.refit.fit.C[0]
@@ -390,23 +390,8 @@ def _fit_method(method, data, K, seed, opts, grid_size):
     if method == "lasso":
         parts = []
         for b in data:
-            cols = [
-                fit_mlasso(
-                    DatasetBlock(Y=b.Y[:, [k]], X=b.X, Z=b.Z),
-                    K=K,
-                    seed=seed,
-                    opts=opts,
-                    n_gammas=grid_size[1],
-                )
-                for k in range(b.q)
-            ]
-            parts.append(
-                (
-                    np.concatenate([c.alpha for c in cols]),
-                    np.hstack([c.B for c in cols]),
-                    np.hstack([c.C for c in cols]),
-                )
-            )
+            coef = fit_ur(_route(b), K=K, seed=seed, opts=opts, grid_size=(1, grid_size[1])).fit
+            parts.append((coef.alpha[0], coef.C[0][: b.p], coef.C[0][b.p :]))
         return _combine_block_fits(parts)
     raise ValueError("unknown method %r (choose from %s)" % (method, ", ".join(METHODS)))
 

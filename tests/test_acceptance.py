@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from intmr.model import DatasetBlock, IntegratedDataset, HyperParams, objective
+from intmr.model import DatasetBlock, IntegratedDataset, HyperParams, objective, stack
 from intmr.prox import soft_threshold, group_soft_threshold
 from intmr.admm import (
     SolverOptions,
@@ -20,7 +20,6 @@ from intmr.admm import (
     kkt_residual,
     augmented_lagrangian,
     zero_state,
-    stack,
     update_intercept,
     update_shared_coef,
     update_specific_coef,

@@ -9,6 +9,7 @@ from intmr.model import (
     HyperParams,
     ModelFit,
     objective,
+    stack,
 )
 from intmr.admm import (
     SolverOptions,
@@ -22,8 +23,8 @@ from intmr.admm import (
     threshold_shared,
     update_duals,
     augmented_lagrangian,
-    stack,
     ridge_factor,
+    ridge_factors,
     consensus_gap,
     kkt_residual,
 )
@@ -460,6 +461,12 @@ class TestFit:
         solver = AdmmSolver(data, rho=1.0)
         with pytest.raises(ValueError):
             solver.fit(HyperParams(0.1, 0.1, rho=2.0))
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
+    def test_ridge_factors_reject_bad_rho(self, rho):
+        data = make_data(np.random.default_rng(36), M=2, n=10, p=2, q=1, r=1)
+        with pytest.raises(ValueError):
+            ridge_factors(stack(data), rho)
 
     def test_one_iteration_is_one_sweep_of_the_step_functions(self):
         # the reference steps each unpadded DatasetBlock on its own.  With

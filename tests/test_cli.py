@@ -117,6 +117,32 @@ class TestUsageErrors:
         cfg = write_config(tmp_path)
         self.check(capsys, "fit", "--config", cfg, "--lambda", "-1")
 
+    # each of these used to exit 1, or run the solver until it raised
+    # FloatingPointError
+    @pytest.mark.parametrize(
+        "command, flags, config, needle",
+        [("fit", ["--lambda", "nan"], {}, "--lambda"),
+         ("fit", ["--lambda", "inf"], {}, "--lambda"),
+         ("fit", ["--gamma", "nan"], {}, "--gamma"),
+         ("fit", [], {"lam": float("nan")}, "--lambda"),
+         ("fit", [], {"rho": 0}, "rho"),
+         ("fit", [], {"rho": -1}, "rho"),
+         ("cv", [], {"rho": float("nan")}, "rho"),
+         ("cv", [], {"rho": float("inf")}, "rho")],
+        ids=["lambda-nan", "lambda-inf", "gamma-nan", "config-lam-nan", "config-rho-0",
+             "config-rho-negative", "config-rho-nan", "config-rho-inf"],
+    )
+    def test_non_finite_penalty_or_rho(self, tmp_path, capsys, monkeypatch, command, flags,
+                                       config, needle):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit started")
+
+        monkeypatch.setattr(intmr.admm, "fit", no_fit)
+        monkeypatch.setattr(intmr.selection, "select", no_fit)
+        cfg = write_config(tmp_path, out=str(tmp_path), **config)
+        doc = self.check(capsys, command, "--config", cfg, *flags)
+        assert needle in doc["message"]
+
     def test_report_without_model(self, capsys):
         self.check(capsys, "report")
 

@@ -11,7 +11,48 @@ from intmr.model import (
     group_norms,
     predict,
 )
+from intmr.admm import SolverOptions, fit, kkt_residual
+from intmr.selection import penalty_ceiling
 from helpers import make_data, random_fit, objective_reference
+
+
+def kkt_reference(data, mf, hp):
+    """Largest stationarity violation, per dataset and per coefficient from
+    the conditions' definitions."""
+    worst = 0.0
+    GB = []
+    for m, block in enumerate(data):
+        R = block.Y - mf.alpha[m] - block.X @ mf.B[m] - block.Z @ mf.C[m]
+        worst = max(worst, np.abs(R.sum(axis=0) / block.n).max())
+        GB.append(-block.X.T @ R / block.n)
+        GC = -block.Z.T @ R / block.n
+        for (j, k), c in np.ndenumerate(mf.C[m]):
+            viol = abs(GC[j, k] + hp.gamma * np.sign(c)) if c else abs(GC[j, k]) - hp.gamma
+            worst = max(worst, viol)
+    for j in range(data.p):
+        for k in range(data.q):
+            beta = np.array([b[j, k] for b in mf.B])
+            grad = np.array([g[j, k] for g in GB])
+            norm = np.linalg.norm(beta)
+            if norm:
+                worst = max(worst, np.linalg.norm(grad + hp.lam * beta / norm))
+            else:
+                worst = max(worst, np.linalg.norm(grad) - hp.lam)
+    return float(worst)
+
+
+def ceiling_reference(data):
+    """Loss gradients at the intercept-only fit, per dataset: the largest
+    group norm over X and the largest entry over Z, each bumped by 1e-6
+    relative."""
+    GB, gamma_ref = [], 0.0
+    for block in data:
+        R = block.Y - block.Y.mean(axis=0)
+        GB.append(block.X.T @ R / block.n)
+        if block.r:
+            gamma_ref = max(gamma_ref, np.abs(block.Z.T @ R / block.n).max())
+    lam_ref = np.sqrt((np.array(GB) ** 2).sum(axis=0)).max() if data.p else 0.0
+    return lam_ref * (1 + 1e-6), gamma_ref * (1 + 1e-6)
 
 
 def one_block_scalar():
@@ -182,6 +223,10 @@ class TestObjective:
             C=tuple(fit.C[i] for i in perm),
         )
         assert objective(data_p, fit_p, hp) == pytest.approx(base, rel=1e-14)
+        assert kkt_residual(data_p, fit_p, hp) == pytest.approx(
+            kkt_residual(data, fit, hp), rel=1e-14
+        )
+        assert penalty_ceiling(data_p) == pytest.approx(penalty_ceiling(data), rel=1e-14)
 
     def test_zero_penalties_reduce_to_loss(self):
         rng = np.random.default_rng(6)
@@ -231,3 +276,38 @@ class TestObjective:
         fit = random_fit(rng, other)
         with pytest.raises(ValueError):
             objective(data, fit, HyperParams(0.1, 0.1))
+
+
+class TestStackedEvaluation:
+    """objective, kkt_residual and penalty_ceiling run on the zero-padded
+    stack; with unequal n_m, an r_m of 0 and nonzero intercepts, a padded
+    row that leaked into a sum would change them."""
+
+    def data(self):
+        rng = np.random.default_rng(10)
+        return rng, make_data(rng, M=3, n=[9, 16, 12], p=3, q=2, r=[2, 0, 1])
+
+    def test_random_fits_match_per_dataset_references(self):
+        rng, data = self.data()
+        assert penalty_ceiling(data) == pytest.approx(ceiling_reference(data), rel=1e-12)
+        for _ in range(10):
+            mf = random_fit(rng, data)
+            hp = HyperParams(*rng.uniform(0.05, 1.0, 2))
+            ref = objective_reference(
+                data, list(mf.alpha), list(mf.B), list(mf.C), hp.lam, hp.gamma
+            )
+            assert objective(data, mf, hp) == pytest.approx(ref, rel=1e-12)
+            assert kkt_residual(data, mf, hp) == pytest.approx(
+                kkt_reference(data, mf, hp), rel=1e-12
+            )
+
+    def test_solved_fit_matches_per_dataset_reference(self):
+        # at a solution every KKT term is near 0, so none can hide a padded
+        # row's share of the intercept gradient
+        _, data = self.data()
+        hp = HyperParams(0.05, 0.05)
+        rep = fit(data, hp, SolverOptions(tol=1e-13, max_iter=50000))
+        assert all(np.abs(a).max() > 0.1 for a in rep.fit.alpha)
+        ref = kkt_reference(data, rep.fit, hp)
+        assert ref < 1e-6
+        assert kkt_residual(data, rep.fit, hp) == pytest.approx(ref, abs=1e-12)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from intmr.model import DatasetBlock, IntegratedDataset, HyperParams, residual_matrix
+from intmr.model import DatasetBlock, IntegratedDataset, HyperParams, residual_matrix, stack
 from intmr.admm import (
-    AdmmSolver, SolverOptions, fit, ridge_factors, run_chains, stack, zero_state,
+    AdmmSolver, SolverOptions, fit, ridge_factors, run_chains, zero_state,
 )
 from intmr import selection
 from intmr.selection import (
