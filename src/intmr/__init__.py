@@ -33,6 +33,7 @@ from .selection import (
     make_folds,
     default_grid,
     select,
+    select_many,
 )
 from .sim import (
     SimConfig,

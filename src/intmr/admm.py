@@ -18,14 +18,18 @@ Each step is one public function below, separable by response column.
 Data and iterates are stacked with the dataset on the leading axis, then a
 fold axis for a cross-validation grid, and a fold's warm-start chains, one
 per gamma, sit side by side as groups of q columns (model.stack builds
-the data side, zero_state the iterate).  run_chains advances such a grid
-through the steps in one loop, narrowed to the chains still running;
-AdmmSolver.fit is its one-chain case.  The ridge steps use a thin SVD of X and of Z, one
-batched SVD each, computed once per stack (rho stays fixed).  A fit stops
-when its augmented Lagrangian changes by less than tol between checks.
-Reported coefficients are the consensus copies, so zeros are exact and the
-nonzero pattern of B is identical across datasets; the penalized objective
-is evaluated once, at the returned fit.
+the data side, zero_state the iterate).  A fold need not come from the same
+problem as the next: each fold may carry its own lambda and gamma paths.
+run_chains advances such a grid through the steps in one loop, narrowed to
+the chains still running; AdmmSolver.fit is its one-chain case.  The ridge
+steps use a thin SVD of X and of Z, one batched SVD each, computed once per
+stack (rho stays fixed).  The steps take the data products X B and Z C
+rather than B and C, so the loop computes each product once, when B or C
+changes, and carries it to the intercept, the other ridge step and the
+stopping check.  A fit stops when its augmented Lagrangian changes by less
+than tol between checks.  Reported coefficients are the consensus copies,
+so zeros are exact and the nonzero pattern of B is identical across
+datasets; the penalized objective is evaluated once, at the returned fit.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -38,15 +42,13 @@ from .model import (
     HyperParams,
     ModelFit,
     _colsum,
+    _evaluate,
     block_loss,
     group_norms,
-    loss_gradient,
-    objective,
-    predict,
     stack,
     stack_fit,
 )
-from .prox import group_soft_threshold, soft_threshold
+from .prox import _group_shrink, _shrink
 
 __all__ = [
     "SolverOptions",
@@ -141,14 +143,15 @@ def _check_state_matches(block, state):
 # ---------------------------------------------------------------------------
 # single update steps
 #
-# Every step takes leading axes: coefficient blocks (..., rows, q) and
-# intercepts (..., q), against data whose arrays broadcast over those axes,
-# whether one dataset's DatasetBlock or a stacked PaddedBlock.
+# Every step takes leading axes: coefficient blocks (..., rows, q),
+# intercepts (..., q) and the products XB = X B and ZC = Z C (..., n, q),
+# against data whose arrays broadcast over those axes, whether one dataset's
+# DatasetBlock or a stacked PaddedBlock.
 
 
-def update_intercept(block, B_m, C_m):
-    """Column means of Y - X B - Z C."""
-    R = block.Y - block.X @ B_m - block.Z @ C_m
+def update_intercept(block, XB, ZC):
+    """Column means of Y - X B - Z C, given XB = X B and ZC = Z C."""
+    R = block.Y - XB - ZC
     return (_colsum(R) / block.n)[..., 0, :]
 
 
@@ -189,36 +192,43 @@ def _ridge_solve(factor, rhs):
     return rhs / factor.c + factor.V @ (factor.w * (factor.Vt @ rhs))
 
 
-def update_shared_coef(block, alpha_m, C_m, B_bar_m, B_dual_m, rho, factor=None):
-    """Solve (X'X + n rho I) B = X'(Y - 1 alpha' - Z C) + n rho (B_bar + B_dual)."""
+def update_shared_coef(block, alpha_m, ZC, B_bar_m, B_dual_m, rho, factor=None):
+    """Solve (X'X + n rho I) B = X'(Y - 1 alpha' - Z C) + n rho (B_bar + B_dual),
+    given ZC = Z C."""
     if factor is None:
         factor = ridge_factor(block.X, block.n, rho)
-    rhs = np.swapaxes(block.X, -1, -2) @ (block.Y - alpha_m[..., None, :] - block.Z @ C_m)
+    rhs = np.swapaxes(block.X, -1, -2) @ (block.Y - alpha_m[..., None, :] - ZC)
     rhs += factor.c * (B_bar_m + B_dual_m)
     return _ridge_solve(factor, rhs)
 
 
-def update_specific_coef(block, alpha_m, B_m, C_bar_m, C_dual_m, rho, factor=None):
-    """Solve (Z'Z + n rho I) C = Z'(Y - 1 alpha' - X B) + n rho (C_bar - C_dual)."""
+def update_specific_coef(block, alpha_m, XB, C_bar_m, C_dual_m, rho, factor=None):
+    """Solve (Z'Z + n rho I) C = Z'(Y - 1 alpha' - X B) + n rho (C_bar - C_dual),
+    given XB = X B."""
     if factor is None:
         factor = ridge_factor(block.Z, block.n, rho)
-    rhs = np.swapaxes(block.Z, -1, -2) @ (block.Y - alpha_m[..., None, :] - block.X @ B_m)
+    rhs = np.swapaxes(block.Z, -1, -2) @ (block.Y - alpha_m[..., None, :] - XB)
     rhs += factor.c * (C_bar_m - C_dual_m)
     return _ridge_solve(factor, rhs)
 
 
 def threshold_specific(C_m, C_dual_m, thresh):
-    """Entrywise soft threshold of C + C_dual."""
-    return soft_threshold(C_m + C_dual_m, thresh)
+    """Entrywise soft threshold of C + C_dual.
+
+    thresh must be nonnegative and is not checked here: run_chains checks
+    its penalty paths once per run (prox.soft_threshold checks its own).
+    """
+    return _shrink(C_m + C_dual_m, thresh)
 
 
 def threshold_shared(B, B_dual, thresh):
     """Groupwise soft threshold of B - B_dual, groups running across datasets.
 
     B and B_dual are stacked (M, *chains, p, q); group (j, k) of a chain is
-    the length-M vector at [:, ..., j, k].
+    the length-M vector at [:, ..., j, k].  thresh is unchecked, as in
+    threshold_specific.
     """
-    return group_soft_threshold(B - B_dual, thresh)
+    return _group_shrink(B - B_dual, thresh)
 
 
 def update_duals(state):
@@ -232,7 +242,7 @@ def update_duals(state):
 # merit functions
 
 
-def augmented_lagrangian(block, state, hp):
+def augmented_lagrangian(block, state, hp, products=None):
     """Scaled augmented Lagrangian of the consensus splitting on a stacked
     block.
 
@@ -240,9 +250,11 @@ def augmented_lagrangian(block, state, hp):
     (rho/2) ||B_bar - B + B_dual||_F^2 and (rho/2) ||C - C_bar + C_dual||_F^2
     summed over datasets: one value per chain, the sum over its q columns,
     shaped (*folds, G).  hp.lam and hp.gamma may be per-column arrays shaped
-    (*folds, 1, G q).
+    (*folds, 1, G q).  products, when given, is the pair (X B, Z C) at the
+    state, which the solver loop already holds.
     """
-    R = block.Y - state.alpha[..., None, :] - block.X @ state.B - block.Z @ state.C
+    XB, ZC = products if products is not None else (block.X @ state.B, block.Z @ state.C)
+    R = block.Y - state.alpha[..., None, :] - XB - ZC
     G = state.C - state.C_bar + state.C_dual
     per_dataset = block_loss(block, R) + _colsum(
         0.5 * hp.rho * G * G + hp.gamma * np.abs(state.C_bar)
@@ -274,14 +286,7 @@ def kkt_residual(data, fit, hp):
     loss gradient norm at most lam) and the entrywise analogue on C with
     gamma, which padded entries of C meet with their zero gradients.
     """
-    block, alpha, B, C = stack_fit(data, fit)
-    g_alpha, GB, GC = loss_gradient(block, block.Y - predict(block, alpha, B, C))
-    norms = group_norms(B)
-    # gradient of lam * ||beta_jk|| is lam * beta / ||beta||
-    direction = np.divide(B, norms, out=np.zeros_like(B), where=norms > 0)
-    viol_B = np.where(norms > 0, group_norms(GB + hp.lam * direction), group_norms(GB) - hp.lam)
-    viol_C = np.where(C != 0, np.abs(GC + hp.gamma * np.sign(C)), np.abs(GC) - hp.gamma)
-    return float(max(v.max(initial=0.0) for v in (np.abs(g_alpha), viol_B, viol_C)))
+    return _evaluate(*stack_fit(data, fit), hp)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -318,59 +323,91 @@ def _take_columns(a, folds, cols):
     return np.take_along_axis(a, cols.reshape(shape), axis=-1)
 
 
+def _check_paths(rho, lambdas, gammas):
+    if not (rho > 0 and np.isfinite(rho)):
+        raise ValueError("rho must be positive and finite")
+    for name, path in (("lambdas", lambdas), ("gammas", gammas)):
+        if not (np.isfinite(path).all() and (path >= 0).all()):
+            raise ValueError("%s must be finite and nonnegative" % name)
+
+
 def run_chains(block, factors, state, rho, lambdas, gammas, opts=None,
                on_stop=None, trace=None):
     """Advance a grid of warm-start chains through one ADMM loop.
 
     Chain g of a fold is the g-th group of q columns of block.Y and of the
-    state (see stack), with gamma gammas[g]; the grid's cells are
-    (*folds, G).  `factors` holds the block's ridge factors.
+    state (see stack); the grid's cells are (*folds, G).  `factors` holds
+    the block's ridge factors.  The penalty paths, lambdas (L,) and gammas
+    (G,), are shared by every fold, or given per fold as (*folds, L) and
+    (*folds, G), so that folds of independent problems can share one run.
+    They are checked once, before the first iteration.
 
-    Every chain fits lambdas[0], lambdas[1], ... in turn at its own gamma,
-    each fit warm-started from the state the previous one stopped in.  A fit
-    stops when its augmented Lagrangian changes by less than opts.tol
-    between two of its checks, or after opts.max_iter iterations.
+    Every chain fits its fold's lambdas[0], lambdas[1], ... in turn at its
+    own gamma, each fit warm-started from the state the previous one
+    stopped in.  A fit stops when its augmented Lagrangian changes by less
+    than opts.tol between two of its checks, or after opts.max_iter
+    iterations.  The loop computes X B once per new B and Z C once per new
+    C, and hands both to the later steps and to the stopping check; B and C
+    enter the next iteration only through them.
 
     When a chain ends its path, block, factors and state narrow to the
     folds with a running chain and, per fold, its running chains, padded
-    with its finished ones to the largest running count.  A padded chain is
-    swept along but can no longer stop the loop or raise FloatingPointError.
-    When fits stop, on_stop(state, stopped, cell, position) gets the working
-    state, the mask of the working chains that stopped, every working
-    chain's cell (its flat index into the grid) and its index into
-    `lambdas`.  Each check appends the Lagrangian of every working chain to
+    with its finished ones to the largest running count; the products are
+    recomputed on the narrowed arrays.  A padded chain is swept along but
+    can no longer stop the loop or raise FloatingPointError.  When fits
+    stop, on_stop(state, stopped, cell, position) may read the working
+    state and gets the mask of the working chains that stopped, every
+    working chain's cell (its flat index into the grid, a new array
+    exactly when the working set changed) and its index into its lambda
+    path.  Each check appends the Lagrangian of every working chain to
     `trace` when one is given; `state` ends holding the last working set.
 
     Returns the iteration count and convergence flag of every fit, shaped
-    (*folds, G, len(lambdas)).
+    (*folds, G, L).
     """
     opts = opts or SolverOptions()
     lambdas = np.asarray(lambdas, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
-    q, n_fits = block.q, len(lambdas)
-    grid = block.n.shape[1:-2] + gammas.shape
-    cell = np.arange(np.prod(grid, dtype=int)).reshape(grid)
+    _check_paths(rho, lambdas, gammas)
+    q, n_fits = block.q, lambdas.shape[-1]
+    grid = block.n.shape[1:-2] + gammas.shape[-1:]
+    # each cell's gamma and lambda path, and their thresholds, by flat cell
+    cell_gamma = np.broadcast_to(gammas, grid).ravel()
+    cell_lambdas = np.broadcast_to(lambdas[..., None, :], grid + (n_fits,)).reshape(-1, n_fits)
+    gamma_thresh, lambda_thresh = cell_gamma / rho, cell_lambdas / rho
+    cell = np.arange(cell_gamma.size).reshape(grid)
     position = np.zeros(grid, dtype=int)
     it = np.zeros(grid, dtype=int)
     prev = np.full(grid, np.nan)
     active = np.ones(grid, dtype=bool)
     iterations = np.zeros(grid + (n_fits,), dtype=int)
     converged = np.zeros(grid + (n_fits,), dtype=bool)
-    hp = _ChainParams(_columns(lambdas[position], q), _columns(gammas[cell % len(gammas)], q), rho)
+
+    def penalties():
+        """The working chains' penalties per column, for the Lagrangian and
+        as thresholds."""
+        fits = cell, np.minimum(position, n_fits - 1)
+        hp = _ChainParams(_columns(cell_lambdas[fits], q), _columns(cell_gamma[cell], q), rho)
+        return hp, _columns(lambda_thresh[fits], q), _columns(gamma_thresh[cell], q)
+
+    hp, lam_thresh, gam_thresh = penalties()
     fx, fz = factors
+    XB, ZC = block.X @ state.B, block.Z @ state.C
     while active.any():
-        state.alpha = update_intercept(block, state.B, state.C)
+        state.alpha = update_intercept(block, XB, ZC)
         if fx is not None:
             state.B = update_shared_coef(
-                block, state.alpha, state.C, state.B_bar, state.B_dual, rho, factor=fx
+                block, state.alpha, ZC, state.B_bar, state.B_dual, rho, factor=fx
             )
+            XB = block.X @ state.B
         if fz is not None:
             state.C = update_specific_coef(
-                block, state.alpha, state.B, state.C_bar, state.C_dual, rho, factor=fz
+                block, state.alpha, XB, state.C_bar, state.C_dual, rho, factor=fz
             )
-            state.C_bar = threshold_specific(state.C, state.C_dual, hp.gamma / rho)
+            ZC = block.Z @ state.C
+            state.C_bar = threshold_specific(state.C, state.C_dual, gam_thresh)
         if fx is not None:
-            state.B_bar = threshold_shared(state.B, state.B_dual, hp.lam / rho)
+            state.B_bar = threshold_shared(state.B, state.B_dual, lam_thresh)
         update_duals(state)
         state.iteration += 1
         it += 1
@@ -386,7 +423,7 @@ def run_chains(block, factors, state, rho, lambdas, gammas, opts=None,
         check = it % opts.check_every == 0
         met = np.zeros(it.shape, dtype=bool)
         if check.any():
-            L = augmented_lagrangian(block, state, hp)
+            L = augmented_lagrangian(block, state, hp, (XB, ZC))
             if trace is not None:
                 trace.append(L)
             met = check & (np.abs(L - prev) < opts.tol)
@@ -405,8 +442,10 @@ def run_chains(block, factors, state, rho, lambdas, gammas, opts=None,
         prev[stopped] = np.nan
         keep, width = active.any(axis=-1), active.sum(axis=-1).max()
         if keep.any() and (width < active.shape[-1] or not keep.all()):
-            # the folds with a running chain; per fold, running chains first
-            folds = (np.flatnonzero(keep),) if keep.ndim else ()
+            # the folds with a running chain, as a view when that is all of
+            # them; per fold, running chains first
+            folds = () if not keep.ndim else (
+                (slice(None),) if keep.all() else (np.flatnonzero(keep),))
             order = np.argsort(~active[folds], axis=-1, kind="stable")[..., :width]
             cols = (order[..., None] * q + np.arange(q)).reshape(order.shape[:-1] + (-1,))
             block = block.narrow(folds, width)
@@ -419,8 +458,8 @@ def run_chains(block, factors, state, rho, lambdas, gammas, opts=None,
                 np.take_along_axis(a[folds], order, axis=-1)
                 for a in (cell, position, it, prev, active)
             )
-            hp = hp._replace(gamma=_columns(gammas[cell % len(gammas)], q))
-        hp = hp._replace(lam=_columns(lambdas[np.minimum(position, n_fits - 1)], q))
+            XB, ZC = block.X @ state.B, block.Z @ state.C
+        hp, lam_thresh, gam_thresh = penalties()
     return iterations, converged
 
 
@@ -441,7 +480,7 @@ class AdmmSolver:
             raise TypeError("hp must be HyperParams")
         if hp.rho != self.rho:
             raise ValueError("hp.rho=%g does not match solver rho=%g" % (hp.rho, self.rho))
-        data, block = self.data, self.block
+        block = self.block
         if init is None:
             state = zero_state(block)
         else:
@@ -456,13 +495,14 @@ class AdmmSolver:
             B=tuple(state.B_bar.copy()),
             C=tuple(c[:r] for c, r in zip(state.C_bar.copy(), block.r)),
         )
+        value, kkt = _evaluate(block, state.alpha, state.B_bar, state.C_bar, hp)
         return FitReport(
             fit=result,
             iterations=int(iterations[0, 0]),
             converged=bool(converged[0, 0]),
-            objective=objective(data, result, hp),
+            objective=value,
             lagrangian_trace=np.ravel(trace),
-            kkt_residual=kkt_residual(data, result, hp),
+            kkt_residual=kkt,
             consensus_gap=consensus_gap(state),
             state=state,
         )

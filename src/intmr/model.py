@@ -405,6 +405,20 @@ def objective(data, fit, hp):
     cross-dataset group norms of B, plus gamma times the entrywise l1 norm
     of every C.
     """
-    block, alpha, B, C = stack_fit(data, fit)
-    loss = float(block_loss(block, block.Y - predict(block, alpha, B, C)).sum())
-    return loss + hp.lam * float(group_norms(B).sum()) + hp.gamma * float(np.abs(C).sum())
+    return _evaluate(*stack_fit(data, fit), hp)[0]
+
+
+def _evaluate(block, alpha, B, C, hp):
+    """(objective, KKT residual) of a fit stacked like `block`, from one
+    residual: the shared body of objective and admm.kkt_residual, which
+    AdmmSolver.fit runs on its own block and final state."""
+    R = block.Y - predict(block, alpha, B, C)
+    norms = group_norms(B)
+    value = (float(block_loss(block, R).sum()) + hp.lam * float(norms.sum())
+             + hp.gamma * float(np.abs(C).sum()))
+    g_alpha, GB, GC = loss_gradient(block, R)
+    # gradient of lam * ||beta_jk|| is lam * beta / ||beta||
+    direction = np.divide(B, norms, out=np.zeros_like(B), where=norms > 0)
+    viol_B = np.where(norms > 0, group_norms(GB + hp.lam * direction), group_norms(GB) - hp.lam)
+    viol_C = np.where(C != 0, np.abs(GC + hp.gamma * np.sign(C)), np.abs(GC) - hp.gamma)
+    return value, float(max(v.max(initial=0.0) for v in (np.abs(g_alpha), viol_B, viol_C)))

@@ -1,4 +1,9 @@
-"""Soft-thresholding operators used by the consensus updates."""
+"""Soft-thresholding operators used by the consensus updates.
+
+soft_threshold and group_soft_threshold check their thresholds.  The solver
+loop thresholds through the unchecked _shrink and _group_shrink instead,
+since admm.run_chains checks its penalty paths once per run.
+"""
 
 import numpy as np
 
@@ -7,16 +12,33 @@ from .model import group_norms
 __all__ = ["soft_threshold", "group_soft_threshold"]
 
 
+def _check_threshold(t):
+    if np.any(np.less(t, 0)):
+        raise ValueError("threshold must be nonnegative")
+
+
+def _shrink(a, b):
+    return np.sign(a) * np.maximum(np.abs(a) - b, 0.0)
+
+
+def _group_shrink(c, d):
+    norms = group_norms(c)
+    # (norm - d)+ / norm rather than (1 - d / norm)+: subtracting first keeps
+    # full precision when d is close to the norm; a zero group has a zero
+    # numerator too, so its scale never matters
+    scale = np.zeros_like(norms)
+    np.divide(np.maximum(norms - d, 0.0), norms, out=scale, where=norms > 0)
+    return scale * c
+
+
 def soft_threshold(a, b):
     """Entrywise soft threshold sign(a) * max(|a| - b, 0).
 
     Proximal operator of b * |.|; a may be a scalar or an array, and b a
     threshold that broadcasts against it.
     """
-    if np.any(np.less(b, 0)):
-        raise ValueError("threshold must be nonnegative")
-    a = np.asarray(a, dtype=float)
-    out = np.sign(a) * np.maximum(np.abs(a) - b, 0.0)
+    _check_threshold(b)
+    out = _shrink(np.asarray(a, dtype=float), b)
     return float(out) if out.ndim == 0 else out
 
 
@@ -28,13 +50,5 @@ def group_soft_threshold(c, d):
     Proximal operator of d times the sum of the group norms; d may be an
     array that broadcasts against the group norms, c.shape[1:].
     """
-    if np.any(np.less(d, 0)):
-        raise ValueError("threshold must be nonnegative")
-    c = np.asarray(c, dtype=float)
-    norms = group_norms(c)
-    # (norm - d)+ / norm rather than (1 - d / norm)+: subtracting first keeps
-    # full precision when d is close to the norm; a zero group has a zero
-    # numerator too, so its scale never matters
-    scale = np.zeros_like(norms)
-    np.divide(np.maximum(norms - d, 0.0), norms, out=scale, where=norms > 0)
-    return scale * c
+    _check_threshold(d)
+    return _group_shrink(np.asarray(c, dtype=float), d)

@@ -12,7 +12,11 @@ fits start near a solution.  All chains run as one stacked ADMM (see
 admm.run_chains): fold data is stacked once as (dataset, fold), with the
 responses repeated once per gamma so that a fold's chains are side-by-side
 column groups of one iterate, and the grid narrows to the chains still
-running as chains end their paths.
+running as chains end their paths.  select_many stacks the folds of several
+independent problems on the same fold axis, each fold with its own
+problem's lambda and gamma paths, so one loop serves, say, every response
+or every dataset of a per-response or per-dataset baseline.  The scorer
+narrows the held-out block only when the working set changes.
 """
 
 from dataclasses import dataclass
@@ -32,6 +36,7 @@ __all__ = [
     "make_folds",
     "default_grid",
     "select",
+    "select_many",
 ]
 
 
@@ -164,32 +169,86 @@ def select(data, grid, K=5, seed=0, opts=None, rho=1.0):
 
     Ties within 1e-12 of the minimum resolve to the largest lambda, then the
     largest gamma.  Each (fold, gamma) pair forms an independent warm-start
-    chain.
+    chain.  The one-problem case of select_many.
     """
-    if not isinstance(data, IntegratedDataset):
-        data = IntegratedDataset(tuple(data))
-    if not isinstance(grid, CvGrid):
+    return select_many((data,), (grid,), K=K, seed=seed, opts=opts, rho=rho)[0]
+
+
+def select_many(problems, grids, K=5, seed=0, opts=None, rho=1.0):
+    """select for each problem at its own grid, the grids' chains run as one
+    stacked ADMM; returns one CvResult per problem.
+
+    The problems must share M, p, q and every r_m.  Each problem draws its
+    folds with make_folds(problem, K, seed), as select does, and its K folds
+    become K entries of the run's fold axis, with its own lambda and gamma
+    paths.  Grids of one size share a run.  A problem's result equals its
+    select result, up to the last bit where problems of unequal row counts
+    pad each other's folds; each refit is its own AdmmSolver fit.
+    """
+    problems = tuple(d if isinstance(d, IntegratedDataset) else IntegratedDataset(tuple(d))
+                     for d in problems)
+    grids = tuple(grids)
+    if not problems or len(grids) != len(problems):
+        raise ValueError("need one grid per problem and at least one problem")
+    if not all(isinstance(g, CvGrid) for g in grids):
         raise TypeError("grid must be a CvGrid")
-    folds = make_folds(data, K, seed)
-    splits = [_split(data, folds, k) for k in range(1, folds.K + 1)]
-    shape = (folds.K, len(grid.gammas))
-    # each side's (fold, dataset) blocks stack as (dataset, fold)
-    train, held = (stack(np.array(side, dtype=object).T, shape[1]) for side in zip(*splits))
-    per_fold = np.zeros((folds.K, len(grid.lambdas), len(grid.gammas)))
+    shape = lambda d: (d.M, d.p, d.q, tuple(b.r for b in d))
+    if any(shape(d) != shape(problems[0]) for d in problems):
+        raise ValueError("problems must share M, p, q and r_m, got %s"
+                         % sorted(set(map(shape, problems))))
+    folds = [make_folds(d, K, seed) for d in problems]
+    results = [None] * len(problems)
+    runs = {}
+    for i, g in enumerate(grids):
+        runs.setdefault((len(g.lambdas), len(g.gammas)), []).append(i)
+    for run in runs.values():
+        cv = _cv_matrices([problems[i] for i in run], [grids[i] for i in run],
+                          [folds[i] for i in run], opts, rho)
+        for i, (cv_matrix, iterations, converged) in zip(run, cv):
+            results[i] = _result(problems[i], grids[i], folds[i], cv_matrix,
+                                 iterations, converged, opts, rho)
+    return tuple(results)
+
+
+def _cv_matrices(problems, grids, folds, opts, rho):
+    """(cv_matrix, iterations, converged) of each problem, from one
+    run_chains over the stacked folds of all of them; the grids share one
+    size."""
+    K, L, G = folds[0].K, len(grids[0].lambdas), len(grids[0].gammas)
+    splits = (_split(d, f, k) for d, f in zip(problems, folds) for k in range(1, K + 1))
+    # each side's (fold, dataset) blocks stack as (dataset, fold); the
+    # unstacked copies are freed once both are built
+    train, held = (stack(np.array(side, dtype=object).T, G) for side in zip(*splits))
+    shape = (len(problems) * K, G)
+    per_fold = np.zeros((len(problems) * K, L, G))
+    working = None
 
     def score(state, stopped, cell, position):
-        k, j = np.unravel_index(cell, shape)
-        h = held.narrow((k[:, 0],), k.shape[1])
+        nonlocal working
+        # the held-out block narrows with the working set, not per stop
+        if working is None or working[0] is not cell:
+            k, j = np.unravel_index(cell, shape)
+            working = cell, k, j, held.narrow((k[:, 0],), k.shape[1])
+        _, k, j, h = working
         R = h.Y - predict(h, state.alpha, state.B_bar, state.C_bar)
         s = chain_sums(block_loss(h, R).sum(axis=0)[..., 0, :], h.q)
         per_fold[k[stopped], position[stopped], j[stopped]] = s[stopped]
 
     iterations, converged = run_chains(
-        train, ridge_factors(train, rho), zero_state(train), float(rho), grid.lambdas,
-        grid.gammas, opts, on_stop=score,
+        train, ridge_factors(train, rho), zero_state(train), float(rho),
+        np.repeat([g.lambdas for g in grids], K, axis=0),
+        np.repeat([g.gammas for g in grids], K, axis=0), opts, on_stop=score,
     )
-    cv_matrix = per_fold.mean(axis=0)
+    return [
+        (per_fold[i * K:(i + 1) * K].mean(axis=0),
+         iterations[i * K:(i + 1) * K].transpose(0, 2, 1),
+         converged[i * K:(i + 1) * K].transpose(0, 2, 1))
+        for i in range(len(problems))
+    ]
 
+
+def _result(data, grid, folds, cv_matrix, iterations, converged, opts, rho):
+    """The CvResult of one problem: its best cell and the refit there."""
     best = float(cv_matrix.min())
     best_i = best_j = None
     # paths are descending, so the first qualifying cell in row-major order
@@ -213,6 +272,6 @@ def select(data, grid, K=5, seed=0, opts=None, rho=1.0):
         best_gamma=best_gamma,
         refit=refit,
         folds=folds,
-        iterations=iterations.transpose(0, 2, 1),
-        converged=converged.transpose(0, 2, 1),
+        iterations=iterations,
+        converged=converged,
     )

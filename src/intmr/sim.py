@@ -2,7 +2,10 @@
 
 Generates collections of datasets from a sparse two-response truth, fits the
 joint estimator and single-dataset baselines with cross-validated penalties,
-and scores prediction error and support recovery over replicates.
+and scores prediction error and support recovery over replicates.  A
+baseline's independent selections (per response for ur, per dataset for
+mlasso, per dataset and response for lasso) run as one select_many, and
+each refits on its own.
 
 Random streams are derived from numpy SeedSequence keys
 (seed, replicate, dataset, purpose) with purpose 0 for training data and 1
@@ -16,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import DatasetBlock, IntegratedDataset, ModelFit, predict
-from .selection import default_grid, select
+from .selection import default_grid, select, select_many
 
 __all__ = [
     "SimConfig",
@@ -217,22 +220,24 @@ def _slice_response(data, k):
 
 def fit_ur(data, K=5, seed=0, opts=None, grid=None, grid_size=(15, 15)):
     """Separate cross-validated fit per response; identical to the joint fit
-    when q = 1."""
-    results = []
-    for k in range(data.q):
-        sliced = _slice_response(data, k)
-        g = grid if grid is not None else default_grid(sliced, *grid_size)
-        results.append(select(sliced, g, K=K, seed=seed, opts=opts))
-    alpha = tuple(
-        np.concatenate([r.refit.fit.alpha[m] for r in results]) for m in range(data.M)
-    )
-    B = tuple(
-        np.hstack([r.refit.fit.B[m] for r in results]) for m in range(data.M)
-    )
-    C = tuple(
-        np.hstack([r.refit.fit.C[m] for r in results]) for m in range(data.M)
-    )
-    return UrResult(per_response=tuple(results), fit=ModelFit(alpha=alpha, B=B, C=C))
+    when q = 1.  The q selections run as one select_many."""
+    return _fit_ur_many((data,), K, seed, opts, grid, grid_size)[0]
+
+
+def _fit_ur_many(datas, K, seed, opts, grid, grid_size):
+    """fit_ur of each dataset collection, every response of every
+    collection selected in one select_many."""
+    sliced = [_slice_response(data, k) for data in datas for k in range(data.q)]
+    grids = [grid if grid is not None else default_grid(d, *grid_size) for d in sliced]
+    selections = iter(select_many(sliced, grids, K=K, seed=seed, opts=opts))
+    out = []
+    for data in datas:
+        results = tuple(next(selections) for _ in range(data.q))
+        # each dataset's alpha, B and C, the responses side by side
+        joined = (tuple(map(np.hstack, zip(*(getattr(r.refit.fit, name) for r in results))))
+                  for name in ("alpha", "B", "C"))
+        out.append(UrResult(per_response=results, fit=ModelFit(*joined)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -261,16 +266,24 @@ def fit_mlasso(block, K=5, seed=0, opts=None, grid=None, n_gammas=15):
     joint solver (a one-dataset problem with p = 0), so the group penalty
     plays no role and the model is a plain multivariate lasso.
     """
-    routed = _route(block)
-    g = grid if grid is not None else default_grid(routed, n_lambdas=1, n_gammas=n_gammas)
-    res = select(routed, g, K=K, seed=seed, opts=opts)
-    coef = res.refit.fit.C[0]
-    return MlassoResult(
-        selection=res,
-        alpha=res.refit.fit.alpha[0],
-        B=coef[: block.p],
-        C=coef[block.p :],
-    )
+    return _fit_mlasso_many((block,), K, seed, opts, grid, n_gammas)[0]
+
+
+def _fit_mlasso_many(blocks, K, seed, opts, grid, n_gammas):
+    """fit_mlasso of each block, all selected in one select_many."""
+    routed = [_route(block) for block in blocks]
+    grids = [grid if grid is not None else default_grid(r, n_lambdas=1, n_gammas=n_gammas)
+             for r in routed]
+    out = []
+    for block, res in zip(blocks, select_many(routed, grids, K=K, seed=seed, opts=opts)):
+        coef = res.refit.fit.C[0]
+        out.append(MlassoResult(
+            selection=res,
+            alpha=res.refit.fit.alpha[0],
+            B=coef[: block.p],
+            C=coef[block.p :],
+        ))
+    return out
 
 
 def _combine_block_fits(parts):
@@ -383,16 +396,13 @@ def _fit_method(method, data, K, seed, opts, grid_size):
     if method == "ur":
         return fit_ur(data, K=K, seed=seed, opts=opts, grid_size=grid_size).fit
     if method == "mlasso":
-        parts = [
-            fit_mlasso(b, K=K, seed=seed, opts=opts, n_gammas=grid_size[1]) for b in data
-        ]
+        parts = _fit_mlasso_many(data, K, seed, opts, None, grid_size[1])
         return _combine_block_fits([(p.alpha, p.B, p.C) for p in parts])
     if method == "lasso":
-        parts = []
-        for b in data:
-            coef = fit_ur(_route(b), K=K, seed=seed, opts=opts, grid_size=(1, grid_size[1])).fit
-            parts.append((coef.alpha[0], coef.C[0][: b.p], coef.C[0][b.p :]))
-        return _combine_block_fits(parts)
+        urs = _fit_ur_many([_route(b) for b in data], K, seed, opts, None, (1, grid_size[1]))
+        return _combine_block_fits([
+            (u.fit.alpha[0], u.fit.C[0][: b.p], u.fit.C[0][b.p :]) for u, b in zip(urs, data)
+        ])
     raise ValueError("unknown method %r (choose from %s)" % (method, ", ".join(METHODS)))
 
 

@@ -180,16 +180,16 @@ def test_criterion_6_primal_steps_never_increase_merit_function():
         st.C_dual = rng.standard_normal(st.C.shape)
         L = augmented_lagrangian(block, st, hp)
         for m, b in enumerate(data):
-            st.alpha[m] = update_intercept(b, st.B[m], st.C[m])
+            st.alpha[m] = update_intercept(b, b.X @ st.B[m], b.Z @ st.C[m])
         L = _assert_no_increase(block, st, hp, L)
         for m, b in enumerate(data):
             st.B[m] = update_shared_coef(
-                b, st.alpha[m], st.C[m], st.B_bar[m], st.B_dual[m], hp.rho
+                b, st.alpha[m], b.Z @ st.C[m], st.B_bar[m], st.B_dual[m], hp.rho
             )
         L = _assert_no_increase(block, st, hp, L)
         for m, b in enumerate(data):
             st.C[m] = update_specific_coef(
-                b, st.alpha[m], st.B[m], st.C_bar[m], st.C_dual[m], hp.rho
+                b, st.alpha[m], b.X @ st.B[m], st.C_bar[m], st.C_dual[m], hp.rho
             )
         L = _assert_no_increase(block, st, hp, L)
         for m in range(data.M):

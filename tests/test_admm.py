@@ -25,6 +25,7 @@ from intmr.admm import (
     augmented_lagrangian,
     ridge_factor,
     ridge_factors,
+    run_chains,
     consensus_gap,
     kkt_residual,
 )
@@ -140,7 +141,7 @@ class TestSteps:
         rng = np.random.default_rng(2)
         data = make_data(rng, M=1, n=9, p=2, q=2, r=1)
         b = data[0]
-        a = update_intercept(b, np.zeros((2, 2)), np.zeros((1, 2)))
+        a = update_intercept(b, b.X @ np.zeros((2, 2)), b.Z @ np.zeros((1, 2)))
         assert np.allclose(a, b.Y.mean(axis=0), atol=1e-14)
 
     def test_intercept_zeroes_loss_gradient(self):
@@ -149,7 +150,7 @@ class TestSteps:
         b = data[0]
         B = rng.standard_normal((2, 2))
         C = rng.standard_normal((1, 2))
-        a = update_intercept(b, B, C)
+        a = update_intercept(b, b.X @ B, b.Z @ C)
 
         def loss(alpha):
             R = b.Y - alpha - b.X @ B - b.Z @ C
@@ -167,7 +168,7 @@ class TestSteps:
         # (X'X + n rho I)^{-1} X'Y with X=[[1]], Y=[[2]], n=1, rho=1 gives 1
         b = DatasetBlock(Y=np.array([[2.0]]), X=np.array([[1.0]]))
         out = update_shared_coef(
-            b, np.zeros(1), np.zeros((0, 1)), np.zeros((1, 1)), np.zeros((1, 1)), 1.0
+            b, np.zeros(1), b.Z @ np.zeros((0, 1)), np.zeros((1, 1)), np.zeros((1, 1)), 1.0
         )
         assert out == pytest.approx(np.array([[1.0]]), abs=1e-14)
 
@@ -180,7 +181,7 @@ class TestSteps:
         B_bar = rng.standard_normal((4, 2))
         B_dual = rng.standard_normal((4, 2))
         rho = 1.3
-        B = update_shared_coef(b, alpha, C, B_bar, B_dual, rho)
+        B = update_shared_coef(b, alpha, b.Z @ C, B_bar, B_dual, rho)
         lhs = (b.X.T @ b.X + b.n * rho * np.eye(4)) @ B
         rhs = b.X.T @ (b.Y - alpha - b.Z @ C) + b.n * rho * (B_bar + B_dual)
         assert np.abs(lhs - rhs).max() < 1e-10
@@ -191,7 +192,7 @@ class TestSteps:
         b = data[0]
         B_bar = rng.standard_normal((3, 2))
         B_dual = rng.standard_normal((3, 2))
-        B = update_shared_coef(b, np.zeros(2), np.zeros((0, 2)), B_bar, B_dual, 1e8)
+        B = update_shared_coef(b, np.zeros(2), b.Z @ np.zeros((0, 2)), B_bar, B_dual, 1e8)
         assert np.abs(B - (B_bar + B_dual)).max() < 1e-5
 
     def test_specific_update_scalar_case_frozen(self):
@@ -199,7 +200,7 @@ class TestSteps:
             Y=np.array([[4.0]]), X=np.zeros((1, 0)), Z=np.array([[1.0]])
         )
         out = update_specific_coef(
-            b, np.zeros(1), np.zeros((0, 1)), np.zeros((1, 1)), np.zeros((1, 1)), 1.0
+            b, np.zeros(1), b.X @ np.zeros((0, 1)), np.zeros((1, 1)), np.zeros((1, 1)), 1.0
         )
         assert out == pytest.approx(np.array([[2.0]]), abs=1e-14)
 
@@ -212,7 +213,7 @@ class TestSteps:
         C_bar = rng.standard_normal((4, 2))
         C_dual = rng.standard_normal((4, 2))
         rho = 0.7
-        C = update_specific_coef(b, alpha, B, C_bar, C_dual, rho)
+        C = update_specific_coef(b, alpha, b.X @ B, C_bar, C_dual, rho)
         lhs = (b.Z.T @ b.Z + b.n * rho * np.eye(4)) @ C
         rhs = b.Z.T @ (b.Y - alpha - b.X @ B) + b.n * rho * (C_bar - C_dual)
         assert np.abs(lhs - rhs).max() < 1e-10
@@ -225,7 +226,8 @@ class TestSteps:
         C = rng.standard_normal((3, 2))
         B_bar = rng.standard_normal((p, 2))
         B_dual = rng.standard_normal((p, 2))
-        B = update_shared_coef(b, alpha, C, B_bar, B_dual, rho, factor=ridge_factor(b.X, n, rho))
+        B = update_shared_coef(b, alpha, b.Z @ C, B_bar, B_dual, rho,
+                               factor=ridge_factor(b.X, n, rho))
         lhs = (b.X.T @ b.X + n * rho * np.eye(p)) @ B
         rhs = b.X.T @ (b.Y - alpha - b.Z @ C) + n * rho * (B_bar + B_dual)
         assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
@@ -242,20 +244,21 @@ class TestSteps:
         C, C_bar, C_dual = (rng.standard_normal((1, 2, 3, 6)) for _ in range(3))
         rho = 0.8
         got = {
-            "alpha": update_intercept(stacked, B, C),
-            "B": update_shared_coef(stacked, alpha, C, B_bar, B_dual, rho,
+            "alpha": update_intercept(stacked, stacked.X @ B, stacked.Z @ C),
+            "B": update_shared_coef(stacked, alpha, stacked.Z @ C, B_bar, B_dual, rho,
                                     factor=ridge_factor(stacked.X, stacked.n, rho)),
-            "C": update_specific_coef(stacked, alpha, B, C_bar, C_dual, rho,
+            "C": update_specific_coef(stacked, alpha, stacked.X @ B, C_bar, C_dual, rho,
                                       factor=ridge_factor(stacked.Z, stacked.n, rho)),
         }
         for k, b in enumerate(blocks):
             for j in range(3):
                 c = slice(2 * j, 2 * j + 2)
+                XB, ZC = b.X @ B[0, k, :, c], b.Z @ C[0, k, :, c]
                 want = {
-                    "alpha": update_intercept(b, B[0, k, :, c], C[0, k, :, c]),
-                    "B": update_shared_coef(b, alpha[0, k, c], C[0, k, :, c], B_bar[0, k, :, c],
+                    "alpha": update_intercept(b, XB, ZC),
+                    "B": update_shared_coef(b, alpha[0, k, c], ZC, B_bar[0, k, :, c],
                                             B_dual[0, k, :, c], rho),
-                    "C": update_specific_coef(b, alpha[0, k, c], B[0, k, :, c], C_bar[0, k, :, c],
+                    "C": update_specific_coef(b, alpha[0, k, c], XB, C_bar[0, k, :, c],
                                               C_dual[0, k, :, c], rho),
                 }
                 for name, w in want.items():
@@ -485,12 +488,13 @@ class TestFit:
             st = start.copy()
             for m, b in enumerate(data):
                 C, C_bar, C_dual = (a[m, : b.r] for a in (st.C, st.C_bar, st.C_dual))
-                st.alpha[m] = update_intercept(b, st.B[m], C)
+                st.alpha[m] = update_intercept(b, b.X @ st.B[m], b.Z @ C)
                 st.B[m] = update_shared_coef(
-                    b, st.alpha[m], C, st.B_bar[m], st.B_dual[m], hp.rho
+                    b, st.alpha[m], b.Z @ C, st.B_bar[m], st.B_dual[m], hp.rho
                 )
                 if b.r:
-                    C[...] = update_specific_coef(b, st.alpha[m], st.B[m], C_bar, C_dual, hp.rho)
+                    C[...] = update_specific_coef(b, st.alpha[m], b.X @ st.B[m], C_bar, C_dual,
+                                                  hp.rho)
                     C_bar[...] = threshold_specific(C, C_dual, hp.gamma / hp.rho)
             st.B_bar = threshold_shared(st.B, st.B_dual, hp.lam / hp.rho)
             update_duals(st)
@@ -510,6 +514,68 @@ class TestFit:
         hp = HyperParams(0.15, 0.1)
         rep = fit(data, hp, SolverOptions(tol=1e-9, check_every=3))
         assert rep.objective == objective(data, rep.fit, hp)
+
+    def test_reported_kkt_residual_is_kkt_residual_at_fit(self):
+        rng = np.random.default_rng(32)
+        data = make_data(rng, M=3, n=[20, 14, 17], p=3, q=2, r=[1, 0, 2])
+        hp = HyperParams(0.15, 0.1)
+        rep = fit(data, hp, SolverOptions(tol=1e-9, check_every=3))
+        assert rep.kkt_residual == kkt_residual(data, rep.fit, hp)
+
+
+def run_recording(block, lambdas, gammas):
+    """run_chains from zero, plus each chain's final alpha, B_bar and C_bar
+    by cell, and the working (folds, chains) shape at every stop."""
+    finals, shapes = {}, []
+    q, last = block.q, np.shape(lambdas)[-1] - 1
+
+    def record(state, stopped, cell, position):
+        shapes.append(cell.shape)
+        for k, j in np.argwhere(stopped & (position == last)):
+            cols = slice(j * q, (j + 1) * q)
+            finals[cell[k, j]] = (state.alpha[:, k, cols], state.B_bar[:, k, :, cols],
+                                  state.C_bar[:, k, :, cols])
+
+    out = run_chains(block, ridge_factors(block, 1.0), zero_state(block), 1.0, lambdas, gammas,
+                     on_stop=record)
+    return out, finals, shapes
+
+
+class TestRunChains:
+    def test_per_fold_paths_match_one_fold_runs(self):
+        # two folds of one stack, each with its own lambda and gamma path,
+        # against each fold run alone with its paths; the chains end at
+        # different times, so the grid narrows and the carried products
+        # are recomputed on the narrowed arrays.  The two runs narrow to
+        # different widths, and OpenBLAS rounds a column of a product
+        # differently for different column counts, so the final states agree
+        # to rounding rather than bit for bit
+        rng = np.random.default_rng(38)
+        folds = [make_data(rng, M=2, n=18, p=3, q=2, r=2) for _ in range(2)]
+        lambdas = np.array([[0.4, 0.1, 0.02], [0.3, 0.05, 0.01]])
+        gammas = np.array([[0.5, 0.05, 0.005], [0.2, 0.02, 0.002]])
+        both = stack([[f[m] for f in folds] for m in range(2)], chains=3)
+        (iters, conv), finals, shapes = run_recording(both, lambdas, gammas)
+        assert len(set(shapes)) > 2, "the grid never narrowed"
+        assert len(np.unique(iters.sum(axis=-1))) > 1
+        for k, f in enumerate(folds):
+            one = stack([[f[m]] for m in range(2)], chains=3)
+            (it_k, conv_k), finals_k, _ = run_recording(one, lambdas[k:k + 1], gammas[k:k + 1])
+            assert np.array_equal(iters[k], it_k[0]) and np.array_equal(conv[k], conv_k[0])
+            for j in range(3):
+                for got, want in zip(finals[3 * k + j], finals_k[j]):
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("lambdas, gammas, rho", [
+        ([0.1, -0.1], [0.1], 1.0), ([0.1], [np.nan], 1.0), ([np.inf], [0.1], 1.0),
+        ([0.1], [0.1], 0.0),
+    ])
+    def test_bad_paths_rejected_before_the_first_iteration(self, lambdas, gammas, rho):
+        block = stack(make_data(np.random.default_rng(39), M=2, n=10, p=2, q=1, r=1))
+        state = zero_state(block)
+        with pytest.raises(ValueError):
+            run_chains(block, ridge_factors(block, 1.0), state, rho, lambdas, gammas)
+        assert state.iteration == 0
 
 
 class TestSolverOptions:
@@ -577,18 +643,18 @@ class TestBlockwiseDescent:
             st = random_state(rng, block)
             L = augmented_lagrangian(block, st, hp)
             for m, b in enumerate(data):
-                st.alpha[m] = update_intercept(b, st.B[m], st.C[m])
+                st.alpha[m] = update_intercept(b, b.X @ st.B[m], b.Z @ st.C[m])
             L2 = augmented_lagrangian(block, st, hp)
             assert L2 <= L + 1e-10
             for m, b in enumerate(data):
                 st.B[m] = update_shared_coef(
-                    b, st.alpha[m], st.C[m], st.B_bar[m], st.B_dual[m], 1.0
+                    b, st.alpha[m], b.Z @ st.C[m], st.B_bar[m], st.B_dual[m], 1.0
                 )
             L3 = augmented_lagrangian(block, st, hp)
             assert L3 <= L2 + 1e-10
             for m, b in enumerate(data):
                 st.C[m] = update_specific_coef(
-                    b, st.alpha[m], st.B[m], st.C_bar[m], st.C_dual[m], 1.0
+                    b, st.alpha[m], b.X @ st.B[m], st.C_bar[m], st.C_dual[m], 1.0
                 )
             L4 = augmented_lagrangian(block, st, hp)
             assert L4 <= L3 + 1e-10

@@ -13,6 +13,7 @@ from intmr.selection import (
     default_grid,
     penalty_ceiling,
     select,
+    select_many,
     _split,
 )
 from intmr.sim import generate, SimConfig, mse
@@ -280,6 +281,40 @@ class TestSelect:
         assert wins >= 16
 
 
+class TestSelectMany:
+    def test_matches_separate_selects(self):
+        # three problems with their own default grids share one run; a
+        # fourth, whose grid has another size, runs on its own
+        rng = np.random.default_rng(16)
+        problems = [make_data(rng, M=2, n=[18, 22], p=3, q=2, r=[2, 1]) for _ in range(4)]
+        grids = [default_grid(d, 3, 2) for d in problems[:3]] + [default_grid(problems[3], 2, 3)]
+        assert len(set(g.lambdas for g in grids)) == 4
+        many = select_many(problems, grids, K=4, seed=3)
+        for data, grid, got in zip(problems, grids, many):
+            want = select(data, grid, K=4, seed=3)
+            assert got.grid == grid
+            assert np.abs(got.cv_matrix - want.cv_matrix).max() <= 1e-12 * want.cv_matrix.max()
+            assert np.array_equal(got.iterations, want.iterations)
+            assert np.array_equal(got.converged, want.converged)
+            assert (got.best_lambda, got.best_gamma) == (want.best_lambda, want.best_gamma)
+            assert got.refit.iterations == want.refit.iterations
+            for a, b in zip((got.refit.fit.alpha, got.refit.fit.B, got.refit.fit.C),
+                            (want.refit.fit.alpha, want.refit.fit.B, want.refit.fit.C)):
+                assert all(np.array_equal(x, y) for x, y in zip(a, b))
+            assert all(np.array_equal(x, y) for x, y in zip(got.folds.labels, want.folds.labels))
+
+    @pytest.mark.parametrize("other", [
+        dict(M=3, p=3, q=2, r=1), dict(M=2, p=4, q=2, r=1), dict(M=2, p=3, q=1, r=1),
+        dict(M=2, p=3, q=2, r=2),
+    ])
+    def test_problems_of_other_shapes_rejected(self, other):
+        rng = np.random.default_rng(17)
+        problems = [make_data(rng, M=2, n=15, p=3, q=2, r=1), make_data(rng, n=15, **other)]
+        grid = CvGrid(lambdas=(0.3,), gammas=(0.2,))
+        with pytest.raises(ValueError):
+            select_many(problems, [grid, grid], K=3, seed=0)
+
+
 def sequential_chains(data, grid, folds, opts=None, rho=1.0):
     """Per-fold scores, iteration counts and convergence flags from one
     warm-started AdmmSolver.fit chain per (fold, gamma): the unstacked
@@ -442,13 +477,15 @@ class TestStackedGrid:
         swept = []
 
         def poison(state, stopped, cell, position):
-            # once the fastest chain ends its path, its iterate turns NaN
+            # once the fastest chain ends its path, its dual turns NaN, and so
+            # does every B it computes from then on (B itself is an output of
+            # its step: the loop reads it only through the product X B)
             mine = cell == first
             if mine.any() and np.isnan(state.B).any():
                 swept.append(True)
             if (stopped & mine).any() and position[mine] == len(lambdas) - 1:
                 k, j = np.argwhere(mine)[0]
-                state.B[:, k, :, 2 * j : 2 * j + 2] = np.nan
+                state.B_dual[:, k, :, 2 * j : 2 * j + 2] = np.nan
 
         with np.errstate(all="ignore"):
             poisoned, conv = run(poison)
@@ -461,11 +498,12 @@ class TestStackedGrid:
         seen = []
 
         def poison(state, stopped, cell, position):
-            # after the first narrowing, a chain that keeps running turns NaN
+            # after the first narrowing, a chain that keeps running gets a NaN
+            # dual, so its next C turns NaN
             seen.append(state.alpha.shape)
             if seen[-1] != seen[0]:
                 k, j = np.argwhere(~stopped & (position < len(lambdas)))[0]
-                state.C[:, k, :, 2 * j] = np.nan
+                state.C_dual[:, k, :, 2 * j] = np.nan
 
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
             run_chains(block, factors, zero_state(block), 1.0, lambdas, gammas, on_stop=poison)

@@ -3,7 +3,7 @@ import pytest
 
 from intmr.model import DatasetBlock, IntegratedDataset, HyperParams, ModelFit
 from intmr.admm import SolverOptions, fit
-from intmr.selection import CvGrid, select
+from intmr.selection import CvGrid, default_grid, select
 from intmr.sim import (
     SimConfig,
     TruthSet,
@@ -17,6 +17,7 @@ from intmr.sim import (
     run_study,
     scenario_name,
     parse_scenario,
+    _fit_method,
 )
 from helpers import objective_reference
 
@@ -240,6 +241,41 @@ class TestBaselines:
         for m in range(2):
             assert np.array_equal(ur.fit.B[m], direct.refit.fit.B[m])
             assert np.array_equal(ur.fit.C[m], direct.refit.fit.C[m])
+
+    def test_batched_baselines_equal_per_problem_selects(self):
+        # each baseline runs its selections through one select_many; every
+        # fit must equal the one from a select call per problem
+        data, _, _ = generate(SimConfig(M=2, n=40, s=0, seed=11))
+        opts = SolverOptions(tol=1e-6, max_iter=4000)
+
+        def one(problem, n_lambdas):
+            grid = default_grid(problem, n_lambdas, 2)
+            return select(problem, grid, K=3, seed=4, opts=opts).refit.fit
+
+        def sliced(d, k):
+            return IntegratedDataset(tuple(DatasetBlock(Y=b.Y[:, [k]], X=b.X, Z=b.Z) for b in d))
+
+        def routed(b):
+            return IntegratedDataset((DatasetBlock(
+                Y=b.Y, X=np.zeros((b.n, 0)), Z=np.hstack([b.X, b.Z])),))
+
+        ur = [one(sliced(data, k), 3) for k in range(data.q)]
+        mlasso = [one(routed(b), 1) for b in data]
+        lasso = [[one(sliced(routed(b), k), 1) for k in range(data.q)] for b in data]
+        want = {
+            "ur": [(np.concatenate([f.alpha[m] for f in ur]), np.hstack([f.B[m] for f in ur]),
+                    np.hstack([f.C[m] for f in ur])) for m in range(data.M)],
+            "mlasso": [(f.alpha[0], f.C[0][: b.p], f.C[0][b.p :]) for f, b in zip(mlasso, data)],
+            "lasso": [(np.concatenate([f.alpha[0] for f in fs]),
+                       np.hstack([f.C[0][: b.p] for f in fs]),
+                       np.hstack([f.C[0][b.p :] for f in fs])) for fs, b in zip(lasso, data)],
+        }
+        for method, parts in want.items():
+            got = _fit_method(method, data, 3, 4, opts, (3, 2))
+            for m, (alpha, B, C) in enumerate(parts):
+                assert np.array_equal(got.alpha[m], alpha), method
+                assert np.array_equal(got.B[m], B), method
+                assert np.array_equal(got.C[m], C), method
 
     def test_ur_stacks_to_joint_dimensions(self):
         cfg = SimConfig(M=2, n=30, s=0)
