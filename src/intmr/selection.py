@@ -249,17 +249,9 @@ def _cv_matrices(problems, grids, folds, opts, rho):
 
 def _result(data, grid, folds, cv_matrix, iterations, converged, opts, rho):
     """The CvResult of one problem: its best cell and the refit there."""
-    best = float(cv_matrix.min())
-    best_i = best_j = None
     # paths are descending, so the first qualifying cell in row-major order
     # carries the largest lambda, then the largest gamma
-    for i in range(len(grid.lambdas)):
-        for j in range(len(grid.gammas)):
-            if cv_matrix[i, j] <= best + 1e-12:
-                best_i, best_j = i, j
-                break
-        if best_i is not None:
-            break
+    best_i, best_j = np.argwhere(cv_matrix <= cv_matrix.min() + 1e-12)[0]
     best_lambda = grid.lambdas[best_i]
     best_gamma = grid.gammas[best_j]
     refit = AdmmSolver(data, rho=rho).fit(

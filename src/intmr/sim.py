@@ -2,10 +2,12 @@
 
 Generates collections of datasets from a sparse two-response truth, fits the
 joint estimator and single-dataset baselines with cross-validated penalties,
-and scores prediction error and support recovery over replicates.  A
-baseline's independent selections (per response for ur, per dataset for
-mlasso, per dataset and response for lasso) run as one select_many, and
-each refits on its own.
+and scores prediction error and support recovery over replicates.  The
+baselines are the joint selection under two splits: ur splits Y by response
+column, mlasso routes each dataset on its own as a p = 0 problem with
+specific covariates [X Z], and lasso does both.  A baseline's problems run
+as one select_many, each refits on its own, and the refits of a split are
+joined column-wise.
 
 Random streams are derived from numpy SeedSequence keys
 (seed, replicate, dataset, purpose) with purpose 0 for training data and 1
@@ -191,12 +193,10 @@ def fpr_fnr(fit, tset, mode="paper"):
     fn = int((~est_nz & true_nz).sum())
     n_nz = int(true_nz.sum())
     n_z = int((~true_nz).sum())
-    if mode == "paper":
-        if n_nz == 0 or n_z == 0:
-            raise ValueError("rates undefined: truth has %d nonzeros, %d zeros" % (n_nz, n_z))
-        return fp / n_nz, fn / n_z
-    if n_z == 0 or n_nz == 0:
+    if n_nz == 0 or n_z == 0:
         raise ValueError("rates undefined: truth has %d nonzeros, %d zeros" % (n_nz, n_z))
+    if mode == "paper":
+        return fp / n_nz, fn / n_z
     return fp / n_z, fn / n_nz
 
 
@@ -210,34 +210,6 @@ class UrResult:
 
     per_response: tuple
     fit: ModelFit
-
-
-def _slice_response(data, k):
-    return IntegratedDataset(
-        tuple(DatasetBlock(Y=b.Y[:, [k]], X=b.X, Z=b.Z) for b in data)
-    )
-
-
-def fit_ur(data, K=5, seed=0, opts=None, grid=None, grid_size=(15, 15)):
-    """Separate cross-validated fit per response; identical to the joint fit
-    when q = 1.  The q selections run as one select_many."""
-    return _fit_ur_many((data,), K, seed, opts, grid, grid_size)[0]
-
-
-def _fit_ur_many(datas, K, seed, opts, grid, grid_size):
-    """fit_ur of each dataset collection, every response of every
-    collection selected in one select_many."""
-    sliced = [_slice_response(data, k) for data in datas for k in range(data.q)]
-    grids = [grid if grid is not None else default_grid(d, *grid_size) for d in sliced]
-    selections = iter(select_many(sliced, grids, K=K, seed=seed, opts=opts))
-    out = []
-    for data in datas:
-        results = tuple(next(selections) for _ in range(data.q))
-        # each dataset's alpha, B and C, the responses side by side
-        joined = (tuple(map(np.hstack, zip(*(getattr(r.refit.fit, name) for r in results))))
-                  for name in ("alpha", "B", "C"))
-        out.append(UrResult(per_response=results, fit=ModelFit(*joined)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -259,40 +231,49 @@ def _route(block):
     )
 
 
-def fit_mlasso(block, K=5, seed=0, opts=None, grid=None, n_gammas=15):
+def _unroute(fit, block):
+    """The (alpha, B, C) of block from the fit of its _route problem."""
+    return fit.alpha[0], fit.C[0][: block.p], fit.C[0][block.p :]
+
+
+def _select_split(datas, per_response, K, seed, opts, grid_size, grid=None):
+    """Select every problem of the dataset collections in one select_many.
+
+    A collection is one problem, or one per response column when
+    per_response is set.  Returns, per collection, its selections and the
+    ModelFit of their refits joined column-wise.
+    """
+    split = [[IntegratedDataset(tuple(DatasetBlock(Y=b.Y[:, [k]], X=b.X, Z=b.Z) for b in d))
+              for k in range(d.q)] if per_response else [d] for d in datas]
+    problems = [p for parts in split for p in parts]
+    grids = [grid if grid is not None else default_grid(p, *grid_size) for p in problems]
+    selections = iter(select_many(problems, grids, K=K, seed=seed, opts=opts))
+    out = []
+    for parts in split:
+        results = tuple(next(selections) for _ in parts)
+        # each dataset's alpha, B and C, the parts side by side
+        joined = (tuple(map(np.hstack, zip(*(getattr(r.refit.fit, name) for r in results))))
+                  for name in ("alpha", "B", "C"))
+        out.append((results, ModelFit(*joined)))
+    return out
+
+
+def fit_ur(data, K=5, seed=0, opts=None, grid=None, grid_size=(15, 15)):
+    """Separate cross-validated fit per response; identical to the joint fit
+    when q = 1.  The q selections run as one select_many."""
+    [(results, joined)] = _select_split((data,), True, K, seed, opts, grid_size, grid)
+    return UrResult(per_response=results, fit=joined)
+
+
+def fit_mlasso(block, K=5, seed=0, opts=None, n_gammas=15):
     """Entrywise-l1 fit of one dataset over all of its covariates.
 
     Routes both covariate blocks through the specific-covariate path of the
     joint solver (a one-dataset problem with p = 0), so the group penalty
     plays no role and the model is a plain multivariate lasso.
     """
-    return _fit_mlasso_many((block,), K, seed, opts, grid, n_gammas)[0]
-
-
-def _fit_mlasso_many(blocks, K, seed, opts, grid, n_gammas):
-    """fit_mlasso of each block, all selected in one select_many."""
-    routed = [_route(block) for block in blocks]
-    grids = [grid if grid is not None else default_grid(r, n_lambdas=1, n_gammas=n_gammas)
-             for r in routed]
-    out = []
-    for block, res in zip(blocks, select_many(routed, grids, K=K, seed=seed, opts=opts)):
-        coef = res.refit.fit.C[0]
-        out.append(MlassoResult(
-            selection=res,
-            alpha=res.refit.fit.alpha[0],
-            B=coef[: block.p],
-            C=coef[block.p :],
-        ))
-    return out
-
-
-def _combine_block_fits(parts):
-    """Assemble per-dataset (alpha, B, C) triples into one ModelFit."""
-    return ModelFit(
-        alpha=tuple(a for a, _, _ in parts),
-        B=tuple(b for _, b, _ in parts),
-        C=tuple(c for _, _, c in parts),
-    )
+    [((res,), joined)] = _select_split((_route(block),), False, K, seed, opts, (1, n_gammas))
+    return MlassoResult(res, *_unroute(joined, block))
 
 
 # ---------------------------------------------------------------------------
@@ -395,14 +376,10 @@ def _fit_method(method, data, K, seed, opts, grid_size):
         return res.refit.fit
     if method == "ur":
         return fit_ur(data, K=K, seed=seed, opts=opts, grid_size=grid_size).fit
-    if method == "mlasso":
-        parts = _fit_mlasso_many(data, K, seed, opts, None, grid_size[1])
-        return _combine_block_fits([(p.alpha, p.B, p.C) for p in parts])
-    if method == "lasso":
-        urs = _fit_ur_many([_route(b) for b in data], K, seed, opts, None, (1, grid_size[1]))
-        return _combine_block_fits([
-            (u.fit.alpha[0], u.fit.C[0][: b.p], u.fit.C[0][b.p :]) for u, b in zip(urs, data)
-        ])
+    if method in ("mlasso", "lasso"):
+        joined = _select_split([_route(b) for b in data], method == "lasso", K, seed, opts,
+                               (1, grid_size[1]))
+        return ModelFit(*zip(*(_unroute(f, b) for (_, f), b in zip(joined, data))))
     raise ValueError("unknown method %r (choose from %s)" % (method, ", ".join(METHODS)))
 
 

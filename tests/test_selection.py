@@ -260,6 +260,22 @@ class TestSelect:
         assert res.best_lambda == 1e4
         assert res.best_gamma == 1e4
 
+    @pytest.mark.parametrize("gap, want", [(5e-13, (0, 1)), (1e-9, (1, 0))])
+    def test_tie_rule_spans_rows_and_columns(self, monkeypatch, gap, want):
+        # the minimum sits at (1, 0); (0, 1) wins only when within 1e-12 of
+        # it, since the larger lambda comes before the larger gamma
+        cv_matrix = np.array([[2.0, 0.5 + gap], [0.5, 3.0]])
+
+        def crafted(problems, grids, folds, opts, rho):
+            return [(cv_matrix, None, None) for _ in problems]
+
+        monkeypatch.setattr(selection, "_cv_matrices", crafted)
+        rng = np.random.default_rng(16)
+        data = make_data(rng, M=2, n=16, p=3, q=2, r=1)
+        grid = CvGrid(lambdas=(0.4, 0.1), gammas=(0.3, 0.06))
+        res = select(data, grid, K=4, seed=0)
+        assert (res.best_lambda, res.best_gamma) == (grid.lambdas[want[0]], grid.gammas[want[1]])
+
     def test_selection_beats_corner_on_test_mse(self):
         # the corner of the default grid is the intercept-only model; with
         # real signal present the selected model should predict better on

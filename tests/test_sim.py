@@ -276,6 +276,17 @@ class TestBaselines:
                 assert np.array_equal(got.alpha[m], alpha), method
                 assert np.array_equal(got.B[m], B), method
                 assert np.array_equal(got.C[m], C), method
+        # the public views of the same selections
+        ur_fit = fit_ur(data, K=3, seed=4, opts=opts, grid_size=(3, 2)).fit
+        for m, (alpha, B, C) in enumerate(want["ur"]):
+            assert np.array_equal(ur_fit.alpha[m], alpha)
+            assert np.array_equal(ur_fit.B[m], B)
+            assert np.array_equal(ur_fit.C[m], C)
+        for b, (alpha, B, C) in zip(data, want["mlasso"]):
+            res = fit_mlasso(b, K=3, seed=4, opts=opts, n_gammas=2)
+            assert np.array_equal(res.alpha, alpha)
+            assert np.array_equal(res.B, B)
+            assert np.array_equal(res.C, C)
 
     def test_ur_stacks_to_joint_dimensions(self):
         cfg = SimConfig(M=2, n=30, s=0)
