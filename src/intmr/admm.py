@@ -23,13 +23,17 @@ problem as the next: each fold may carry its own lambda and gamma paths.
 run_chains advances such a grid through the steps in one loop, narrowed to
 the chains still running; AdmmSolver.fit is its one-chain case.  The ridge
 steps use a thin SVD of X and of Z, one batched SVD each, computed once per
-stack (rho stays fixed).  The steps take the data products X B and Z C
-rather than B and C, so the loop computes each product once, when B or C
-changes, and carries it to the intercept, the other ridge step and the
-stopping check.  A fit stops when its augmented Lagrangian changes by less
-than tol between checks.  Reported coefficients are the consensus copies,
-so zeros are exact and the nonzero pattern of B is identical across
-datasets; the penalized objective is evaluated once, at the returned fit.
+stack (rho stays fixed).  The intercept enters as u alpha', with u the
+block's intercept column (see model.PaddedBlock), and a stack with more rows
+than 1 + p + r_max + q is first compressed to the R of a thin QR
+(model.compress), which leaves every step unchanged up to rounding.  The
+steps take the data products X B and Z C rather than B and C, and the ridge
+steps may take u alpha' as well, so the loop computes each product once,
+when its factor changes, and carries it to the later steps and the stopping
+check.  A fit stops when its augmented Lagrangian changes by less than tol
+between checks.  Reported coefficients are the consensus copies, so zeros
+are exact and the nonzero pattern of B is identical across datasets; the
+penalized objective is evaluated once, at the returned fit.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -44,6 +48,7 @@ from .model import (
     _colsum,
     _evaluate,
     block_loss,
+    compress,
     group_norms,
     stack,
     stack_fit,
@@ -150,9 +155,10 @@ def _check_state_matches(block, state):
 
 
 def update_intercept(block, XB, ZC):
-    """Column means of Y - X B - Z C, given XB = X B and ZC = Z C."""
+    """u'(Y - X B - Z C) / n, the column means of Y - X B - Z C, given
+    XB = X B and ZC = Z C."""
     R = block.Y - XB - ZC
-    return (_colsum(R) / block.n)[..., 0, :]
+    return (np.swapaxes(block.u, -1, -2) @ R / block.n)[..., 0, :]
 
 
 class RidgeFactor(NamedTuple):
@@ -192,22 +198,26 @@ def _ridge_solve(factor, rhs):
     return rhs / factor.c + factor.V @ (factor.w * (factor.Vt @ rhs))
 
 
-def update_shared_coef(block, alpha_m, ZC, B_bar_m, B_dual_m, rho, factor=None):
-    """Solve (X'X + n rho I) B = X'(Y - 1 alpha' - Z C) + n rho (B_bar + B_dual),
-    given ZC = Z C."""
+def _intercept(block, alpha_m, UA):
+    return block.u * alpha_m[..., None, :] if UA is None else UA
+
+
+def update_shared_coef(block, alpha_m, ZC, B_bar_m, B_dual_m, rho, factor=None, UA=None):
+    """Solve (X'X + n rho I) B = X'(Y - u alpha' - Z C) + n rho (B_bar + B_dual),
+    given ZC = Z C, and UA = u alpha' when the caller holds it."""
     if factor is None:
         factor = ridge_factor(block.X, block.n, rho)
-    rhs = np.swapaxes(block.X, -1, -2) @ (block.Y - alpha_m[..., None, :] - ZC)
+    rhs = np.swapaxes(block.X, -1, -2) @ (block.Y - _intercept(block, alpha_m, UA) - ZC)
     rhs += factor.c * (B_bar_m + B_dual_m)
     return _ridge_solve(factor, rhs)
 
 
-def update_specific_coef(block, alpha_m, XB, C_bar_m, C_dual_m, rho, factor=None):
-    """Solve (Z'Z + n rho I) C = Z'(Y - 1 alpha' - X B) + n rho (C_bar - C_dual),
-    given XB = X B."""
+def update_specific_coef(block, alpha_m, XB, C_bar_m, C_dual_m, rho, factor=None, UA=None):
+    """Solve (Z'Z + n rho I) C = Z'(Y - u alpha' - X B) + n rho (C_bar - C_dual),
+    given XB = X B, and UA = u alpha' when the caller holds it."""
     if factor is None:
         factor = ridge_factor(block.Z, block.n, rho)
-    rhs = np.swapaxes(block.Z, -1, -2) @ (block.Y - alpha_m[..., None, :] - XB)
+    rhs = np.swapaxes(block.Z, -1, -2) @ (block.Y - _intercept(block, alpha_m, UA) - XB)
     rhs += factor.c * (C_bar_m - C_dual_m)
     return _ridge_solve(factor, rhs)
 
@@ -250,11 +260,12 @@ def augmented_lagrangian(block, state, hp, products=None):
     (rho/2) ||B_bar - B + B_dual||_F^2 and (rho/2) ||C - C_bar + C_dual||_F^2
     summed over datasets: one value per chain, the sum over its q columns,
     shaped (*folds, G).  hp.lam and hp.gamma may be per-column arrays shaped
-    (*folds, 1, G q).  products, when given, is the pair (X B, Z C) at the
+    (*folds, 1, G q).  products, when given, is (u alpha', X B, Z C) at the
     state, which the solver loop already holds.
     """
-    XB, ZC = products if products is not None else (block.X @ state.B, block.Z @ state.C)
-    R = block.Y - state.alpha[..., None, :] - XB - ZC
+    UA, XB, ZC = products if products is not None else (
+        block.u * state.alpha[..., None, :], block.X @ state.B, block.Z @ state.C)
+    R = block.Y - UA - XB - ZC
     G = state.C - state.C_bar + state.C_dual
     per_dataset = block_loss(block, R) + _colsum(
         0.5 * hp.rho * G * G + hp.gamma * np.abs(state.C_bar)
@@ -347,8 +358,9 @@ def run_chains(block, factors, state, rho, lambdas, gammas, opts=None,
     stopped in.  A fit stops when its augmented Lagrangian changes by less
     than opts.tol between two of its checks, or after opts.max_iter
     iterations.  The loop computes X B once per new B and Z C once per new
-    C, and hands both to the later steps and to the stopping check; B and C
-    enter the next iteration only through them.
+    C, and u alpha' once per new alpha, and hands them to the later steps
+    and to the stopping check; B and C enter the next iteration only
+    through them.
 
     When a chain ends its path, block, factors and state narrow to the
     folds with a running chain and, per fold, its running chains, padded
@@ -395,14 +407,15 @@ def run_chains(block, factors, state, rho, lambdas, gammas, opts=None,
     XB, ZC = block.X @ state.B, block.Z @ state.C
     while active.any():
         state.alpha = update_intercept(block, XB, ZC)
+        UA = block.u * state.alpha[..., None, :]
         if fx is not None:
             state.B = update_shared_coef(
-                block, state.alpha, ZC, state.B_bar, state.B_dual, rho, factor=fx
+                block, state.alpha, ZC, state.B_bar, state.B_dual, rho, factor=fx, UA=UA
             )
             XB = block.X @ state.B
         if fz is not None:
             state.C = update_specific_coef(
-                block, state.alpha, XB, state.C_bar, state.C_dual, rho, factor=fz
+                block, state.alpha, XB, state.C_bar, state.C_dual, rho, factor=fz, UA=UA
             )
             ZC = block.Z @ state.C
             state.C_bar = threshold_specific(state.C, state.C_dual, gam_thresh)
@@ -423,7 +436,7 @@ def run_chains(block, factors, state, rho, lambdas, gammas, opts=None,
         check = it % opts.check_every == 0
         met = np.zeros(it.shape, dtype=bool)
         if check.any():
-            L = augmented_lagrangian(block, state, hp, (XB, ZC))
+            L = augmented_lagrangian(block, state, hp, (UA, XB, ZC))
             if trace is not None:
                 trace.append(L)
             met = check & (np.abs(L - prev) < opts.tol)
@@ -470,7 +483,7 @@ class AdmmSolver:
     def __init__(self, data, rho=1.0):
         if not isinstance(data, IntegratedDataset):
             data = IntegratedDataset(tuple(data))
-        self.block = stack(data)
+        self.block = compress(stack(data))
         self._factors = ridge_factors(self.block, rho)
         self.data = data
         self.rho = float(rho)

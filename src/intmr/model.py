@@ -15,10 +15,16 @@ specific coefficients C^m carry an entrywise l1 penalty.
 
 Fits are evaluated on the solver's layout, the PaddedBlock that stack
 builds: the loss, its gradient, the group norms and the objective are each
-one expression over every dataset at once.
+one expression over every dataset at once.  The intercept enters as u alpha'
+through a column u with u'u = n: 1 on a dataset's rows and 0 on its padded
+rows.  Every term of the loss, its gradient and the ridge steps is an inner
+product of the columns of A = [u X Z Y], so compress may replace a tall
+dataset's rows by the R of a thin QR of A, at most 1 + p + r_max + q rows,
+and every such term is unchanged.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +35,7 @@ __all__ = [
     "ModelFit",
     "PaddedBlock",
     "stack",
+    "compress",
     "stack_fit",
     "residual_matrix",
     "predict",
@@ -102,6 +109,11 @@ class DatasetBlock:
     @property
     def r(self):
         return self.Z.shape[1]
+
+    @property
+    def u(self):
+        """The intercept column, all ones."""
+        return np.ones((self.n, 1))
 
 
 @dataclass(frozen=True)
@@ -273,17 +285,17 @@ class PaddedBlock:
     (M, *folds, rows, p) and Z (M, *folds, rows, r_max) the covariates; a CV
     grid has one fold axis.  Rows are zero-padded to a common count and Z's
     columns to the largest r_m; n holds the true row counts, shaped
-    (M, *folds, 1, 1), mask (M, *folds, rows, 1) is 1 on true rows, and r
-    holds the true r_m.  A zero row or column drops out of every product on
-    its own; a residual is nonzero on padded rows only through the
-    intercept, and the loss and its gradient mask those rows.
+    (M, *folds, 1, 1), u (M, *folds, rows, 1) is the intercept column, 1 on
+    true rows, and r holds the true r_m.  A zero row or column drops out of
+    every product on its own, so a residual is exactly zero on padded rows.
+    After compress, u is R's first column and u'u = n still holds.
     """
 
     Y: np.ndarray
     X: np.ndarray
     Z: np.ndarray
     n: np.ndarray
-    mask: np.ndarray
+    u: np.ndarray
     r: tuple
     q: int
 
@@ -295,7 +307,7 @@ class PaddedBlock:
         """The folds at index tuple `folds`, Y cut to its first `chains`."""
         pick = lambda a: a[(slice(None),) + folds]
         return replace(self, Y=pick(self.Y)[..., : chains * self.q], X=pick(self.X),
-                       Z=pick(self.Z), n=pick(self.n), mask=pick(self.mask))
+                       Z=pick(self.Z), n=pick(self.n), u=pick(self.u))
 
 
 def _pad(arrays, shape):
@@ -328,26 +340,46 @@ def stack(blocks, chains=1):
         X=pad("X", flat[0].p),
         Z=pad("Z", max(b.r for b in flat)),
         n=n,
-        mask=(np.arange(rows)[:, None] < n).astype(float),
+        u=(np.arange(rows)[:, None] < n).astype(float),
         r=tuple(b.r for b in cells.reshape(len(cells), -1)[:, 0]),
         q=flat[0].q,
     )
 
 
+def compress(block):
+    """`block` with each (dataset, fold)'s rows replaced by the R of a thin
+    QR of A = [u X Z Y], when it has more rows than A has columns; otherwise
+    `block` itself.
+
+    A = QR, so every inner product of A's columns is the same one of R's,
+    and every residual Y - u alpha' - X B - Z C lies in the range of Q: the
+    loss, its gradient and the ridge steps are unchanged up to rounding.  Y
+    is factored once and tiled once per chain.
+    """
+    p, r_max, q = block.p, block.Z.shape[-1], block.q
+    if block.Y.shape[-2] <= 1 + p + r_max + q:
+        return block
+    A = np.concatenate([block.u, block.X, block.Z, block.Y[..., :q]], axis=-1)
+    u, X, Z, Y = np.split(np.linalg.qr(A, mode="r"), [1, 1 + p, 1 + p + r_max], axis=-1)
+    return replace(block, u=np.ascontiguousarray(u), X=np.ascontiguousarray(X),
+                   Z=np.ascontiguousarray(Z), Y=np.tile(Y, block.Y.shape[-1] // q))
+
+
 def stack_fit(data, fit):
-    """`data` stacked as one PaddedBlock, and `fit` stacked like it: alpha
-    (M, q), B (M, p, q) and C (M, r_max, q), with C's rows past r_m zero."""
+    """`data` stacked and compressed as AdmmSolver holds it, and `fit`
+    stacked like it: alpha (M, q), B (M, p, q) and C (M, r_max, q), with C's
+    rows past r_m zero."""
     _check_fit_matches(data, fit)
-    block = stack(data)
+    block = compress(stack(data))
     C = _pad(fit.C, (block.Z.shape[-1], fit.q))
     return block, np.array(fit.alpha), np.array(fit.B), C
 
 
 def predict(block, alpha, B, C):
-    """Fitted values 1 alpha' + X B + Z C for one dataset or a stacked
+    """Fitted values u alpha' + X B + Z C for one dataset or a stacked
     block; alpha, B and C may carry leading axes that broadcast against the
     block's."""
-    return alpha[..., None, :] + block.X @ B + block.Z @ C
+    return block.u * alpha[..., None, :] + block.X @ B + block.Z @ C
 
 
 def residual_matrix(block, alpha, B, C):
@@ -364,26 +396,30 @@ def residual_matrix(block, alpha, B, C):
     return block.Y - predict(block, alpha, B, C)
 
 
+@lru_cache(maxsize=64)
+def _ones_row(rows):
+    ones = np.ones((1, rows))
+    ones.flags.writeable = False
+    return ones
+
+
 def _colsum(A):
     """Sums over the row axis, kept; a ones-row product is several times
     faster than numpy's reduction over a non-last axis of few columns."""
-    return np.ones((1, A.shape[-2])) @ A
+    return _ones_row(A.shape[-2]) @ A
 
 
 def block_loss(block, R):
     """(1 / 2n) times the column sums of squares of a residual block, per
-    dataset, with a trailing row axis of 1; padded rows count for nothing."""
-    R = R * block.mask
+    dataset, with a trailing row axis of 1."""
     return 0.5 * _colsum(R * R) / block.n
 
 
 def loss_gradient(block, R):
     """Gradients of the loss at residual R with respect to the intercept
-    (..., 1, q), B (..., p, q) and C (..., r_max, q), per dataset; padded
-    rows count for nothing."""
-    R = R * block.mask
-    XtR, ZtR = (np.swapaxes(A, -1, -2) @ R for A in (block.X, block.Z))
-    return -_colsum(R) / block.n, -XtR / block.n, -ZtR / block.n
+    (..., 1, q), B (..., p, q) and C (..., r_max, q), per dataset."""
+    uR, XtR, ZtR = (np.swapaxes(A, -1, -2) @ R for A in (block.u, block.X, block.Z))
+    return -uR / block.n, -XtR / block.n, -ZtR / block.n
 
 
 def group_norms(B):

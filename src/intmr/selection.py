@@ -12,11 +12,13 @@ fits start near a solution.  All chains run as one stacked ADMM (see
 admm.run_chains): fold data is stacked once as (dataset, fold), with the
 responses repeated once per gamma so that a fold's chains are side-by-side
 column groups of one iterate, and the grid narrows to the chains still
-running as chains end their paths.  select_many stacks the folds of several
-independent problems on the same fold axis, each fold with its own
-problem's lambda and gamma paths, so one loop serves, say, every response
-or every dataset of a per-response or per-dataset baseline.  The scorer
-narrows the held-out block only when the working set changes.
+running as chains end their paths.  Each training fold is compressed to at
+most 1 + p + r_max + q rows (model.compress); the held-out rows are not.
+select_many stacks the folds of several independent problems on the same
+fold axis, each fold with its own problem's lambda and gamma paths, so one
+loop serves, say, every response or every dataset of a per-response or
+per-dataset baseline.  The scorer narrows the held-out block only when the
+working set changes.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    DatasetBlock, IntegratedDataset, HyperParams, block_loss, group_norms,
+    DatasetBlock, IntegratedDataset, HyperParams, block_loss, compress, group_norms,
     loss_gradient, predict, stack,
 )
 from .admm import AdmmSolver, chain_sums, ridge_factors, run_chains, zero_state
@@ -109,7 +111,7 @@ def penalty_ceiling(data):
     # summed in row order like Y.mean(axis=0); _colsum rounds differently
     # and shifts about 1 ceiling in 7, and so the written grid, by an ulp
     mean = block.Y.sum(axis=-2, keepdims=True) / block.n
-    _, g_B, g_C = loss_gradient(block, block.Y - mean)
+    _, g_B, g_C = loss_gradient(block, block.Y - block.u * mean)
     lam_ref = float(group_norms(g_B).max(initial=0.0))
     gamma_ref = float(np.abs(g_C).max(initial=0.0))
     # tiny relative bump keeps the ceiling strictly inside the all-zero
@@ -217,8 +219,10 @@ def _cv_matrices(problems, grids, folds, opts, rho):
     K, L, G = folds[0].K, len(grids[0].lambdas), len(grids[0].gammas)
     splits = (_split(d, f, k) for d, f in zip(problems, folds) for k in range(1, K + 1))
     # each side's (fold, dataset) blocks stack as (dataset, fold); the
-    # unstacked copies are freed once both are built
+    # unstacked copies are freed once both are built.  Only the training
+    # side is compressed: the held-out rows score a fit row by row
     train, held = (stack(np.array(side, dtype=object).T, G) for side in zip(*splits))
+    train = compress(train)
     shape = (len(problems) * K, G)
     per_fold = np.zeros((len(problems) * K, L, G))
     working = None

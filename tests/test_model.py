@@ -6,13 +6,18 @@ from intmr.model import (
     IntegratedDataset,
     HyperParams,
     ModelFit,
+    _evaluate,
+    compress,
     objective,
     residual_matrix,
     group_norms,
     predict,
+    stack,
 )
-from intmr.admm import SolverOptions, fit, kkt_residual
-from intmr.selection import penalty_ceiling
+from intmr.admm import (
+    AdmmSolver, SolverOptions, fit, kkt_residual, ridge_factors, run_chains, zero_state,
+)
+from intmr.selection import default_grid, penalty_ceiling
 from helpers import make_data, random_fit, objective_reference
 
 
@@ -311,3 +316,69 @@ class TestStackedEvaluation:
         ref = kkt_reference(data, rep.fit, hp)
         assert ref < 1e-6
         assert kkt_residual(data, rep.fit, hp) == pytest.approx(ref, abs=1e-12)
+
+
+class TestCompress:
+    """compress replaces a tall stack's rows by the R of a QR of
+    [u X Z Y]; on two datasets of 40 and 4,000 rows (p = 20, r_m = 5 and
+    30, q = 2) that is 1 + 20 + 30 + 2 = 53 rows."""
+
+    def tall(self):
+        rng = np.random.default_rng(60)
+        return make_data(rng, M=2, n=[40, 4000], p=20, q=2, r=[5, 30])
+
+    def test_short_block_returned_as_is(self):
+        rng = np.random.default_rng(61)
+        for n in ([8, 6], 8):
+            block = stack(make_data(rng, M=2, n=n, p=3, q=2, r=[2, 1]), chains=3)
+            assert compress(block) is block
+
+    def test_compressed_rows_keep_every_inner_product(self):
+        block = stack(self.tall(), chains=3)
+        small = compress(block)
+        k = 1 + 20 + 30 + 2
+        assert small.Y.shape[-2] == k and small.X.shape[-2] == k
+        assert (small.Y == np.tile(small.Y[..., :2], 3)).all()
+        A, S = (np.concatenate([b.u, b.X, b.Z, b.Y[..., :2]], axis=-1) for b in (block, small))
+        # dataset m keeps min(n_m, k) nonzero rows: 40 and 53
+        assert (S[0, 40:] == 0).all() and (np.abs(S[:, :40]).sum(axis=-1) > 0).all()
+        assert (np.abs(S[1]).sum(axis=-1) > 0).all()
+        gram = np.swapaxes(A, -1, -2) @ A
+        assert np.abs(np.swapaxes(S, -1, -2) @ S - gram).max() <= 1e-12 * np.abs(gram).max()
+        assert (small.n == block.n).all() and small.r == block.r
+
+    def test_tall_fit_matches_uncompressed_run(self):
+        # a fixed 20 iterations on each side, so that the two runs cannot
+        # stop at different checks, and the KKT residual (about 8e-3) is
+        # still far above the rounding in its gradient terms
+        data = self.tall()
+        hp = HyperParams(0.02, 0.02)
+        opts = SolverOptions(tol=1e-300, max_iter=20)
+        solver = AdmmSolver(data, rho=hp.rho)
+        assert solver.block.Y.shape[-2] == 53
+        rep = solver.fit(hp, opts)
+        block = stack(data)
+        state = zero_state(block)
+        run_chains(block, ridge_factors(block, hp.rho), state, hp.rho, [hp.lam], [hp.gamma],
+                   opts)
+        got = rep.state
+        assert rep.iterations == state.iteration == 20
+        for name in ("alpha", "B", "C", "B_bar", "C_bar"):
+            want = getattr(state, name)
+            assert np.abs(getattr(got, name) - want).max() <= 1e-10 * np.abs(want).max(), name
+        assert rep.fit.support_B.any() and rep.fit.support_C[1].any()
+        value, kkt = _evaluate(block, state.alpha, state.B_bar, state.C_bar, hp)
+        assert rep.objective == pytest.approx(value, rel=1e-10, abs=0)
+        assert rep.kkt_residual == pytest.approx(kkt, rel=1e-10, abs=0)
+        assert rep.objective == objective(data, rep.fit, hp)
+        assert rep.kkt_residual == kkt_residual(data, rep.fit, hp)
+
+    def test_default_grid_uses_the_uncompressed_rows(self):
+        # the ceiling is summed in row order, like the per-dataset
+        # reference, to the last bit; on compressed rows it would round
+        # differently
+        data = self.tall()
+        lam_ref, gamma_ref = ceiling_reference(data)
+        grid = default_grid(data, n_lambdas=6, n_gammas=4)
+        assert np.array_equal(grid.lambdas, np.geomspace(lam_ref, lam_ref * 1e-3, 6))
+        assert np.array_equal(grid.gammas, np.geomspace(gamma_ref, gamma_ref * 1e-3, 4))
