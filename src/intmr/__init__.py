@@ -44,8 +44,6 @@ from .sim import (
     generate,
     mse,
     fpr_fnr,
-    fit_ur,
-    fit_mlasso,
     run_study,
 )
 

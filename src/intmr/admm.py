@@ -23,7 +23,7 @@ problem as the next: each fold may carry its own lambda and gamma paths.
 run_chains advances such a grid through the steps in one loop, narrowed to
 the chains still running; AdmmSolver.fit is its one-chain case.  The ridge
 steps use a thin SVD of X and of Z, one batched SVD each, computed once per
-stack (rho stays fixed).  The intercept enters as u alpha', with u the
+run (rho stays fixed).  The intercept enters as u alpha', with u the
 block's intercept column (see model.PaddedBlock), and a stack with more rows
 than 1 + p + r_max + q is first compressed to the R of a thin QR
 (model.compress), which leaves every step unchanged up to rounding.  The
@@ -342,14 +342,15 @@ def _check_paths(rho, lambdas, gammas):
             raise ValueError("%s must be finite and nonnegative" % name)
 
 
-def run_chains(block, factors, state, rho, lambdas, gammas, opts=None,
-               on_stop=None, trace=None):
+def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
+               trace=None):
     """Advance a grid of warm-start chains through one ADMM loop.
 
     Chain g of a fold is the g-th group of q columns of block.Y and of the
-    state (see stack); the grid's cells are (*folds, G).  `factors` holds
-    the block's ridge factors.  The penalty paths, lambdas (L,) and gammas
-    (G,), are shared by every fold, or given per fold as (*folds, L) and
+    state (see stack); the grid's cells are (*folds, G).  The run starts
+    from `state`, or from zero_state(block) when none is given, and computes
+    the block's ridge factors itself.  The penalty paths, lambdas (L,) and
+    gammas (G,), are shared by every fold, or given per fold as (*folds, L) and
     (*folds, G), so that folds of independent problems can share one run.
     They are checked once, before the first iteration.
 
@@ -372,7 +373,9 @@ def run_chains(block, factors, state, rho, lambdas, gammas, opts=None,
     working chain's cell (its flat index into the grid, a new array
     exactly when the working set changed) and its index into its lambda
     path.  Each check appends the Lagrangian of every working chain to
-    `trace` when one is given; `state` ends holding the last working set.
+    `trace` when one is given; a given `state` ends holding the last
+    working set.  The caller need keep no reference to block: the first
+    narrowing then frees the full-size arrays.
 
     Returns the iteration count and convergence flag of every fit, shaped
     (*folds, G, L).
@@ -403,7 +406,9 @@ def run_chains(block, factors, state, rho, lambdas, gammas, opts=None,
         return hp, _columns(lambda_thresh[fits], q), _columns(gamma_thresh[cell], q)
 
     hp, lam_thresh, gam_thresh = penalties()
-    fx, fz = factors
+    fx, fz = ridge_factors(block, rho)
+    if state is None:
+        state = zero_state(block)
     XB, ZC = block.X @ state.B, block.Z @ state.C
     while active.any():
         state.alpha = update_intercept(block, XB, ZC)
@@ -477,14 +482,15 @@ def run_chains(block, factors, state, rho, lambdas, gammas, opts=None,
 
 
 class AdmmSolver:
-    """Caches the stacked data and its ridge factors for repeated fits on
-    one dataset collection with a fixed rho (warm starts, refits)."""
+    """Caches the stacked, compressed data for repeated fits on one dataset
+    collection with a fixed rho (warm starts, refits)."""
 
     def __init__(self, data, rho=1.0):
         if not isinstance(data, IntegratedDataset):
             data = IntegratedDataset(tuple(data))
+        if not (rho > 0 and np.isfinite(rho)):
+            raise ValueError("rho must be positive and finite")
         self.block = compress(stack(data))
-        self._factors = ridge_factors(self.block, rho)
         self.data = data
         self.rho = float(rho)
 
@@ -501,7 +507,7 @@ class AdmmSolver:
             state = init.copy()
         trace = []
         iterations, converged = run_chains(
-            block, self._factors, state, self.rho, [hp.lam], [hp.gamma], opts, trace=trace
+            block, self.rho, [hp.lam], [hp.gamma], opts, state=state, trace=trace
         )
         result = ModelFit(
             alpha=tuple(state.alpha.copy()),

@@ -1,10 +1,12 @@
 """Command line interface.
 
 Subcommands: fit (single penalty pair), cv (grid search + refit), simulate
-(Monte Carlo study), report (coefficient tables from a saved model).  A JSON
-config file can carry any flag value plus the dataset file paths; explicit
-flags win over config values.  Exit codes: 0 success, 2 usage or config
-problems, 1 runtime failures; errors are emitted as a JSON object on stderr.
+(Monte Carlo study), report (coefficient tables from a saved model).  Each
+subcommand takes only the flags it reads, while a JSON config file can carry
+any flag's value plus the dataset file paths, so one file serves fit, cv and
+report; explicit flags win over config values.  Exit codes: 0 success, 2
+usage or config problems, 1 runtime failures; errors are emitted as a JSON
+object on stderr.
 """
 
 import argparse
@@ -33,50 +35,46 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--out", help="output directory (default: current directory)")
-    p.add_argument("--seed", type=int, help="fold and simulation seed (default 0)")
-    p.add_argument("--k", type=int, help="number of CV folds (default 5)")
-    p.add_argument("--tol", type=float, help="solver convergence tolerance (default 1e-7)")
-    p.add_argument("--max-iter", type=int, help="solver iteration cap (default 10000)")
-    p.add_argument(
-        "--standardize",
-        choices=_STANDARDIZE,
-        help="center and scale covariate columns before fitting (default false)",
-    )
-    p.add_argument(
-        "--keep-standardized",
-        action="store_true",
-        default=None,
-        help="report coefficients on the standardized scale instead of the original",
-    )
-    p.add_argument(
-        "--metric-mode",
-        choices=_METRIC_MODES,
-        help="selection-rate denominator convention (default paper)",
-    )
-    p.add_argument(
-        "--threads",
-        type=int,
-        help="accepted for compatibility and must be at least 1; fits run in one thread",
-    )
+# The flags shared by several subcommands; each subcommand takes the ones
+# it reads (see build_parser), while the config keys stay shared.
+_FLAGS = {
+    "config": dict(help="JSON config file; flags override its values"),
+    "out": dict(help="output directory (default: current directory)"),
+    "seed": dict(type=int, help="fold and simulation seed (default 0)"),
+    "k": dict(type=int, help="number of CV folds (default 5)"),
+    "tol": dict(type=float, help="solver convergence tolerance (default 1e-7)"),
+    "max-iter": dict(type=int, help="solver iteration cap (default 10000)"),
+    "standardize": dict(choices=_STANDARDIZE, help="center and scale covariate columns "
+                        "before fitting (default false)"),
+    "keep-standardized": dict(action="store_true", default=None, help="report coefficients "
+                              "on the standardized scale instead of the original"),
+    "metric-mode": dict(choices=_METRIC_MODES,
+                        help="selection-rate denominator convention (default paper)"),
+    "threads": dict(type=int, help="accepted for compatibility and must be at least 1; "
+                    "fits run in one thread"),
+}
+
+
+def _add_flags(p, names):
+    for name in ("config", "out") + names:
+        p.add_argument("--" + name, **_FLAGS[name])
 
 
 def build_parser():
     parser = _Parser(prog="intmr", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
+    data_flags = ("tol", "max-iter", "standardize", "keep-standardized")
     p_fit = sub.add_parser("fit", help="fit at one (lambda, gamma)")
     p_fit.add_argument("--lambda", dest="lam", type=float, help="group penalty (default 0)")
     p_fit.add_argument("--gamma", type=float, help="entrywise penalty (default 0)")
-    _add_common(p_fit)
+    _add_flags(p_fit, data_flags)
     p_cv = sub.add_parser("cv", help="cross-validated grid search and refit")
     p_cv.add_argument(
         "--grid",
         help="grid spec: NxM for a data-driven grid with N lambdas and M gammas, "
         "or explicit 'l1,l2,...;g1,g2,...' (default 15x15)",
     )
-    _add_common(p_cv)
+    _add_flags(p_cv, ("seed", "k", "threads") + data_flags)
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo study")
     p_sim.add_argument(
         "--scenario",
@@ -87,10 +85,10 @@ def build_parser():
     p_sim.add_argument("--methods", help="comma list from mr,ur,mlasso,lasso")
     p_sim.add_argument("--grid", help="grid spec NxM for the study fits (default 15x15)")
     p_sim.add_argument("--n-test", type=int, help="test rows per dataset (default 1000)")
-    _add_common(p_sim)
+    _add_flags(p_sim, ("seed", "k", "threads", "tol", "max-iter", "metric-mode"))
     p_rep = sub.add_parser("report", help="coefficient tables from a saved model")
     p_rep.add_argument("--model", help="model JSON written by fit or cv")
-    _add_common(p_rep)
+    _add_flags(p_rep, ())
     return parser
 
 
@@ -391,7 +389,8 @@ def _cmd_report(cfg):
     x_header = z_headers = None
     recomputed = {}
     if cfg.get("blocks"):
-        loaded, data, record = _load_blocks(cfg)
+        # report reads only the raw data and headers, so it never standardizes
+        loaded = io.load_dataset(cfg["blocks"])
         x_header, z_headers = loaded.x_header, loaded.z_headers
         if "lambda" in meta and not meta.get("standardized_fit"):
             hp = HyperParams(

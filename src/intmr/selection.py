@@ -29,7 +29,7 @@ from .model import (
     DatasetBlock, IntegratedDataset, HyperParams, block_loss, compress, group_norms,
     loss_gradient, predict, stack,
 )
-from .admm import AdmmSolver, chain_sums, ridge_factors, run_chains, zero_state
+from .admm import AdmmSolver, chain_sums, run_chains
 
 __all__ = [
     "FoldAssignment",
@@ -220,9 +220,10 @@ def _cv_matrices(problems, grids, folds, opts, rho):
     splits = (_split(d, f, k) for d, f in zip(problems, folds) for k in range(1, K + 1))
     # each side's (fold, dataset) blocks stack as (dataset, fold); the
     # unstacked copies are freed once both are built.  Only the training
-    # side is compressed: the held-out rows score a fit row by row
-    train, held = (stack(np.array(side, dtype=object).T, G) for side in zip(*splits))
-    train = compress(train)
+    # side is compressed: the held-out rows score a fit row by row.  It is
+    # popped into run_chains, its one holder, so narrowing frees it
+    sides = [stack(np.array(side, dtype=object).T, G) for side in zip(*splits)]
+    held = sides.pop()
     shape = (len(problems) * K, G)
     per_fold = np.zeros((len(problems) * K, L, G))
     working = None
@@ -239,8 +240,7 @@ def _cv_matrices(problems, grids, folds, opts, rho):
         per_fold[k[stopped], position[stopped], j[stopped]] = s[stopped]
 
     iterations, converged = run_chains(
-        train, ridge_factors(train, rho), zero_state(train), float(rho),
-        np.repeat([g.lambdas for g in grids], K, axis=0),
+        compress(sides.pop()), float(rho), np.repeat([g.lambdas for g in grids], K, axis=0),
         np.repeat([g.gammas for g in grids], K, axis=0), opts, on_stop=score,
     )
     return [

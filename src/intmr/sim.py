@@ -3,11 +3,13 @@
 Generates collections of datasets from a sparse two-response truth, fits the
 joint estimator and single-dataset baselines with cross-validated penalties,
 and scores prediction error and support recovery over replicates.  The
-baselines are the joint selection under two splits: ur splits Y by response
-column, mlasso routes each dataset on its own as a p = 0 problem with
-specific covariates [X Z], and lasso does both.  A baseline's problems run
-as one select_many, each refits on its own, and the refits of a split are
-joined column-wise.
+methods are reached through run_study, and _fit_method is the one path from
+a method name to its fit: mr is the joint selection (select), and each
+baseline is that selection under a split, run by _select_split.  ur splits
+Y by response column, mlasso routes each dataset on its own as a p = 0
+problem with specific covariates [X Z], and lasso does both.  A baseline's
+problems run as one select_many, each refits on its own, and the refits of
+a split are joined column-wise.
 
 Random streams are derived from numpy SeedSequence keys
 (seed, replicate, dataset, purpose) with purpose 0 for training data and 1
@@ -32,8 +34,6 @@ __all__ = [
     "generate",
     "mse",
     "fpr_fnr",
-    "fit_ur",
-    "fit_mlasso",
     "run_study",
     "METHODS",
     "scenario_name",
@@ -204,25 +204,6 @@ def fpr_fnr(fit, tset, mode="paper"):
 # baselines
 
 
-@dataclass(frozen=True)
-class UrResult:
-    """Per-response selections plus their column-stacked joint fit."""
-
-    per_response: tuple
-    fit: ModelFit
-
-
-@dataclass(frozen=True)
-class MlassoResult:
-    """Single-dataset lasso over all covariates, partitioned back into the
-    shared/specific blocks of the original dataset."""
-
-    selection: object
-    alpha: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-
-
 def _route(block):
     """One dataset as a one-dataset problem with p = 0 whose specific
     covariates are [X Z], so that only the entrywise penalty applies."""
@@ -236,44 +217,32 @@ def _unroute(fit, block):
     return fit.alpha[0], fit.C[0][: block.p], fit.C[0][block.p :]
 
 
-def _select_split(datas, per_response, K, seed, opts, grid_size, grid=None):
-    """Select every problem of the dataset collections in one select_many.
+def _select_split(data, per_response, routed, K, seed, opts, grid_size):
+    """The fit of one baseline: data split into problems that run as one
+    select_many.
 
-    A collection is one problem, or one per response column when
-    per_response is set.  Returns, per collection, its selections and the
-    ModelFit of their refits joined column-wise.
+    data is one problem, or one per dataset when routed (see _route), and
+    each of these is split into one per response column when per_response
+    is set.  A routed problem has p = 0, so its grid has the one placeholder
+    lambda whatever grid_size asks.  Each problem refits on its own; the
+    refits of a problem's parts are joined column-wise, and routed
+    coefficients map back to (B, C).
     """
+    datas = [_route(b) for b in data] if routed else [data]
     split = [[IntegratedDataset(tuple(DatasetBlock(Y=b.Y[:, [k]], X=b.X, Z=b.Z) for b in d))
               for k in range(d.q)] if per_response else [d] for d in datas]
     problems = [p for parts in split for p in parts]
-    grids = [grid if grid is not None else default_grid(p, *grid_size) for p in problems]
-    selections = iter(select_many(problems, grids, K=K, seed=seed, opts=opts))
-    out = []
+    grids = [default_grid(p, *grid_size) for p in problems]
+    fits = (r.refit.fit for r in select_many(problems, grids, K=K, seed=seed, opts=opts))
+    joined = []
     for parts in split:
-        results = tuple(next(selections) for _ in parts)
+        part_fits = [next(fits) for _ in parts]
         # each dataset's alpha, B and C, the parts side by side
-        joined = (tuple(map(np.hstack, zip(*(getattr(r.refit.fit, name) for r in results))))
-                  for name in ("alpha", "B", "C"))
-        out.append((results, ModelFit(*joined)))
-    return out
-
-
-def fit_ur(data, K=5, seed=0, opts=None, grid=None, grid_size=(15, 15)):
-    """Separate cross-validated fit per response; identical to the joint fit
-    when q = 1.  The q selections run as one select_many."""
-    [(results, joined)] = _select_split((data,), True, K, seed, opts, grid_size, grid)
-    return UrResult(per_response=results, fit=joined)
-
-
-def fit_mlasso(block, K=5, seed=0, opts=None, n_gammas=15):
-    """Entrywise-l1 fit of one dataset over all of its covariates.
-
-    Routes both covariate blocks through the specific-covariate path of the
-    joint solver (a one-dataset problem with p = 0), so the group penalty
-    plays no role and the model is a plain multivariate lasso.
-    """
-    [((res,), joined)] = _select_split((_route(block),), False, K, seed, opts, (1, n_gammas))
-    return MlassoResult(res, *_unroute(joined, block))
+        joined.append(ModelFit(*(tuple(map(np.hstack, zip(*(getattr(f, name) for f in part_fits))))
+                                 for name in ("alpha", "B", "C"))))
+    if not routed:
+        return joined[0]
+    return ModelFit(*zip(*(_unroute(f, b) for f, b in zip(joined, data))))
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +250,8 @@ def fit_mlasso(block, K=5, seed=0, opts=None, n_gammas=15):
 
 
 METHODS = ("mr", "ur", "mlasso", "lasso")
+# each baseline's split: (by response column, each dataset routed on its own)
+_SPLITS = {"ur": (True, False), "mlasso": (False, True), "lasso": (True, True)}
 
 
 @dataclass(frozen=True)
@@ -370,17 +341,13 @@ def parse_scenario(name, **overrides):
 
 
 def _fit_method(method, data, K, seed, opts, grid_size):
+    """The study's fit of one method: mr through select, a baseline
+    through _select_split."""
     if method == "mr":
-        grid = default_grid(data, *grid_size)
-        res = select(data, grid, K=K, seed=seed, opts=opts)
-        return res.refit.fit
-    if method == "ur":
-        return fit_ur(data, K=K, seed=seed, opts=opts, grid_size=grid_size).fit
-    if method in ("mlasso", "lasso"):
-        joined = _select_split([_route(b) for b in data], method == "lasso", K, seed, opts,
-                               (1, grid_size[1]))
-        return ModelFit(*zip(*(_unroute(f, b) for (_, f), b in zip(joined, data))))
-    raise ValueError("unknown method %r (choose from %s)" % (method, ", ".join(METHODS)))
+        return select(data, default_grid(data, *grid_size), K=K, seed=seed, opts=opts).refit.fit
+    if method not in _SPLITS:
+        raise ValueError("unknown method %r (choose from %s)" % (method, ", ".join(METHODS)))
+    return _select_split(data, *_SPLITS[method], K, seed, opts, grid_size)
 
 
 def _run_replicate(config, name, rep, methods, K, opts, grid_size, metric_mode):

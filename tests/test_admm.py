@@ -539,8 +539,7 @@ def run_recording(block, lambdas, gammas):
             finals[cell[k, j]] = (state.alpha[:, k, cols], state.B_bar[:, k, :, cols],
                                   state.C_bar[:, k, :, cols])
 
-    out = run_chains(block, ridge_factors(block, 1.0), zero_state(block), 1.0, lambdas, gammas,
-                     on_stop=record)
+    out = run_chains(block, 1.0, lambdas, gammas, on_stop=record)
     return out, finals, shapes
 
 
@@ -577,7 +576,7 @@ class TestRunChains:
         block = stack(make_data(np.random.default_rng(39), M=2, n=10, p=2, q=1, r=1))
         state = zero_state(block)
         with pytest.raises(ValueError):
-            run_chains(block, ridge_factors(block, 1.0), state, rho, lambdas, gammas)
+            run_chains(block, rho, lambdas, gammas, state=state)
         assert state.iteration == 0
 
 

@@ -111,7 +111,20 @@ class TestUsageErrors:
 
     def test_k_too_small(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
-        self.check(capsys, "fit", "--config", cfg, "--k", "1")
+        doc = self.check(capsys, "cv", "--config", cfg, "--k", "1")
+        assert "--k" in doc["message"]
+
+    # each subcommand takes only the flags it reads; these flags were
+    # accepted and changed nothing
+    @pytest.mark.parametrize(
+        "args",
+        [["fit", "--seed", "1"], ["cv", "--metric-mode", "paper"],
+         ["simulate", "--standardize", "true"], ["report", "--tol", "1e-6"]],
+        ids=["fit-seed", "cv-metric-mode", "simulate-standardize", "report-tol"],
+    )
+    def test_flag_the_subcommand_does_not_read(self, capsys, args):
+        doc = self.check(capsys, *args)
+        assert "unrecognized arguments: " + args[1] in doc["message"]
 
     def test_negative_penalty(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -394,6 +407,26 @@ class TestReport:
         assert summary["objective_recomputed"] == pytest.approx(
             summary["meta"]["objective"], rel=1e-9
         )
+
+    def test_report_does_not_standardize(self, tmp_path, capsys):
+        # a constant covariate column cannot be standardized; report reads
+        # the data only for its headers and the recomputed diagnostics, so
+        # the config's standardize setting must not stop it
+        rng = np.random.default_rng(3)
+        tables = {"x": ("x1,x2", np.column_stack([np.ones(12), rng.standard_normal(12)])),
+                  "y": ("resp1", rng.standard_normal((12, 1)))}
+        for name, (header, table) in tables.items():
+            np.savetxt(tmp_path / (name + ".csv"), table, delimiter=",", header=header,
+                       comments="")
+        blocks = [{"y": str(tmp_path / "y.csv"), "x": str(tmp_path / "x.csv")}]
+        cfg = write_config(tmp_path, blocks=blocks, out=str(tmp_path), standardize="true")
+        code, _, err = run(capsys, "fit", "--config", cfg, "--standardize", "false",
+                           "--lambda", "0.1")
+        assert code == 0, err
+        code, _, err = run(capsys, "report", "--model", str(tmp_path / "model.json"),
+                           "--config", cfg)
+        assert code == 0, err
+        assert "kkt_residual_recomputed" in read_json(tmp_path / "summary.json")
 
     def test_report_without_data(self, tmp_path, capsys):
         cfg = write_config(tmp_path, out=str(tmp_path))

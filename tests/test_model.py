@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intmr.model import (
     DatasetBlock,
@@ -15,7 +16,7 @@ from intmr.model import (
     stack,
 )
 from intmr.admm import (
-    AdmmSolver, SolverOptions, fit, kkt_residual, ridge_factors, run_chains, zero_state,
+    AdmmSolver, SolverOptions, fit, kkt_residual, run_chains, zero_state,
 )
 from intmr.selection import default_grid, penalty_ceiling
 from helpers import make_data, random_fit, objective_reference
@@ -347,6 +348,38 @@ class TestCompress:
         assert np.abs(np.swapaxes(S, -1, -2) @ S - gram).max() <= 1e-12 * np.abs(gram).max()
         assert (small.n == block.n).all() and small.r == block.r
 
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_stacks_keep_every_inner_product(self, data):
+        # (dataset) or (dataset, fold) stacks of unequal n_m on both sides of
+        # k = 1 + p + r_max + q, with p = 0 and r_m = 0 among the cases
+        M, p, q = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (0, 3), (1, 2)))
+        folds = data.draw(st.sampled_from([None, 2, 3]))
+        chains = data.draw(st.sampled_from([1, 3]))
+        r = data.draw(st.lists(st.integers(0, 3), min_size=M, max_size=M))
+        k = 1 + p + max(r) + q
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+        def draw_data():
+            n = data.draw(st.lists(st.integers(1, 2 * k), min_size=M, max_size=M))
+            return make_data(rng, M=M, n=n, p=p, q=q, r=r)
+
+        if folds is None:
+            block = stack(draw_data(), chains=chains)
+        else:
+            parts = [draw_data() for _ in range(folds)]
+            block = stack([[f[m] for f in parts] for m in range(M)], chains=chains)
+        small = compress(block)
+        if block.Y.shape[-2] <= k:
+            assert small is block
+            return
+        assert {a.shape[-2] for a in (small.u, small.X, small.Z, small.Y)} == {k}
+        assert (small.n == block.n).all() and small.r == block.r
+        assert (small.Y == np.tile(small.Y[..., :q], chains)).all()
+        A, S = (np.concatenate([b.u, b.X, b.Z, b.Y[..., :q]], axis=-1) for b in (block, small))
+        gram = np.swapaxes(A, -1, -2) @ A
+        assert np.abs(np.swapaxes(S, -1, -2) @ S - gram).max() <= 1e-12 * np.abs(gram).max()
+
     def test_tall_fit_matches_uncompressed_run(self):
         # a fixed 20 iterations on each side, so that the two runs cannot
         # stop at different checks, and the KKT residual (about 8e-3) is
@@ -359,8 +392,7 @@ class TestCompress:
         rep = solver.fit(hp, opts)
         block = stack(data)
         state = zero_state(block)
-        run_chains(block, ridge_factors(block, hp.rho), state, hp.rho, [hp.lam], [hp.gamma],
-                   opts)
+        run_chains(block, hp.rho, [hp.lam], [hp.gamma], opts, state=state)
         got = rep.state
         assert rep.iterations == state.iteration == 20
         for name in ("alpha", "B", "C", "B_bar", "C_bar"):

@@ -3,7 +3,7 @@ import pytest
 
 from intmr.model import DatasetBlock, IntegratedDataset, HyperParams, residual_matrix, stack
 from intmr.admm import (
-    AdmmSolver, SolverOptions, fit, ridge_factors, run_chains, zero_state,
+    AdmmSolver, SolverOptions, fit, run_chains,
 )
 from intmr import selection
 from intmr.selection import (
@@ -357,12 +357,12 @@ def working_shapes(monkeypatch):
     grid loop of select."""
     shapes = []
 
-    def spy(block, factors, state, rho, lambdas, gammas, opts=None, on_stop=None):
+    def spy(block, rho, lambdas, gammas, opts=None, on_stop=None):
         def record(state, *rest):
             shapes.append(state.alpha.shape[1:])
             on_stop(state, *rest)
 
-        return run_chains(block, factors, state, rho, lambdas, gammas, opts, on_stop=record)
+        return run_chains(block, rho, lambdas, gammas, opts, on_stop=record)
 
     monkeypatch.setattr(selection, "run_chains", spy)
     return shapes
@@ -409,7 +409,7 @@ class TestStackedGrid:
                                   shapes=working_shapes)
 
     def test_no_shared_covariates_route(self, working_shapes):
-        # the one-dataset p = 0 problem that fit_mlasso routes through
+        # the one-dataset p = 0 problem that the mlasso baseline routes through
         # select; its width-0 B is narrowed with the rest of the state
         rng = np.random.default_rng(42)
         block = make_data(rng, M=1, n=20, p=4, q=2, r=3)[0]
@@ -478,13 +478,10 @@ class TestStackedGrid:
         # path, the other fold still runs three, so the finished chain stays
         # in the working set as padding
         block = two_fold_stack(np.random.default_rng(48), chains=3)
-        factors = ridge_factors(block, 1.0)
         lambdas, gammas = (0.3, 0.02), np.array([0.5, 0.05, 0.005])
 
         def run(on_stop=None):
-            return run_chains(
-                block, factors, zero_state(block), 1.0, lambdas, gammas, on_stop=on_stop,
-            )
+            return run_chains(block, 1.0, lambdas, gammas, on_stop=on_stop)
 
         iters, _ = run()
         totals = iters.sum(axis=-1).ravel()
@@ -509,7 +506,6 @@ class TestStackedGrid:
 
     def test_running_chain_still_raises_after_narrowing(self):
         block = two_fold_stack(np.random.default_rng(49), chains=3)
-        factors = ridge_factors(block, 1.0)
         lambdas, gammas = (0.3, 0.02), np.array([0.5, 0.05, 0.005])
         seen = []
 
@@ -522,12 +518,11 @@ class TestStackedGrid:
                 state.C_dual[:, k, :, 2 * j] = np.nan
 
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
-            run_chains(block, factors, zero_state(block), 1.0, lambdas, gammas, on_stop=poison)
+            run_chains(block, 1.0, lambdas, gammas, on_stop=poison)
         assert seen[-1] != seen[0]
 
     def test_state_narrows_to_the_running_chains(self):
         block = two_fold_stack(np.random.default_rng(50), chains=3, n=(20, 60))
-        factors = ridge_factors(block, 1.0)
         lambdas, gammas = (0.3, 0.1, 0.02), np.array([0.5, 0.05, 0.005])
         seen = []
 
@@ -540,6 +535,6 @@ class TestStackedGrid:
             assert state.B.shape[1:] == (cell.shape[0], 3, 2 * cell.shape[1])
             seen.append(cell.shape)
 
-        run_chains(block, factors, zero_state(block), 1.0, lambdas, gammas, on_stop=record)
+        run_chains(block, 1.0, lambdas, gammas, on_stop=record)
         assert seen[0] == (2, 3) and seen[-1] == (1, 1)
         assert all(a >= b for prev, now in zip(seen, seen[1:]) for a, b in zip(prev, now))

@@ -3,7 +3,7 @@ import pytest
 
 from intmr.model import DatasetBlock, IntegratedDataset, HyperParams, ModelFit
 from intmr.admm import SolverOptions, fit
-from intmr.selection import CvGrid, default_grid, select
+from intmr.selection import default_grid, select
 from intmr.sim import (
     SimConfig,
     TruthSet,
@@ -12,8 +12,6 @@ from intmr.sim import (
     generate,
     mse,
     fpr_fnr,
-    fit_ur,
-    fit_mlasso,
     run_study,
     scenario_name,
     parse_scenario,
@@ -234,13 +232,13 @@ class TestBaselines:
             Y = X[:, :1] * 1.5 + 0.3 * rng.standard_normal((25, 1))
             blocks.append(DatasetBlock(Y=Y, X=X, Z=Z))
         data = IntegratedDataset(tuple(blocks))
-        grid = CvGrid(lambdas=(0.5, 0.1), gammas=(0.3, 0.06))
         opts = SolverOptions(tol=1e-10)
-        direct = select(data, grid, K=5, seed=3, opts=opts)
-        ur = fit_ur(data, K=5, seed=3, opts=opts, grid=grid)
+        direct = select(data, default_grid(data, 2, 2), K=5, seed=3, opts=opts).refit.fit
+        ur = _fit_method("ur", data, 5, 3, opts, (2, 2))
         for m in range(2):
-            assert np.array_equal(ur.fit.B[m], direct.refit.fit.B[m])
-            assert np.array_equal(ur.fit.C[m], direct.refit.fit.C[m])
+            assert np.array_equal(ur.alpha[m], direct.alpha[m])
+            assert np.array_equal(ur.B[m], direct.B[m])
+            assert np.array_equal(ur.C[m], direct.C[m])
 
     def test_batched_baselines_equal_per_problem_selects(self):
         # each baseline runs its selections through one select_many; every
@@ -276,26 +274,14 @@ class TestBaselines:
                 assert np.array_equal(got.alpha[m], alpha), method
                 assert np.array_equal(got.B[m], B), method
                 assert np.array_equal(got.C[m], C), method
-        # the public views of the same selections
-        ur_fit = fit_ur(data, K=3, seed=4, opts=opts, grid_size=(3, 2)).fit
-        for m, (alpha, B, C) in enumerate(want["ur"]):
-            assert np.array_equal(ur_fit.alpha[m], alpha)
-            assert np.array_equal(ur_fit.B[m], B)
-            assert np.array_equal(ur_fit.C[m], C)
-        for b, (alpha, B, C) in zip(data, want["mlasso"]):
-            res = fit_mlasso(b, K=3, seed=4, opts=opts, n_gammas=2)
-            assert np.array_equal(res.alpha, alpha)
-            assert np.array_equal(res.B, B)
-            assert np.array_equal(res.C, C)
 
     def test_ur_stacks_to_joint_dimensions(self):
         cfg = SimConfig(M=2, n=30, s=0)
         data, _, _ = generate(cfg, replicate=0)
-        ur = fit_ur(data, K=3, seed=0, grid_size=(4, 3))
-        assert len(ur.per_response) == 2
-        assert ur.fit.p == 10 and ur.fit.q == 2 and ur.fit.M == 2
+        ur = _fit_method("ur", data, 3, 0, None, (4, 3))
+        assert ur.p == 10 and ur.q == 2 and ur.M == 2
         for m, b in enumerate(data):
-            assert ur.fit.C[m].shape == (b.r, 2)
+            assert ur.C[m].shape == (b.r, 2)
 
     def test_mlasso_routing_matches_direct_l1(self):
         # all covariates through the grouped path with M = 1 and all through
@@ -340,10 +326,12 @@ class TestBaselines:
     def test_mlasso_partitions_back_to_blocks(self):
         cfg = SimConfig(M=2, n=40, s=0)
         data, _, _ = generate(cfg, replicate=5)
-        res = fit_mlasso(data[0], K=4, seed=1, n_gammas=5)
-        assert res.B.shape == (10, 2)
-        assert res.C.shape == (10, 2)
-        assert res.alpha.shape == (2,)
+        res = _fit_method("mlasso", data, 4, 1, None, (15, 5))
+        assert res.M == 2
+        for m in range(2):
+            assert res.B[m].shape == (10, 2)
+            assert res.C[m].shape == (10, 2)
+            assert res.alpha[m].shape == (2,)
 
 
 class TestScenarioNames:
