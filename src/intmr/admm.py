@@ -24,9 +24,9 @@ run_chains advances such a grid through the steps in one loop, narrowed to
 the chains still running; AdmmSolver.fit is its one-chain case.  The ridge
 steps use a thin SVD of X and of Z, one batched SVD each, computed once per
 run (rho stays fixed).  The intercept enters as u alpha', with u the
-block's intercept column (see model.PaddedBlock), and a stack with more rows
-than 1 + p + r_max + q is first compressed to the R of a thin QR
-(model.compress), which leaves every step unchanged up to rounding.  The
+block's intercept column (see model.PaddedBlock); a dataset with more rows
+than 1 + p + r_m + q enters the stack as the R of a thin QR of its rows
+(model.stack), which leaves every step unchanged up to rounding.  The
 steps take the data products X B and Z C rather than B and C, and the ridge
 steps may take u alpha' as well, so the loop computes each product once,
 when its factor changes, and carries it to the later steps and the stopping
@@ -48,7 +48,6 @@ from .model import (
     _colsum,
     _evaluate,
     block_loss,
-    compress,
     group_norms,
     stack,
     stack_fit,
@@ -482,16 +481,15 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
 
 
 class AdmmSolver:
-    """Caches the stacked, compressed data for repeated fits on one dataset
-    collection with a fixed rho (warm starts, refits)."""
+    """Caches the stacked data for repeated fits on one dataset collection
+    with a fixed rho (warm starts, refits)."""
 
     def __init__(self, data, rho=1.0):
         if not isinstance(data, IntegratedDataset):
             data = IntegratedDataset(tuple(data))
         if not (rho > 0 and np.isfinite(rho)):
             raise ValueError("rho must be positive and finite")
-        self.block = compress(stack(data))
-        self.data = data
+        self.block = stack(data)
         self.rho = float(rho)
 
     def fit(self, hp, opts=None, init=None):
@@ -547,6 +545,4 @@ def fit(data, hp, opts=None, init=None):
         at every convergence check, the stationarity residual, the final
         consensus gap and the final state.
     """
-    if not isinstance(data, IntegratedDataset):
-        data = IntegratedDataset(tuple(data))
     return AdmmSolver(data, rho=hp.rho).fit(hp, opts=opts, init=init)

@@ -145,11 +145,23 @@ def _check_config_value(config, key, val):
             % (config, key, ", ".join(map(json.dumps, _CONFIG_CHOICES[key])), json.dumps(val))
         )
     if isinstance(val, want) and (bool in want or not isinstance(val, bool)):
+        if key == "blocks":
+            _check_blocks(config, val)
         return
     raise UsageError(
         "config file %s: %r must be %s, got %s"
         % (config, key, " or ".join(t.__name__ for t in want), json.dumps(val))
     )
+
+
+def _check_blocks(config, blocks):
+    """Each entry names its y and x files, and its z file or none: no other
+    value may reach open(), which takes an int as a file descriptor."""
+    for i, b in enumerate(blocks):
+        if not (isinstance(b, dict) and isinstance(b.get("y"), str)
+                and isinstance(b.get("x"), str) and isinstance(b.get("z"), (str, type(None)))):
+            raise UsageError('config file %s: blocks[%d] must be {"y": path, "x": path[, "z": '
+                             'path]}, got %s' % (config, i, json.dumps(b)))
 
 
 def _settings(args):

@@ -16,11 +16,10 @@ specific coefficients C^m carry an entrywise l1 penalty.
 Fits are evaluated on the solver's layout, the PaddedBlock that stack
 builds: the loss, its gradient, the group norms and the objective are each
 one expression over every dataset at once.  The intercept enters as u alpha'
-through a column u with u'u = n: 1 on a dataset's rows and 0 on its padded
-rows.  Every term of the loss, its gradient and the ridge steps is an inner
-product of the columns of A = [u X Z Y], so compress may replace a tall
-dataset's rows by the R of a thin QR of A, at most 1 + p + r_max + q rows,
-and every such term is unchanged.
+through a column u with u'u = n.  Every term of the loss, its gradient and
+the ridge steps is an inner product of the columns of A = [u X Z Y], so
+stack replaces each tall dataset's rows by the R of a thin QR of its own A,
+1 + p + r_m + q rows, before it pads, and every such term is unchanged.
 """
 
 from dataclasses import dataclass, field, replace
@@ -35,7 +34,6 @@ __all__ = [
     "ModelFit",
     "PaddedBlock",
     "stack",
-    "compress",
     "stack_fit",
     "residual_matrix",
     "predict",
@@ -283,12 +281,13 @@ class PaddedBlock:
 
     Y (M, *folds, rows, G q) holds the q responses once per chain, X
     (M, *folds, rows, p) and Z (M, *folds, rows, r_max) the covariates; a CV
-    grid has one fold axis.  Rows are zero-padded to a common count and Z's
-    columns to the largest r_m; n holds the true row counts, shaped
-    (M, *folds, 1, 1), u (M, *folds, rows, 1) is the intercept column, 1 on
-    true rows, and r holds the true r_m.  A zero row or column drops out of
-    every product on its own, so a residual is exactly zero on padded rows.
-    After compress, u is R's first column and u'u = n still holds.
+    grid has one fold axis.  Each (dataset, fold) holds its own rows, or the
+    R of a thin QR of them (see stack), zero-padded to a common count, and
+    Z's columns are zero-padded to the largest r_m; n holds the true row
+    counts, shaped (M, *folds, 1, 1), u (M, *folds, rows, 1) is the
+    intercept column, with u'u = n, and r holds the true r_m.  A zero row or
+    column drops out of every product on its own, so a residual is exactly
+    zero on padded rows.
     """
 
     Y: np.ndarray
@@ -319,58 +318,51 @@ def _pad(arrays, shape):
 
 
 def stack(blocks, chains=1):
-    """Zero-pad DatasetBlocks and stack them into one PaddedBlock of chains.
+    """Stack DatasetBlocks into one PaddedBlock of chains.
 
     blocks is a nested sequence of DatasetBlocks whose outer level is the
     dataset: an IntegratedDataset gives the (M,) stack of a single fit, and
     blocks[m][k], fold k's training rows of dataset m, the (M, K) stack of a
     CV grid.  All blocks of one dataset must have the same r.
+
+    A block with more rows than the 1 + p + r + q columns of A = [1 X Z Y]
+    enters as the R of a thin QR of A, u as R's first column, before rows
+    are padded.  A = QR, so every inner product of A's columns is the same
+    one of R's and every residual lies in the range of Q: the loss, its
+    gradient and the ridge steps are unchanged up to rounding.
     """
     cells = np.array(blocks, dtype=object)
     flat = cells.ravel()
-    rows = max(b.n for b in flat)
+    p, q = flat[0].p, flat[0].q
+    parts = []
+    for b in flat:
+        A = (b.u, b.X, b.Z, b.Y)
+        if b.n > 1 + p + b.r + q:
+            R = np.linalg.qr(np.concatenate(A, axis=1), mode="r")
+            A = np.split(R, [1, 1 + p, 1 + p + b.r], axis=1)
+        parts.append(A)
+    rows = max(A[0].shape[0] for A in parts)
 
-    def pad(name, width):
-        arrays = [getattr(b, name) for b in flat]
-        return _pad(arrays, (rows, width)).reshape(cells.shape + (rows, width))
+    def pad(i, width):
+        return _pad([A[i] for A in parts], (rows, width)).reshape(cells.shape + (rows, width))
 
-    n = np.array([b.n for b in flat], dtype=float).reshape(cells.shape + (1, 1))
     return PaddedBlock(
-        Y=np.tile(pad("Y", flat[0].q), chains),
-        X=pad("X", flat[0].p),
-        Z=pad("Z", max(b.r for b in flat)),
-        n=n,
-        u=(np.arange(rows)[:, None] < n).astype(float),
+        Y=np.tile(pad(3, q), chains),
+        X=pad(1, p),
+        Z=pad(2, max(b.r for b in flat)),
+        n=np.array([b.n for b in flat], dtype=float).reshape(cells.shape + (1, 1)),
+        u=pad(0, 1),
         r=tuple(b.r for b in cells.reshape(len(cells), -1)[:, 0]),
-        q=flat[0].q,
+        q=q,
     )
 
 
-def compress(block):
-    """`block` with each (dataset, fold)'s rows replaced by the R of a thin
-    QR of A = [u X Z Y], when it has more rows than A has columns; otherwise
-    `block` itself.
-
-    A = QR, so every inner product of A's columns is the same one of R's,
-    and every residual Y - u alpha' - X B - Z C lies in the range of Q: the
-    loss, its gradient and the ridge steps are unchanged up to rounding.  Y
-    is factored once and tiled once per chain.
-    """
-    p, r_max, q = block.p, block.Z.shape[-1], block.q
-    if block.Y.shape[-2] <= 1 + p + r_max + q:
-        return block
-    A = np.concatenate([block.u, block.X, block.Z, block.Y[..., :q]], axis=-1)
-    u, X, Z, Y = np.split(np.linalg.qr(A, mode="r"), [1, 1 + p, 1 + p + r_max], axis=-1)
-    return replace(block, u=np.ascontiguousarray(u), X=np.ascontiguousarray(X),
-                   Z=np.ascontiguousarray(Z), Y=np.tile(Y, block.Y.shape[-1] // q))
-
-
 def stack_fit(data, fit):
-    """`data` stacked and compressed as AdmmSolver holds it, and `fit`
-    stacked like it: alpha (M, q), B (M, p, q) and C (M, r_max, q), with C's
-    rows past r_m zero."""
+    """`data` stacked as AdmmSolver holds it, and `fit` stacked like it:
+    alpha (M, q), B (M, p, q) and C (M, r_max, q), with C's rows past r_m
+    zero."""
     _check_fit_matches(data, fit)
-    block = compress(stack(data))
+    block = stack(data)
     C = _pad(fit.C, (block.Z.shape[-1], fit.q))
     return block, np.array(fit.alpha), np.array(fit.B), C
 

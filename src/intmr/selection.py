@@ -12,8 +12,8 @@ fits start near a solution.  All chains run as one stacked ADMM (see
 admm.run_chains): fold data is stacked once as (dataset, fold), with the
 responses repeated once per gamma so that a fold's chains are side-by-side
 column groups of one iterate, and the grid narrows to the chains still
-running as chains end their paths.  Each training fold is compressed to at
-most 1 + p + r_max + q rows (model.compress); the held-out rows are not.
+running as chains end their paths.  Both sides of a fold go through
+model.stack, whose row compression leaves a held-out loss unchanged.
 select_many stacks the folds of several independent problems on the same
 fold axis, each fold with its own problem's lambda and gamma paths, so one
 loop serves, say, every response or every dataset of a per-response or
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    DatasetBlock, IntegratedDataset, HyperParams, block_loss, compress, group_norms,
-    loss_gradient, predict, stack,
+    DatasetBlock, IntegratedDataset, HyperParams, block_loss, group_norms, loss_gradient,
+    predict, stack,
 )
 from .admm import AdmmSolver, chain_sums, run_chains
 
@@ -107,13 +107,11 @@ def penalty_ceiling(data):
     cross-dataset group norm over the shared covariates, gamma_ref the
     largest absolute entry over the specific covariates.
     """
-    block = stack(data)
-    # summed in row order like Y.mean(axis=0); _colsum rounds differently
-    # and shifts about 1 ceiling in 7, and so the written grid, by an ulp
-    mean = block.Y.sum(axis=-2, keepdims=True) / block.n
-    _, g_B, g_C = loss_gradient(block, block.Y - block.u * mean)
-    lam_ref = float(group_norms(g_B).max(initial=0.0))
-    gamma_ref = float(np.abs(g_C).max(initial=0.0))
+    # each dataset's own rows, summed in row order by Y.mean: a stack's QR
+    # rows or _colsum round differently, moving about 1 ceiling in 7 by an ulp
+    grads = [loss_gradient(b, b.Y - b.Y.mean(axis=0)) for b in data]
+    lam_ref = float(group_norms([g_B for _, g_B, _ in grads]).max(initial=0.0))
+    gamma_ref = max(float(np.abs(g_C).max(initial=0.0)) for _, _, g_C in grads)
     # tiny relative bump keeps the ceiling strictly inside the all-zero
     # region, so the grid corner is intercept-only despite roundoff
     return lam_ref * (1 + 1e-6), gamma_ref * (1 + 1e-6)
@@ -219,8 +217,7 @@ def _cv_matrices(problems, grids, folds, opts, rho):
     K, L, G = folds[0].K, len(grids[0].lambdas), len(grids[0].gammas)
     splits = (_split(d, f, k) for d, f in zip(problems, folds) for k in range(1, K + 1))
     # each side's (fold, dataset) blocks stack as (dataset, fold); the
-    # unstacked copies are freed once both are built.  Only the training
-    # side is compressed: the held-out rows score a fit row by row.  It is
+    # unstacked copies are freed once both are built.  The training side is
     # popped into run_chains, its one holder, so narrowing frees it
     sides = [stack(np.array(side, dtype=object).T, G) for side in zip(*splits)]
     held = sides.pop()
@@ -240,7 +237,7 @@ def _cv_matrices(problems, grids, folds, opts, rho):
         per_fold[k[stopped], position[stopped], j[stopped]] = s[stopped]
 
     iterations, converged = run_chains(
-        compress(sides.pop()), float(rho), np.repeat([g.lambdas for g in grids], K, axis=0),
+        sides.pop(), float(rho), np.repeat([g.lambdas for g in grids], K, axis=0),
         np.repeat([g.gammas for g in grids], K, axis=0), opts, on_stop=score,
     )
     return [

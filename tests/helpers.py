@@ -8,7 +8,7 @@ other.
 
 import numpy as np
 
-from intmr.model import DatasetBlock, IntegratedDataset, ModelFit
+from intmr.model import DatasetBlock, IntegratedDataset, ModelFit, PaddedBlock, _pad
 
 
 def make_data(
@@ -65,6 +65,31 @@ def random_fit(rng, data, density=0.7):
             c[rng.random((block.r, data.q)) > density] = 0.0
         C.append(c)
     return ModelFit(alpha=tuple(alpha), B=tuple(B), C=tuple(C))
+
+
+def padded_stack(blocks, chains=1):
+    """model.stack without its QR row compression: every block's own rows,
+    zero-padded to the largest n, with u 1 on true rows and 0 on padded
+    ones.  The uncompressed reference that stack and the solver are checked
+    against."""
+    cells = np.array(blocks, dtype=object)
+    flat = cells.ravel()
+    rows = max(b.n for b in flat)
+
+    def pad(name, width):
+        arrays = [getattr(b, name) for b in flat]
+        return _pad(arrays, (rows, width)).reshape(cells.shape + (rows, width))
+
+    n = np.array([b.n for b in flat], dtype=float).reshape(cells.shape + (1, 1))
+    return PaddedBlock(
+        Y=np.tile(pad("Y", flat[0].q), chains),
+        X=pad("X", flat[0].p),
+        Z=pad("Z", max(b.r for b in flat)),
+        n=n,
+        u=(np.arange(rows)[:, None] < n).astype(float),
+        r=tuple(b.r for b in cells.reshape(len(cells), -1)[:, 0]),
+        q=flat[0].q,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from intmr.model import DatasetBlock, IntegratedDataset, HyperParams, objective, stack
+from intmr.model import HyperParams, objective, stack
 from intmr.prox import soft_threshold, group_soft_threshold
 from intmr.admm import (
     SolverOptions,
@@ -30,7 +30,6 @@ from intmr.sim import SimConfig, run_study
 from intmr.cli import cli
 from helpers import (
     make_data,
-    objective_reference,
     prox_gradient_reference,
     scalar_prox_oracle,
     vector_prox_oracle,

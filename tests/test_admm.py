@@ -26,14 +26,11 @@ from intmr.admm import (
     ridge_factor,
     ridge_factors,
     run_chains,
-    consensus_gap,
     kkt_residual,
 )
 from intmr.prox import group_soft_threshold
 from helpers import (
     make_data,
-    random_fit,
-    objective_reference,
     prox_gradient_reference,
     scalar_prox_oracle,
     vector_prox_oracle,
@@ -473,14 +470,14 @@ class TestFit:
 
     def test_one_iteration_is_one_sweep_of_the_step_functions(self):
         # the reference steps each unpadded DatasetBlock on its own.  With
-        # equal n_m, no partly padded C and no more rows than 1 + p + r + q
-        # = 8, so that the solver does not compress, it must match exactly.
-        # With more rows the solver steps the R of a QR of the data (see
-        # model.compress), and with unequal n_m and r_m the stack also
-        # routes a dataset's products through other BLAS kernel shapes, so
-        # there it agrees to rounding: at most 40 units of eps times each
-        # array's largest entry over 400 random draws
-        for n, r, rel in ((8, [2, 0], 0.0), (12, [2, 0], 1e-14),
+        # equal n_m, no partly padded C and no dataset of more rows than its
+        # own 1 + p + r_m + q (6 for dataset 1), so that the stack compresses
+        # none, it must match exactly.  With more rows the solver steps the
+        # R of a QR of the data (see model.stack), and with unequal n_m and
+        # r_m the stack also routes a dataset's products through other BLAS
+        # kernel shapes, so there it agrees to rounding: at most 40 units of
+        # eps times each array's largest entry over 400 random draws
+        for n, r, rel in ((6, [2, 0], 0.0), (12, [2, 0], 1e-14),
                           ([12, 15, 10], [2, 0, 1], 1e-14)):
             rng = np.random.default_rng(31)
             data = make_data(rng, M=len(r), n=n, p=3, q=2, r=r)

@@ -105,6 +105,20 @@ class TestUsageErrors:
         doc = self.check(capsys, "cv", "--config", cfg, "--grid", "2x2")
         assert repr(key) in doc["message"]
 
+    # each of these used to exit 1 with a KeyError or a TypeError.  The
+    # non-string path is 3.5 or a list, never an int or a bool: at the
+    # parent open() took one as a file descriptor and closed it
+    @pytest.mark.parametrize(
+        "blocks, index",
+        [([{"y": "y.csv", "x": "x.csv"}, {"x": "x1.csv"}], 1), (["y.csv"], 0),
+         ([{"y": 3.5, "x": "x.csv"}], 0), ([{"y": "y.csv", "x": ["x.csv"]}], 0),
+         ([{"y": "y.csv", "x": "x.csv", "z": 3.5}], 0)],
+    )
+    def test_malformed_blocks_entry(self, tmp_path, capsys, blocks, index):
+        cfg = write_config(tmp_path, blocks=blocks)
+        doc = self.check(capsys, "fit", "--config", cfg)
+        assert "blocks[%d]" % index in doc["message"]
+
     def test_bad_grid_spec(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         self.check(capsys, "cv", "--config", cfg, "--grid", "banana")

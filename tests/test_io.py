@@ -6,7 +6,7 @@ import pytest
 
 from intmr.model import DatasetBlock, IntegratedDataset, HyperParams, objective, predict
 from intmr.admm import fit, SolverOptions
-from intmr.selection import CvGrid, CvResult, make_folds
+from intmr.selection import CvGrid, CvResult
 from intmr.sim import ReplicateRecord, StudyMetrics
 from intmr.io import (
     DataFormatError,

@@ -8,7 +8,6 @@ from intmr.model import (
     HyperParams,
     ModelFit,
     _evaluate,
-    compress,
     objective,
     residual_matrix,
     group_norms,
@@ -19,7 +18,7 @@ from intmr.admm import (
     AdmmSolver, SolverOptions, fit, kkt_residual, run_chains, zero_state,
 )
 from intmr.selection import default_grid, penalty_ceiling
-from helpers import make_data, random_fit, objective_reference
+from helpers import make_data, padded_stack, random_fit, objective_reference
 
 
 def kkt_reference(data, mf, hp):
@@ -320,65 +319,101 @@ class TestStackedEvaluation:
 
 
 class TestCompress:
-    """compress replaces a tall stack's rows by the R of a QR of
-    [u X Z Y]; on two datasets of 40 and 4,000 rows (p = 20, r_m = 5 and
-    30, q = 2) that is 1 + 20 + 30 + 2 = 53 rows."""
+    """stack replaces each block with more rows than its own
+    k = 1 + p + r_m + q by the R of a QR of [1 X Z Y], before it pads; on
+    two datasets of 40 and 4,000 rows (p = 20, r_m = 5 and 30, q = 2) that
+    is 28 and 53 rows, padded to 53."""
 
     def tall(self):
         rng = np.random.default_rng(60)
         return make_data(rng, M=2, n=[40, 4000], p=20, q=2, r=[5, 30])
 
     def test_short_block_returned_as_is(self):
+        # k is 8 and 7 here: a block of at most k rows is only padded
         rng = np.random.default_rng(61)
-        for n in ([8, 6], 8):
-            block = stack(make_data(rng, M=2, n=n, p=3, q=2, r=[2, 1]), chains=3)
-            assert compress(block) is block
+        for n in ([8, 6], [8, 7], [3, 7]):
+            data = make_data(rng, M=2, n=n, p=3, q=2, r=[2, 1])
+            block, ref = stack(data, chains=3), padded_stack(data, chains=3)
+            for name in ("Y", "X", "Z", "n", "u"):
+                assert np.array_equal(getattr(block, name), getattr(ref, name)), name
+            assert block.r == ref.r and block.q == ref.q
 
     def test_compressed_rows_keep_every_inner_product(self):
-        block = stack(self.tall(), chains=3)
-        small = compress(block)
-        k = 1 + 20 + 30 + 2
-        assert small.Y.shape[-2] == k and small.X.shape[-2] == k
-        assert (small.Y == np.tile(small.Y[..., :2], 3)).all()
-        A, S = (np.concatenate([b.u, b.X, b.Z, b.Y[..., :2]], axis=-1) for b in (block, small))
-        # dataset m keeps min(n_m, k) nonzero rows: 40 and 53
-        assert (S[0, 40:] == 0).all() and (np.abs(S[:, :40]).sum(axis=-1) > 0).all()
+        data = self.tall()
+        block, ref = stack(data, chains=3), padded_stack(data, chains=3)
+        assert block.Y.shape[-2] == 53 and block.X.shape[-2] == 53
+        assert AdmmSolver(data).block.Y.shape[-2] == 53
+        assert (block.Y == np.tile(block.Y[..., :2], 3)).all()
+        A, S = (np.concatenate([b.u, b.X, b.Z, b.Y[..., :2]], axis=-1) for b in (ref, block))
+        # dataset m keeps min(n_m, k_m) nonzero rows: 28 and 53
+        assert (S[0, 28:] == 0).all() and (np.abs(S[:, :28]).sum(axis=-1) > 0).all()
         assert (np.abs(S[1]).sum(axis=-1) > 0).all()
         gram = np.swapaxes(A, -1, -2) @ A
         assert np.abs(np.swapaxes(S, -1, -2) @ S - gram).max() <= 1e-12 * np.abs(gram).max()
-        assert (small.n == block.n).all() and small.r == block.r
+        assert (block.n == ref.n).all() and block.r == ref.r
+
+    @staticmethod
+    def draw_blocks(data):
+        """(dataset) or (dataset, fold) blocks of unequal n_m on both sides
+        of each dataset's k = 1 + p + r_m + q, with p = 0 and r_m = 0 among
+        the cases, and that k per block, shaped like PaddedBlock.n."""
+        M, p, q = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (0, 3), (1, 2)))
+        folds = data.draw(st.sampled_from([None, 2, 3]))
+        r = data.draw(st.lists(st.integers(0, 3), min_size=M, max_size=M))
+        k = 1 + p + np.array(r) + q
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+        def draw_data():
+            n = [data.draw(st.integers(1, 2 * km)) for km in k]
+            return make_data(rng, M=M, n=n, p=p, q=q, r=r)
+
+        if folds is None:
+            return draw_data(), k[:, None, None]
+        parts = [draw_data() for _ in range(folds)]
+        return [[f[m] for f in parts] for m in range(M)], k[:, None, None, None]
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_random_stacks_keep_every_inner_product(self, data):
-        # (dataset) or (dataset, fold) stacks of unequal n_m on both sides of
-        # k = 1 + p + r_max + q, with p = 0 and r_m = 0 among the cases
-        M, p, q = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (0, 3), (1, 2)))
-        folds = data.draw(st.sampled_from([None, 2, 3]))
+        blocks, k = self.draw_blocks(data)
         chains = data.draw(st.sampled_from([1, 3]))
-        r = data.draw(st.lists(st.integers(0, 3), min_size=M, max_size=M))
-        k = 1 + p + max(r) + q
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-
-        def draw_data():
-            n = data.draw(st.lists(st.integers(1, 2 * k), min_size=M, max_size=M))
-            return make_data(rng, M=M, n=n, p=p, q=q, r=r)
-
-        if folds is None:
-            block = stack(draw_data(), chains=chains)
-        else:
-            parts = [draw_data() for _ in range(folds)]
-            block = stack([[f[m] for f in parts] for m in range(M)], chains=chains)
-        small = compress(block)
-        if block.Y.shape[-2] <= k:
-            assert small is block
-            return
-        assert {a.shape[-2] for a in (small.u, small.X, small.Z, small.Y)} == {k}
-        assert (small.n == block.n).all() and small.r == block.r
-        assert (small.Y == np.tile(small.Y[..., :q], chains)).all()
-        A, S = (np.concatenate([b.u, b.X, b.Z, b.Y[..., :q]], axis=-1) for b in (block, small))
+        block, ref = stack(blocks, chains=chains), padded_stack(blocks, chains=chains)
+        q = block.q
+        kept = np.minimum(ref.n, k)
+        rows = int(kept.max())
+        assert {a.shape[-2] for a in (block.u, block.X, block.Z, block.Y)} == {rows}
+        assert (block.n == ref.n).all() and block.r == ref.r
+        assert (block.Y == np.tile(block.Y[..., :q], chains)).all()
+        A, S = (np.concatenate([b.u, b.X, b.Z, b.Y[..., :q]], axis=-1) for b in (ref, block))
+        # a block keeps min(n, k) rows: its own rows when it has at most k
+        nonzero = (S != 0).any(axis=-1)
+        assert not (nonzero & (np.arange(rows) >= kept[..., 0])).any()
+        raw = (ref.n <= k)[..., 0, 0]
+        assert np.array_equal(S[raw], A[raw][..., :rows, :])
         gram = np.swapaxes(A, -1, -2) @ A
         assert np.abs(np.swapaxes(S, -1, -2) @ S - gram).max() <= 1e-12 * np.abs(gram).max()
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_fits_match_uncompressed_runs(self, data):
+        # a fixed 30 iterations of run_chains on each side, with one check at
+        # the last, so that the two cannot stop at different checks; the
+        # compressed run agrees with the padded one to 1e-12 of each array's
+        # largest entry, or of 1 (at most 7.2e-15 over 800 seeded draws)
+        blocks, _ = self.draw_blocks(data)
+        chains = data.draw(st.sampled_from([1, 2]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        lambdas, gammas = [rng.uniform(0.02, 0.3)], np.sort(rng.uniform(0.02, 0.3, chains))
+        opts = SolverOptions(tol=1e-300, max_iter=30, check_every=30)
+        states = []
+        for block in (stack(blocks, chains), padded_stack(blocks, chains)):
+            states.append(zero_state(block))
+            run_chains(block, 1.3, lambdas, gammas, opts, state=states[-1])
+        got, want = states
+        assert got.iteration == want.iteration == 30
+        for name in ("alpha", "B", "C", "B_bar", "C_bar", "B_dual", "C_dual"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.abs(a - b).max(initial=0) <= 1e-12 * max(np.abs(b).max(initial=0), 1), name
 
     def test_tall_fit_matches_uncompressed_run(self):
         # a fixed 20 iterations on each side, so that the two runs cannot
@@ -390,7 +425,7 @@ class TestCompress:
         solver = AdmmSolver(data, rho=hp.rho)
         assert solver.block.Y.shape[-2] == 53
         rep = solver.fit(hp, opts)
-        block = stack(data)
+        block = padded_stack(data)
         state = zero_state(block)
         run_chains(block, hp.rho, [hp.lam], [hp.gamma], opts, state=state)
         got = rep.state
