@@ -23,17 +23,22 @@ problem as the next: each fold may carry its own lambda and gamma paths.
 run_chains advances such a grid through the steps in one loop, narrowed to
 the chains still running; AdmmSolver.fit is its one-chain case.  The ridge
 steps use a thin SVD of X and of Z, one batched SVD each, computed once per
-run (rho stays fixed).  The intercept enters as u alpha', with u the
-block's intercept column (see model.PaddedBlock); a dataset with more rows
-than 1 + p + r_m + q enters the stack as the R of a thin QR of its rows
-(model.stack), which leaves every step unchanged up to rounding.  The
-steps take the data products X B and Z C rather than B and C, and the ridge
-steps may take u alpha' as well, so the loop computes each product once,
-when its factor changes, and carries it to the later steps and the stopping
-check.  A fit stops when its augmented Lagrangian changes by less than tol
-between checks.  Reported coefficients are the consensus copies, so zeros
-are exact and the nonzero pattern of B is identical across datasets; the
-penalized objective is evaluated once, at the returned fit.
+run (rho stays fixed), and divide the n-row residual by c = n rho instead of
+the p- or r-row right-hand side.  The intercept enters as u alpha', with u
+the block's intercept column (see model.PaddedBlock); a dataset with more
+rows than 1 + p + r_m + q enters the stack as the R of a thin QR of its
+rows (model.stack), which leaves every step unchanged up to rounding.
+
+The loop runs the bodies of the step functions and keeps what they share:
+Y - u alpha' once per sweep, X B and Z C once per new B and C, the residual
+Y - u alpha' - X B - Z C as the C step's residual minus Z C, |C_bar| and
+the group norms of B_bar from the thresholds, and B_bar - B + B_dual and
+C - C_bar + C_dual from the dual increments.  From these pieces it
+evaluates the augmented Lagrangian with the body of augmented_lagrangian,
+and a fit stops when that value changes by less than tol between checks.
+Reported coefficients are the consensus copies, so zeros are exact and the
+nonzero pattern of B is identical across datasets; the penalized objective
+is evaluated once, at the returned fit.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -156,12 +161,14 @@ def _check_state_matches(block, state):
 def update_intercept(block, XB, ZC):
     """u'(Y - X B - Z C) / n, the column means of Y - X B - Z C, given
     XB = X B and ZC = Z C."""
-    R = block.Y - XB - ZC
+    R = block.Y - XB
+    R -= ZC
     return (np.swapaxes(block.u, -1, -2) @ R / block.n)[..., 0, :]
 
 
 class RidgeFactor(NamedTuple):
-    """(A'A + c I)^{-1} v = v / c + V (w * V'v), from the thin SVD of A."""
+    """(A'A + c I)^{-1} v = r + V (w * V'r) with r = v / c, from the thin
+    SVD of A."""
 
     V: np.ndarray
     Vt: np.ndarray
@@ -172,15 +179,15 @@ class RidgeFactor(NamedTuple):
 def ridge_factor(A, n, rho):
     """Thin-SVD factor of A'A + n rho I for a design A with any leading axes.
 
-    w = -s^2 / (c (s^2 + c)) with c = n rho equals 1 / (s^2 + c) - 1 / c
-    without its cancellation at large c.  Zero-padded rows add zero singular
-    values, whose w is 0.
+    w = -s^2 / (s^2 + c) with c = n rho: (A'A + c I)^{-1} is
+    (I + V diag(w) V') / c.  Zero-padded rows add zero singular values,
+    whose w is 0.
     """
     _, s, Vt = np.linalg.svd(A, full_matrices=False)
     c = n * rho
     s2 = (s * s)[..., None]
     V = np.ascontiguousarray(np.swapaxes(Vt, -1, -2))
-    return RidgeFactor(V=V, Vt=Vt, w=-s2 / (c * (s2 + c)), c=c)
+    return RidgeFactor(V=V, Vt=Vt, w=-s2 / (s2 + c), c=c)
 
 
 def ridge_factors(block, rho):
@@ -193,32 +200,35 @@ def ridge_factors(block, rho):
     )
 
 
-def _ridge_solve(factor, rhs):
-    return rhs / factor.c + factor.V @ (factor.w * (factor.Vt @ rhs))
+def _ridge_step(factor, A, S, target):
+    """(A'A + c I)^{-1} (c A'S + c target), as r + V (w * V'r) with
+    r = A'S + target: the ridge step of a residual already divided by c."""
+    r = np.swapaxes(A, -1, -2) @ S
+    r += target
+    t = factor.Vt @ r
+    t *= factor.w
+    r += factor.V @ t
+    return r
 
 
-def _intercept(block, alpha_m, UA):
-    return block.u * alpha_m[..., None, :] if UA is None else UA
-
-
-def update_shared_coef(block, alpha_m, ZC, B_bar_m, B_dual_m, rho, factor=None, UA=None):
+def update_shared_coef(block, alpha_m, ZC, B_bar_m, B_dual_m, rho, factor=None):
     """Solve (X'X + n rho I) B = X'(Y - u alpha' - Z C) + n rho (B_bar + B_dual),
-    given ZC = Z C, and UA = u alpha' when the caller holds it."""
+    given ZC = Z C; the residual is divided by n rho, not the products."""
     if factor is None:
         factor = ridge_factor(block.X, block.n, rho)
-    rhs = np.swapaxes(block.X, -1, -2) @ (block.Y - _intercept(block, alpha_m, UA) - ZC)
-    rhs += factor.c * (B_bar_m + B_dual_m)
-    return _ridge_solve(factor, rhs)
+    S = block.Y - block.u * alpha_m[..., None, :] - ZC
+    S /= factor.c
+    return _ridge_step(factor, block.X, S, B_bar_m + B_dual_m)
 
 
-def update_specific_coef(block, alpha_m, XB, C_bar_m, C_dual_m, rho, factor=None, UA=None):
+def update_specific_coef(block, alpha_m, XB, C_bar_m, C_dual_m, rho, factor=None):
     """Solve (Z'Z + n rho I) C = Z'(Y - u alpha' - X B) + n rho (C_bar - C_dual),
-    given XB = X B, and UA = u alpha' when the caller holds it."""
+    given XB = X B; the residual is divided by n rho, not the products."""
     if factor is None:
         factor = ridge_factor(block.Z, block.n, rho)
-    rhs = np.swapaxes(block.Z, -1, -2) @ (block.Y - _intercept(block, alpha_m, UA) - XB)
-    rhs += factor.c * (C_bar_m - C_dual_m)
-    return _ridge_solve(factor, rhs)
+    S = block.Y - block.u * alpha_m[..., None, :] - XB
+    S /= factor.c
+    return _ridge_step(factor, block.Z, S, C_bar_m - C_dual_m)
 
 
 def threshold_specific(C_m, C_dual_m, thresh):
@@ -227,7 +237,7 @@ def threshold_specific(C_m, C_dual_m, thresh):
     thresh must be nonnegative and is not checked here: run_chains checks
     its penalty paths once per run (prox.soft_threshold checks its own).
     """
-    return _shrink(C_m + C_dual_m, thresh)
+    return _shrink(C_m + C_dual_m, thresh)[0]
 
 
 def threshold_shared(B, B_dual, thresh):
@@ -237,13 +247,20 @@ def threshold_shared(B, B_dual, thresh):
     the length-M vector at [:, ..., j, k].  thresh is unchecked, as in
     threshold_specific.
     """
-    return _group_shrink(B - B_dual, thresh)
+    return _group_shrink(B - B_dual, thresh)[0]
+
+
+def _dual_ascent(state):
+    """The dual increments B_bar - B and C - C_bar, added to the duals."""
+    dB, dC = state.B_bar - state.B, state.C - state.C_bar
+    state.B_dual += dB
+    state.C_dual += dC
+    return dB, dC
 
 
 def update_duals(state):
     """Dual ascent: B_dual += B_bar - B, C_dual += C - C_bar.  In place."""
-    state.B_dual += state.B_bar - state.B
-    state.C_dual += state.C - state.C_bar
+    _dual_ascent(state)
     return state
 
 
@@ -251,7 +268,24 @@ def update_duals(state):
 # merit functions
 
 
-def augmented_lagrangian(block, state, hp, products=None):
+def _lagrangian(block, R, abs_C_bar, norms_B_bar, Gb, Gc, lam, gamma, rho):
+    """Per-chain augmented Lagrangian from its pieces: the residual R, |C_bar|,
+    the group norms of B_bar, Gb = B_bar - B + B_dual and
+    Gc = C - C_bar + C_dual.  Overwrites abs_C_bar, Gb and Gc."""
+    Gc *= Gc
+    Gc *= 0.5 * rho
+    abs_C_bar *= gamma
+    Gc += abs_C_bar
+    per_dataset = block_loss(block, R) + _colsum(Gc)
+    Gb *= Gb
+    shared = Gb.sum(axis=0)
+    shared *= 0.5 * rho
+    shared += lam * norms_B_bar
+    total = per_dataset.sum(axis=0) + _colsum(shared)
+    return chain_sums(total[..., 0, :], block.q)
+
+
+def augmented_lagrangian(block, state, hp):
     """Scaled augmented Lagrangian of the consensus splitting on a stacked
     block.
 
@@ -259,21 +293,16 @@ def augmented_lagrangian(block, state, hp, products=None):
     (rho/2) ||B_bar - B + B_dual||_F^2 and (rho/2) ||C - C_bar + C_dual||_F^2
     summed over datasets: one value per chain, the sum over its q columns,
     shaped (*folds, G).  hp.lam and hp.gamma may be per-column arrays shaped
-    (*folds, 1, G q).  products, when given, is (u alpha', X B, Z C) at the
-    state, which the solver loop already holds.
+    (*folds, 1, G q).  run_chains evaluates the same body on the pieces its
+    sweep already holds.
     """
-    UA, XB, ZC = products if products is not None else (
-        block.u * state.alpha[..., None, :], block.X @ state.B, block.Z @ state.C)
-    R = block.Y - UA - XB - ZC
-    G = state.C - state.C_bar + state.C_dual
-    per_dataset = block_loss(block, R) + _colsum(
-        0.5 * hp.rho * G * G + hp.gamma * np.abs(state.C_bar)
+    R = block.Y - block.u * state.alpha[..., None, :] - block.X @ state.B
+    R -= block.Z @ state.C
+    return _lagrangian(
+        block, R, np.abs(state.C_bar), group_norms(state.B_bar),
+        state.B_bar - state.B + state.B_dual, state.C - state.C_bar + state.C_dual,
+        hp.lam, hp.gamma, hp.rho,
     )
-    Gb = state.B_bar - state.B + state.B_dual
-    shared = 0.5 * hp.rho * (Gb * Gb).sum(axis=0)
-    shared += hp.lam * group_norms(state.B_bar)
-    total = per_dataset.sum(axis=0) + _colsum(shared)
-    return chain_sums(total[..., 0, :], block.q)
 
 
 def consensus_gap(state):
@@ -315,15 +344,18 @@ class FitReport:
     state: AdmmState = field(repr=False, default=None)
 
 
-class _ChainParams(NamedTuple):
-    lam: np.ndarray
-    gamma: np.ndarray
-    rho: float
+def _per_entry(v, q, rows):
+    """Per-chain values (..., G) as full-size per-entry arrays (..., rows, G q),
+    so that no operation with them broadcasts along rows."""
+    col = np.repeat(v, q, axis=-1)[..., None, :]
+    return np.broadcast_to(col, col.shape[:-2] + (rows,) + col.shape[-1:]).copy()
 
 
-def _columns(v, q):
-    """Per-chain values (..., G) as per-column thresholds (..., 1, G q)."""
-    return np.repeat(v, q, axis=-1)[..., None, :]
+def _set_chains(a, chains, values, q):
+    """Set the entries of a (..., rows, G q), made by _per_entry, of the
+    chains at mask `chains` (..., G) to `values`, one per chain set."""
+    per_chain = np.moveaxis(a.reshape(a.shape[:-1] + (chains.shape[-1], q)), -3, -2)
+    per_chain[chains] = values[:, None, None]
 
 
 def _take_columns(a, folds, cols):
@@ -357,24 +389,31 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
     own gamma, each fit warm-started from the state the previous one
     stopped in.  A fit stops when its augmented Lagrangian changes by less
     than opts.tol between two of its checks, or after opts.max_iter
-    iterations.  The loop computes X B once per new B and Z C once per new
-    C, and u alpha' once per new alpha, and hands them to the later steps
-    and to the stopping check; B and C enter the next iteration only
-    through them.
+    iterations.  One sweep computes Y - u alpha' once, X B once per new B
+    and Z C once per new C; B and C enter the next sweep only through
+    these products.  The stopping value is built from the sweep's own
+    pieces (see the module docstring), and a running chain whose value is
+    not finite raises FloatingPointError: every term of it is nonnegative,
+    so a non-finite alpha, B or C of the chain makes it non-finite.  The
+    value, and so this check, is computed at every iteration where a chain
+    checks or reaches opts.max_iter.  lambda, gamma and their thresholds
+    are held per entry, shaped like B_bar's group norms and like C, so that
+    no step broadcasts them along rows; when a fit stops, only its chain's
+    lambda columns are refreshed.
 
     When a chain ends its path, block, factors and state narrow to the
     folds with a running chain and, per fold, its running chains, padded
-    with its finished ones to the largest running count; the products are
-    recomputed on the narrowed arrays.  A padded chain is swept along but
-    can no longer stop the loop or raise FloatingPointError.  When fits
-    stop, on_stop(state, stopped, cell, position) may read the working
-    state and gets the mask of the working chains that stopped, every
-    working chain's cell (its flat index into the grid, a new array
-    exactly when the working set changed) and its index into its lambda
-    path.  Each check appends the Lagrangian of every working chain to
-    `trace` when one is given; a given `state` ends holding the last
-    working set.  The caller need keep no reference to block: the first
-    narrowing then frees the full-size arrays.
+    with its finished ones to the largest running count; the products and
+    the penalty arrays are rebuilt on the narrowed arrays.  A padded chain
+    is swept along but can no longer stop the loop or raise
+    FloatingPointError.  When fits stop, on_stop(state, stopped, cell,
+    position) may read the working state and gets the mask of the working
+    chains that stopped, every working chain's cell (its flat index into
+    the grid, a new array exactly when the working set changed) and its
+    index into its lambda path.  Each check appends the Lagrangian of every
+    working chain to `trace` when one is given; a given `state` ends
+    holding the last working set.  The caller need keep no reference to
+    block: the first narrowing then frees the full-size arrays.
 
     Returns the iteration count and convergence flag of every fit, shaped
     (*folds, G, L).
@@ -398,54 +437,64 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
     converged = np.zeros(grid + (n_fits,), dtype=bool)
 
     def penalties():
-        """The working chains' penalties per column, for the Lagrangian and
-        as thresholds."""
+        """The working chains' penalty weights and thresholds per entry: lambda
+        and lambda / rho like B_bar's group norms, gamma and gamma / rho like
+        one dataset's C."""
         fits = cell, np.minimum(position, n_fits - 1)
-        hp = _ChainParams(_columns(cell_lambdas[fits], q), _columns(cell_gamma[cell], q), rho)
-        return hp, _columns(lambda_thresh[fits], q), _columns(gamma_thresh[cell], q)
+        p, r_max = block.p, block.Z.shape[-1]
+        return (_per_entry(cell_lambdas[fits], q, p), _per_entry(lambda_thresh[fits], q, p),
+                _per_entry(cell_gamma[cell], q, r_max), _per_entry(gamma_thresh[cell], q, r_max))
 
-    hp, lam_thresh, gam_thresh = penalties()
+    def start():
+        """The working set's carried products X B and Z C, its penalties, and
+        |C_bar| and B_bar's group norms, which each sweep replaces unless the
+        block has no Z or no X columns."""
+        return ((block.X @ state.B, block.Z @ state.C) + penalties()
+                + (np.abs(state.C_bar), group_norms(state.B_bar)))
+
     fx, fz = ridge_factors(block, rho)
     if state is None:
         state = zero_state(block)
-    XB, ZC = block.X @ state.B, block.Z @ state.C
+    XB, ZC, lam, lam_t, gam, gam_t, abs_C_bar, norms_B_bar = start()
     while active.any():
         state.alpha = update_intercept(block, XB, ZC)
-        UA = block.u * state.alpha[..., None, :]
+        YU = block.Y - block.u * state.alpha[..., None, :]
         if fx is not None:
-            state.B = update_shared_coef(
-                block, state.alpha, ZC, state.B_bar, state.B_dual, rho, factor=fx, UA=UA
-            )
+            S = YU - ZC
+            S /= fx.c
+            state.B = _ridge_step(fx, block.X, S, state.B_bar + state.B_dual)
             XB = block.X @ state.B
+        R = YU - XB
         if fz is not None:
-            state.C = update_specific_coef(
-                block, state.alpha, XB, state.C_bar, state.C_dual, rho, factor=fz, UA=UA
-            )
+            state.C = _ridge_step(fz, block.Z, R / fz.c, state.C_bar - state.C_dual)
             ZC = block.Z @ state.C
-            state.C_bar = threshold_specific(state.C, state.C_dual, gam_thresh)
+            R -= ZC
+            state.C_bar, abs_C_bar = _shrink(state.C + state.C_dual, gam_t)
         if fx is not None:
-            state.B_bar = threshold_shared(state.B, state.B_dual, lam_thresh)
-        update_duals(state)
+            state.B_bar, norms_B_bar = _group_shrink(state.B - state.B_dual, lam_t)
+        dB, dC = _dual_ascent(state)
         state.iteration += 1
         it += 1
-        if not all(np.isfinite(a).all() for a in (state.alpha, state.B, state.C)):
-            finite = np.isfinite(state.alpha).all(axis=0)
-            finite &= np.isfinite(state.B).all(axis=(0, -2))
-            finite &= np.isfinite(state.C).all(axis=(0, -2))
-            diverged = active & ~finite.reshape(it.shape + (q,)).all(axis=-1)
-            if diverged.any():
-                raise FloatingPointError(
-                    "solver diverged: non-finite iterate at iteration %d" % it[diverged].min()
-                )
         check = it % opts.check_every == 0
-        met = np.zeros(it.shape, dtype=bool)
-        if check.any():
-            L = augmented_lagrangian(block, state, hp, (UA, XB, ZC))
-            if trace is not None:
+        stopped = active & (it >= opts.max_iter)
+        if check.any() or stopped.any():
+            dB += state.B_dual
+            dC += state.C_dual
+            L = _lagrangian(block, R, abs_C_bar, norms_B_bar, dB, dC, lam, gam, rho)
+            # every term is nonnegative, so a non-finite alpha, B or C of a
+            # chain makes its value non-finite
+            finite = np.isfinite(L)
+            if not finite.all():
+                diverged = active & ~finite
+                if diverged.any():
+                    raise FloatingPointError(
+                        "solver diverged: non-finite iterate at iteration %d" % it[diverged].min()
+                    )
+            if trace is not None and check.any():
                 trace.append(L)
             met = check & (np.abs(L - prev) < opts.tol)
             prev = np.where(check, L, prev)
-        stopped = active & (met | (it >= opts.max_iter))
+            stopped |= active & met
         if not stopped.any():
             continue
         done = cell[stopped], position[stopped]
@@ -475,8 +524,12 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
                 np.take_along_axis(a[folds], order, axis=-1)
                 for a in (cell, position, it, prev, active)
             )
-            XB, ZC = block.X @ state.B, block.Z @ state.C
-        hp, lam_thresh, gam_thresh = penalties()
+            XB, ZC, lam, lam_t, gam, gam_t, abs_C_bar, norms_B_bar = start()
+        else:
+            # a stopped chain moves on to its next lambda
+            fits = cell[stopped], np.minimum(position[stopped], n_fits - 1)
+            _set_chains(lam, stopped, cell_lambdas[fits], q)
+            _set_chains(lam_t, stopped, lambda_thresh[fits], q)
     return iterations, converged
 
 

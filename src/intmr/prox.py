@@ -2,7 +2,9 @@
 
 soft_threshold and group_soft_threshold check their thresholds.  The solver
 loop thresholds through the unchecked _shrink and _group_shrink instead,
-since admm.run_chains checks its penalty paths once per run.
+since admm.run_chains checks its penalty paths once per run; each also
+returns the magnitudes it thresholded to, |C_bar| and the group norms of
+B_bar, which the loop's stopping value reads.
 """
 
 import numpy as np
@@ -11,6 +13,8 @@ from .model import group_norms
 
 __all__ = ["soft_threshold", "group_soft_threshold"]
 
+_TINY = np.finfo(float).smallest_subnormal
+
 
 def _check_threshold(t):
     if np.any(np.less(t, 0)):
@@ -18,17 +22,22 @@ def _check_threshold(t):
 
 
 def _shrink(a, b):
-    return np.sign(a) * np.maximum(np.abs(a) - b, 0.0)
+    """sign(a) (|a| - b)+ as copysign((|a| - b)+, a), and (|a| - b)+, its
+    magnitude."""
+    magnitude = np.maximum(np.abs(a) - b, 0.0)
+    return np.copysign(magnitude, a), magnitude
 
 
 def _group_shrink(c, d):
+    """The groupwise threshold of c and (||g|| - d)+, the norm of each of
+    its groups."""
     norms = group_norms(c)
     # (norm - d)+ / norm rather than (1 - d / norm)+: subtracting first keeps
-    # full precision when d is close to the norm; a zero group has a zero
-    # numerator too, so its scale never matters
-    scale = np.zeros_like(norms)
-    np.divide(np.maximum(norms - d, 0.0), norms, out=scale, where=norms > 0)
-    return scale * c
+    # full precision when d is close to the norm.  A zero group has a zero
+    # numerator too, so dividing it by the smallest subnormal instead of its
+    # norm maps it to 0, and leaves every other quotient as it is
+    shrunk = np.maximum(norms - d, 0.0)
+    return shrunk / np.maximum(norms, _TINY) * c, shrunk
 
 
 def soft_threshold(a, b):
@@ -38,7 +47,7 @@ def soft_threshold(a, b):
     threshold that broadcasts against it.
     """
     _check_threshold(b)
-    out = _shrink(np.asarray(a, dtype=float), b)
+    out = _shrink(np.asarray(a, dtype=float), b)[0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -51,4 +60,4 @@ def group_soft_threshold(c, d):
     array that broadcasts against the group norms, c.shape[1:].
     """
     _check_threshold(d)
-    return _group_shrink(np.asarray(c, dtype=float), d)
+    return _group_shrink(np.asarray(c, dtype=float), d)[0]

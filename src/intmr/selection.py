@@ -63,7 +63,10 @@ def make_folds(data, K, seed):
 
     Shuffles rows within every dataset with a generator seeded by `seed`,
     then deals them out so fold sizes within a dataset differ by at most
-    one.  Requires 2 <= K <= min_m n_m.
+    one.  Requires 2 <= K <= min_m n_m.  The shuffles are drawn from that
+    one generator in dataset order, so reordering the datasets changes
+    their folds, and with them what select scores; the CV matrix is
+    unchanged when each dataset keeps its own labels.
     """
     K = int(K)
     n_min = min(b.n for b in data)

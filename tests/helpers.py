@@ -7,6 +7,7 @@ other.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
 from intmr.model import DatasetBlock, IntegratedDataset, ModelFit, PaddedBlock, _pad
 
@@ -211,3 +212,23 @@ def vector_prox_oracle(c, d, grids=4001):
         i = int(np.argmin(vals))
         lo, hi = ts[max(0, i - 1)], ts[min(grids - 1, i + 1)]
     return 0.5 * (ts[i] - nc) ** 2 + d * ts[i]
+
+
+def draw_blocks(data):
+    """(dataset) or (dataset, fold) blocks of unequal n_m on both sides
+    of each dataset's k = 1 + p + r_m + q, with p = 0 and r_m = 0 among
+    the cases, and that k per block, shaped like PaddedBlock.n."""
+    M, p, q = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (0, 3), (1, 2)))
+    folds = data.draw(st.sampled_from([None, 2, 3]))
+    r = data.draw(st.lists(st.integers(0, 3), min_size=M, max_size=M))
+    k = 1 + p + np.array(r) + q
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def draw_data():
+        n = [data.draw(st.integers(1, 2 * km)) for km in k]
+        return make_data(rng, M=M, n=n, p=p, q=q, r=r)
+
+    if folds is None:
+        return draw_data(), k[:, None, None]
+    parts = [draw_data() for _ in range(folds)]
+    return [[f[m] for f in parts] for m in range(M)], k[:, None, None, None]

@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intmr.model import (
     DatasetBlock,
@@ -30,6 +31,7 @@ from intmr.admm import (
 )
 from intmr.prox import group_soft_threshold
 from helpers import (
+    draw_blocks,
     make_data,
     prox_gradient_reference,
     scalar_prox_oracle,
@@ -564,6 +566,41 @@ class TestRunChains:
             for j in range(3):
                 for got, want in zip(finals[3 * k + j], finals_k[j]):
                     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_each_checked_value_is_the_lagrangian_of_its_state(self, data):
+        # the loop builds its stopping value from the sweep's pieces; it must
+        # be augmented_lagrangian of the state it checked.  A check records a
+        # copy of the state; checks taken after the working set narrowed
+        # (a chain that stopped at an exact fixed point) are skipped
+        blocks, _ = draw_blocks(data)
+        chains = data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        block = stack(blocks, chains)
+        grid, q = block.n.shape[1:-2] + (chains,), block.q
+        lambdas = rng.uniform(0.02, 0.3, grid[:-1] + (1,))
+        gammas = rng.uniform(0.02, 0.3, grid)
+        rho = float(rng.uniform(0.5, 2.0))
+        state, seen = zero_state(block), []
+
+        class Checks(list):
+            def append(self, value):
+                super().append(value)
+                seen.append((value, state.copy()))
+
+        run_chains(block, rho, lambdas, gammas, SolverOptions(tol=1e-300, max_iter=25),
+                   state=state, trace=Checks())
+        per_column = SimpleNamespace(
+            lam=np.repeat(np.broadcast_to(lambdas, grid), q, axis=-1)[..., None, :],
+            gamma=np.repeat(gammas, q, axis=-1)[..., None, :],
+            rho=rho,
+        )
+        full = [(value, checked) for value, checked in seen if value.shape == grid]
+        assert full
+        for value, checked in full:
+            want = augmented_lagrangian(block, checked, per_column)
+            assert (np.abs(value - want) <= 1e-13 * np.maximum(np.abs(want), 1)).all()
 
     @pytest.mark.parametrize("lambdas, gammas, rho", [
         ([0.1, -0.1], [0.1], 1.0), ([0.1], [np.nan], 1.0), ([np.inf], [0.1], 1.0),

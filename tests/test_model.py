@@ -18,7 +18,7 @@ from intmr.admm import (
     AdmmSolver, SolverOptions, fit, kkt_residual, run_chains, zero_state,
 )
 from intmr.selection import default_grid, penalty_ceiling
-from helpers import make_data, padded_stack, random_fit, objective_reference
+from helpers import draw_blocks, make_data, padded_stack, random_fit, objective_reference
 
 
 def kkt_reference(data, mf, hp):
@@ -352,30 +352,10 @@ class TestCompress:
         assert np.abs(np.swapaxes(S, -1, -2) @ S - gram).max() <= 1e-12 * np.abs(gram).max()
         assert (block.n == ref.n).all() and block.r == ref.r
 
-    @staticmethod
-    def draw_blocks(data):
-        """(dataset) or (dataset, fold) blocks of unequal n_m on both sides
-        of each dataset's k = 1 + p + r_m + q, with p = 0 and r_m = 0 among
-        the cases, and that k per block, shaped like PaddedBlock.n."""
-        M, p, q = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (0, 3), (1, 2)))
-        folds = data.draw(st.sampled_from([None, 2, 3]))
-        r = data.draw(st.lists(st.integers(0, 3), min_size=M, max_size=M))
-        k = 1 + p + np.array(r) + q
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-
-        def draw_data():
-            n = [data.draw(st.integers(1, 2 * km)) for km in k]
-            return make_data(rng, M=M, n=n, p=p, q=q, r=r)
-
-        if folds is None:
-            return draw_data(), k[:, None, None]
-        parts = [draw_data() for _ in range(folds)]
-        return [[f[m] for f in parts] for m in range(M)], k[:, None, None, None]
-
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_random_stacks_keep_every_inner_product(self, data):
-        blocks, k = self.draw_blocks(data)
+        blocks, k = draw_blocks(data)
         chains = data.draw(st.sampled_from([1, 3]))
         block, ref = stack(blocks, chains=chains), padded_stack(blocks, chains=chains)
         q = block.q
@@ -400,7 +380,7 @@ class TestCompress:
         # the last, so that the two cannot stop at different checks; the
         # compressed run agrees with the padded one to 1e-12 of each array's
         # largest entry, or of 1 (at most 7.2e-15 over 800 seeded draws)
-        blocks, _ = self.draw_blocks(data)
+        blocks, _ = draw_blocks(data)
         chains = data.draw(st.sampled_from([1, 2]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         lambdas, gammas = [rng.uniform(0.02, 0.3)], np.sort(rng.uniform(0.02, 0.3, chains))

@@ -202,6 +202,25 @@ class TestCvScore:
         )
         assert cv_score(data, relabeled, hp, opts) == pytest.approx(base, rel=1e-12)
 
+    def test_dataset_permutation_with_its_folds(self):
+        # datasets of unequal n_m and r_m reordered, each keeping its own fold
+        # labels: the CV matrix over one grid moves only by rounding, and
+        # every fit stops at the same iteration.  make_folds draws the
+        # shuffles in dataset order, so the reordered data draw other folds
+        rng = np.random.default_rng(52)
+        data = make_data(rng, M=3, n=[16, 21, 13], p=3, q=2, r=[2, 0, 1])
+        folds = make_folds(data, 4, seed=5)
+        grid = default_grid(data, 3, 3)
+        perm = [2, 0, 1]
+        moved = IntegratedDataset(tuple(data[m] for m in perm))
+        moved_folds = FoldAssignment(tuple(folds.labels[m] for m in perm), K=4, seed=5)
+        (base, it, conv), = selection._cv_matrices([data], [grid], [folds], None, 1.0)
+        (got, it_p, conv_p), = selection._cv_matrices([moved], [grid], [moved_folds], None, 1.0)
+        assert np.array_equal(it_p, it) and np.array_equal(conv_p, conv)
+        assert np.abs(got - base).max() <= 1e-12 * np.abs(base).max()
+        drawn = make_folds(moved, 4, seed=5).labels
+        assert any(not np.array_equal(a, b) for a, b in zip(drawn, moved_folds.labels))
+
     def test_informative_penalties_beat_corner_on_clean_signal(self):
         rng = np.random.default_rng(11)
         data = make_data(rng, M=2, n=40, p=4, q=2, r=2, noise=0.05)
@@ -520,6 +539,27 @@ class TestStackedGrid:
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
             run_chains(block, 1.0, lambdas, gammas, on_stop=poison)
         assert seen[-1] != seen[0]
+
+    @pytest.mark.parametrize("p, r, name", [(3, 0, "B_dual"), (0, 2, "C_dual")])
+    def test_running_chain_raises_without_z_or_x_columns(self, p, r, name):
+        # the finiteness check reads the chain's stopping value, whose pieces
+        # differ when a block has no Z (r_max = 0) or no X (p = 0) columns:
+        # a NaN dual given to a chain that keeps running must still raise
+        rng = np.random.default_rng(51)
+        folds = [make_data(rng, M=2, n=n, p=p, q=2, r=r) for n in (20, 26)]
+        block = stack([[f[m] for f in folds] for m in range(2)], chains=3)
+        lambdas, gammas = (0.3, 0.02), np.array([0.5, 0.05, 0.005])
+        poisoned = []
+
+        def poison(state, stopped, cell, position):
+            if not poisoned:
+                k, j = np.argwhere(~stopped & (position < len(lambdas)))[0]
+                getattr(state, name)[:, k, :, 2 * j] = np.nan
+                poisoned.append(cell[k, j])
+
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            run_chains(block, 1.0, lambdas, gammas, on_stop=poison)
+        assert poisoned
 
     def test_state_narrows_to_the_running_chains(self):
         block = two_fold_stack(np.random.default_rng(50), chains=3, n=(20, 60))
