@@ -7,7 +7,7 @@ solver splits both penalties off with consensus copies: B_bar carries the
 group-thresholded copy of B, C_bar the entrywise-thresholded copy of C, and
 scaled dual variables tie each pair together.  One iteration sweeps:
 
-  (a) intercepts from residual column means,
+  (a) intercepts from the residual, alpha + u'R / n,
   (b) ridge update of B toward B_bar + B_dual,
   (c) ridge update of C toward C_bar - C_dual,
   (d) entrywise soft threshold of C + C_dual onto C_bar,
@@ -22,23 +22,27 @@ the data side, zero_state the iterate).  A fold need not come from the same
 problem as the next: each fold may carry its own lambda and gamma paths.
 run_chains advances such a grid through the steps in one loop, narrowed to
 the chains still running; AdmmSolver.fit is its one-chain case.  The ridge
-steps use a thin SVD of X and of Z, one batched SVD each, computed once per
-run (rho stays fixed), and divide the n-row residual by c = n rho instead of
-the p- or r-row right-hand side.  The intercept enters as u alpha', with u
-the block's intercept column (see model.PaddedBlock); a dataset with more
-rows than 1 + p + r_m + q enters the stack as the R of a thin QR of its
-rows (model.stack), which leaves every step unchanged up to rounding.
+steps run in the thin-SVD coordinates A = U diag(s) V' of X and of Z, one
+batched SVD each, computed once per run (rho stays fixed): with c = n rho,
+a = s / (s^2 + c) and w = -s^2 / (s^2 + c), the step from residual E toward
+target T is T + V g with g = (U diag(a))'E + w * V'T, and A times it is
+U diag(s) (V'T + g), so the loop never multiplies by X or Z.  The intercept
+enters as u alpha', with u the block's intercept column (see
+model.PaddedBlock) and u'u = n; a dataset with more rows than
+1 + p + r_m + q enters the stack as the R of a thin QR of its rows
+(model.stack), which leaves every step unchanged up to rounding.
 
 The loop runs the bodies of the step functions and keeps what they share:
-Y - u alpha' once per sweep, X B and Z C once per new B and C, the residual
-Y - u alpha' - X B - Z C as the C step's residual minus Z C, |C_bar| and
-the group norms of B_bar from the thresholds, and B_bar - B + B_dual and
-C - C_bar + C_dual from the dual increments.  From these pieces it
-evaluates the augmented Lagrangian with the body of augmented_lagrangian,
-and a fit stops when that value changes by less than tol between checks.
-Reported coefficients are the consensus copies, so zeros are exact and the
-nonzero pattern of B is identical across datasets; the penalized objective
-is evaluated once, at the returned fit.
+Y - u alpha' once per sweep, X B and Z C as the ridge steps return them, the
+residual R = Y - u alpha' - X B - Z C as the C step's residual minus Z C,
+|C_bar| and the group norms of B_bar from the thresholds, and
+B_bar - B + B_dual and C - C_bar + C_dual from the dual increments.  R gives
+the next sweep's intercept step, and with the other pieces the augmented
+Lagrangian, evaluated with the body of augmented_lagrangian at every
+iteration; a fit stops when that value changes by less than tol between two
+iterations.  Reported coefficients are the consensus copies, so zeros are
+exact and the nonzero pattern of B is identical across datasets; the
+penalized objective is evaluated once, at the returned fit.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -85,17 +89,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """A fit stops when its augmented Lagrangian changes by less than tol
+    between two iterations, or after max_iter iterations."""
+
     tol: float = 1e-7
     max_iter: int = 10000
-    check_every: int = 1
 
     def __post_init__(self):
         if not (self.tol > 0 and np.isfinite(self.tol)):
             raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.check_every < 1:
-            raise ValueError("check_every must be at least 1")
 
 
 def chain_sums(a, q):
@@ -153,41 +157,39 @@ def _check_state_matches(block, state):
 # single update steps
 #
 # Every step takes leading axes: coefficient blocks (..., rows, q),
-# intercepts (..., q) and the products XB = X B and ZC = Z C (..., n, q),
-# against data whose arrays broadcast over those axes, whether one dataset's
-# DatasetBlock or a stacked PaddedBlock.
+# intercepts (..., q), residuals and the products XB = X B and ZC = Z C
+# (..., n, q), against data whose arrays broadcast over those axes, whether
+# one dataset's DatasetBlock or a stacked PaddedBlock.
 
 
-def update_intercept(block, XB, ZC):
-    """u'(Y - X B - Z C) / n, the column means of Y - X B - Z C, given
-    XB = X B and ZC = Z C."""
-    R = block.Y - XB
-    R -= ZC
-    return (np.swapaxes(block.u, -1, -2) @ R / block.n)[..., 0, :]
+def update_intercept(block, alpha, R):
+    """alpha + u'R / n, given the residual R = Y - u alpha' - X B - Z C: the
+    column means of Y - X B - Z C, since u'u = n."""
+    return alpha + (np.swapaxes(block.u, -1, -2) @ R / block.n)[..., 0, :]
 
 
 class RidgeFactor(NamedTuple):
-    """(A'A + c I)^{-1} v = r + V (w * V'r) with r = v / c, from the thin
-    SVD of A."""
+    """A design A = U diag(s) V' in the coordinates of its thin SVD, with
+    a = s / (s^2 + c), w = -s^2 / (s^2 + c) and c = n rho (see
+    _ridge_step): V', w (..., k, 1), (U diag(a))' and U diag(s)."""
 
-    V: np.ndarray
     Vt: np.ndarray
     w: np.ndarray
-    c: object
+    Ua_t: np.ndarray
+    Us: np.ndarray
 
 
 def ridge_factor(A, n, rho):
     """Thin-SVD factor of A'A + n rho I for a design A with any leading axes.
 
-    w = -s^2 / (s^2 + c) with c = n rho: (A'A + c I)^{-1} is
-    (I + V diag(w) V') / c.  Zero-padded rows add zero singular values,
-    whose w is 0.
+    Zero-padded rows and columns add zero singular values, whose a and w
+    are 0.
     """
-    _, s, Vt = np.linalg.svd(A, full_matrices=False)
-    c = n * rho
-    s2 = (s * s)[..., None]
-    V = np.ascontiguousarray(np.swapaxes(Vt, -1, -2))
-    return RidgeFactor(V=V, Vt=Vt, w=-s2 / (s2 + c), c=c)
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    s = s[..., None, :]
+    d = s * s + n * rho
+    return RidgeFactor(Vt=Vt, w=np.swapaxes(-(s * s) / d, -1, -2),
+                       Ua_t=np.swapaxes(U * (s / d), -1, -2), Us=U * s)
 
 
 def ridge_factors(block, rho):
@@ -200,35 +202,36 @@ def ridge_factors(block, rho):
     )
 
 
-def _ridge_step(factor, A, S, target):
-    """(A'A + c I)^{-1} (c A'S + c target), as r + V (w * V'r) with
-    r = A'S + target: the ridge step of a residual already divided by c."""
-    r = np.swapaxes(A, -1, -2) @ S
-    r += target
-    t = factor.Vt @ r
-    t *= factor.w
-    r += factor.V @ t
-    return r
+def _ridge_step(factor, E, T):
+    """The solution of (A'A + c I) x = A'E + c T and its product A x, in the
+    SVD coordinates of A: x = T + V g with g = (U diag(a))'E + w * V'T, and
+    A x = U diag(s) (V'T + g).  V is taken as the transpose of V', which
+    OpenBLAS multiplies faster at these sizes than a contiguous V."""
+    t = factor.Vt @ T
+    g = factor.Ua_t @ E
+    g += factor.w * t
+    t += g
+    x = np.swapaxes(factor.Vt, -1, -2) @ g
+    x += T
+    return x, factor.Us @ t
 
 
 def update_shared_coef(block, alpha_m, ZC, B_bar_m, B_dual_m, rho, factor=None):
     """Solve (X'X + n rho I) B = X'(Y - u alpha' - Z C) + n rho (B_bar + B_dual),
-    given ZC = Z C; the residual is divided by n rho, not the products."""
+    given ZC = Z C; returns B and X B."""
     if factor is None:
         factor = ridge_factor(block.X, block.n, rho)
-    S = block.Y - block.u * alpha_m[..., None, :] - ZC
-    S /= factor.c
-    return _ridge_step(factor, block.X, S, B_bar_m + B_dual_m)
+    return _ridge_step(factor, block.Y - block.u * alpha_m[..., None, :] - ZC,
+                       B_bar_m + B_dual_m)
 
 
 def update_specific_coef(block, alpha_m, XB, C_bar_m, C_dual_m, rho, factor=None):
     """Solve (Z'Z + n rho I) C = Z'(Y - u alpha' - X B) + n rho (C_bar - C_dual),
-    given XB = X B; the residual is divided by n rho, not the products."""
+    given XB = X B; returns C and Z C."""
     if factor is None:
         factor = ridge_factor(block.Z, block.n, rho)
-    S = block.Y - block.u * alpha_m[..., None, :] - XB
-    S /= factor.c
-    return _ridge_step(factor, block.Z, S, C_bar_m - C_dual_m)
+    return _ridge_step(factor, block.Y - block.u * alpha_m[..., None, :] - XB,
+                       C_bar_m - C_dual_m)
 
 
 def threshold_specific(C_m, C_dual_m, thresh):
@@ -347,15 +350,14 @@ class FitReport:
 def _per_entry(v, q, rows):
     """Per-chain values (..., G) as full-size per-entry arrays (..., rows, G q),
     so that no operation with them broadcasts along rows."""
-    col = np.repeat(v, q, axis=-1)[..., None, :]
-    return np.broadcast_to(col, col.shape[:-2] + (rows,) + col.shape[-1:]).copy()
+    return _refill(np.empty(v.shape[:-1] + (rows, v.shape[-1] * q)), v, q)
 
 
-def _set_chains(a, chains, values, q):
-    """Set the entries of a (..., rows, G q), made by _per_entry, of the
-    chains at mask `chains` (..., G) to `values`, one per chain set."""
-    per_chain = np.moveaxis(a.reshape(a.shape[:-1] + (chains.shape[-1], q)), -3, -2)
-    per_chain[chains] = values[:, None, None]
+def _refill(a, v, q):
+    """Set a (..., rows, G q), made by _per_entry, to the per-chain values
+    v (..., G) in place; returns a."""
+    np.copyto(a.reshape(a.shape[:-1] + (v.shape[-1], q)), v[..., None, :, None])
+    return a
 
 
 def _take_columns(a, folds, cols):
@@ -388,18 +390,18 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
     Every chain fits its fold's lambdas[0], lambdas[1], ... in turn at its
     own gamma, each fit warm-started from the state the previous one
     stopped in.  A fit stops when its augmented Lagrangian changes by less
-    than opts.tol between two of its checks, or after opts.max_iter
-    iterations.  One sweep computes Y - u alpha' once, X B once per new B
-    and Z C once per new C; B and C enter the next sweep only through
-    these products.  The stopping value is built from the sweep's own
-    pieces (see the module docstring), and a running chain whose value is
-    not finite raises FloatingPointError: every term of it is nonnegative,
-    so a non-finite alpha, B or C of the chain makes it non-finite.  The
-    value, and so this check, is computed at every iteration where a chain
-    checks or reaches opts.max_iter.  lambda, gamma and their thresholds
-    are held per entry, shaped like B_bar's group norms and like C, so that
-    no step broadcasts them along rows; when a fit stops, only its chain's
-    lambda columns are refreshed.
+    than opts.tol between two iterations, or after opts.max_iter
+    iterations.  One sweep computes Y - u alpha' once and takes X B, Z C and
+    the residual R = Y - u alpha' - X B - Z C from the ridge steps (see the
+    module docstring); B and C enter the next sweep only through these
+    products, and alpha through R.  The stopping value is built from the
+    sweep's own pieces at every iteration, and a running chain whose value
+    is not finite raises FloatingPointError: every term of it is
+    nonnegative, so a non-finite alpha, B or C of the chain makes it
+    non-finite.  lambda, gamma and their thresholds are held per entry,
+    shaped like B_bar's group norms and like C, so that no step broadcasts
+    them along rows; when fits stop, the lambda arrays are refilled from
+    every chain's current lambda.
 
     When a chain ends its path, block, factors and state narrow to the
     folds with a running chain and, per fold, its running chains, padded
@@ -410,8 +412,8 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
     position) may read the working state and gets the mask of the working
     chains that stopped, every working chain's cell (its flat index into
     the grid, a new array exactly when the working set changed) and its
-    index into its lambda path.  Each check appends the Lagrangian of every
-    working chain to `trace` when one is given; a given `state` ends
+    index into its lambda path.  Each iteration appends the Lagrangian of
+    every working chain to `trace` when one is given; a given `state` ends
     holding the last working set.  The caller need keep no reference to
     block: the first narrowing then frees the full-size arrays.
 
@@ -436,65 +438,62 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
     iterations = np.zeros(grid + (n_fits,), dtype=int)
     converged = np.zeros(grid + (n_fits,), dtype=bool)
 
-    def penalties():
-        """The working chains' penalty weights and thresholds per entry: lambda
-        and lambda / rho like B_bar's group norms, gamma and gamma / rho like
-        one dataset's C."""
+    def current_lambdas():
+        """Every working chain's lambda and lambda / rho."""
         fits = cell, np.minimum(position, n_fits - 1)
-        p, r_max = block.p, block.Z.shape[-1]
-        return (_per_entry(cell_lambdas[fits], q, p), _per_entry(lambda_thresh[fits], q, p),
-                _per_entry(cell_gamma[cell], q, r_max), _per_entry(gamma_thresh[cell], q, r_max))
+        return cell_lambdas[fits], lambda_thresh[fits]
 
     def start():
-        """The working set's carried products X B and Z C, its penalties, and
-        |C_bar| and B_bar's group norms, which each sweep replaces unless the
-        block has no Z or no X columns."""
-        return ((block.X @ state.B, block.Z @ state.C) + penalties()
-                + (np.abs(state.C_bar), group_norms(state.B_bar)))
+        """The working set's carried products X B and Z C, its residual, its
+        penalty weights and thresholds per entry (lambda and lambda / rho
+        like B_bar's group norms, gamma and gamma / rho like one dataset's
+        C), and |C_bar| and B_bar's group norms, which each sweep replaces
+        unless the block has no Z or no X columns."""
+        XB, ZC = block.X @ state.B, block.Z @ state.C
+        R = block.Y - block.u * state.alpha[..., None, :] - XB
+        R -= ZC
+        p, r_max = block.p, block.Z.shape[-1]
+        return ((XB, ZC, R) + tuple(_per_entry(v, q, p) for v in current_lambdas())
+                + (_per_entry(cell_gamma[cell], q, r_max), _per_entry(gamma_thresh[cell], q, r_max),
+                   np.abs(state.C_bar), group_norms(state.B_bar)))
 
     fx, fz = ridge_factors(block, rho)
     if state is None:
         state = zero_state(block)
-    XB, ZC, lam, lam_t, gam, gam_t, abs_C_bar, norms_B_bar = start()
-    while active.any():
-        state.alpha = update_intercept(block, XB, ZC)
+    XB, ZC, R, lam, lam_t, gam, gam_t, abs_C_bar, norms_B_bar = start()
+    while True:
+        state.alpha = update_intercept(block, state.alpha, R)
         YU = block.Y - block.u * state.alpha[..., None, :]
         if fx is not None:
-            S = YU - ZC
-            S /= fx.c
-            state.B = _ridge_step(fx, block.X, S, state.B_bar + state.B_dual)
-            XB = block.X @ state.B
+            state.B, XB = _ridge_step(fx, YU - ZC, state.B_bar + state.B_dual)
         R = YU - XB
         if fz is not None:
-            state.C = _ridge_step(fz, block.Z, R / fz.c, state.C_bar - state.C_dual)
-            ZC = block.Z @ state.C
+            state.C, ZC = _ridge_step(fz, R, state.C_bar - state.C_dual)
             R -= ZC
             state.C_bar, abs_C_bar = _shrink(state.C + state.C_dual, gam_t)
         if fx is not None:
             state.B_bar, norms_B_bar = _group_shrink(state.B - state.B_dual, lam_t)
         dB, dC = _dual_ascent(state)
+        dB += state.B_dual
+        dC += state.C_dual
+        L = _lagrangian(block, R, abs_C_bar, norms_B_bar, dB, dC, lam, gam, rho)
         state.iteration += 1
         it += 1
-        check = it % opts.check_every == 0
-        stopped = active & (it >= opts.max_iter)
-        if check.any() or stopped.any():
-            dB += state.B_dual
-            dC += state.C_dual
-            L = _lagrangian(block, R, abs_C_bar, norms_B_bar, dB, dC, lam, gam, rho)
-            # every term is nonnegative, so a non-finite alpha, B or C of a
-            # chain makes its value non-finite
-            finite = np.isfinite(L)
-            if not finite.all():
-                diverged = active & ~finite
-                if diverged.any():
-                    raise FloatingPointError(
-                        "solver diverged: non-finite iterate at iteration %d" % it[diverged].min()
-                    )
-            if trace is not None and check.any():
-                trace.append(L)
-            met = check & (np.abs(L - prev) < opts.tol)
-            prev = np.where(check, L, prev)
-            stopped |= active & met
+        # every term is nonnegative, so a non-finite alpha, B or C of a
+        # chain makes its value non-finite
+        if not np.isfinite(L).all():
+            diverged = active & ~np.isfinite(L)
+            if diverged.any():
+                raise FloatingPointError(
+                    "solver diverged: non-finite iterate at iteration %d" % it[diverged].min()
+                )
+        if trace is not None:
+            trace.append(L)
+        met = np.abs(L - prev) < opts.tol
+        prev = L
+        stopped = active & met
+        if it.max() >= opts.max_iter:
+            stopped |= active & (it >= opts.max_iter)
         if not stopped.any():
             continue
         done = cell[stopped], position[stopped]
@@ -504,10 +503,12 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
             on_stop(state, stopped, cell, position)
         position = position + stopped
         active = position < n_fits
+        if not active.any():
+            return iterations, converged
         it[stopped] = 0
-        prev[stopped] = np.nan
+        prev = np.where(stopped, np.nan, prev)
         keep, width = active.any(axis=-1), active.sum(axis=-1).max()
-        if keep.any() and (width < active.shape[-1] or not keep.all()):
+        if width < active.shape[-1] or not keep.all():
             # the folds with a running chain, as a view when that is all of
             # them; per fold, running chains first
             folds = () if not keep.ndim else (
@@ -524,13 +525,11 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
                 np.take_along_axis(a[folds], order, axis=-1)
                 for a in (cell, position, it, prev, active)
             )
-            XB, ZC, lam, lam_t, gam, gam_t, abs_C_bar, norms_B_bar = start()
+            XB, ZC, R, lam, lam_t, gam, gam_t, abs_C_bar, norms_B_bar = start()
         else:
-            # a stopped chain moves on to its next lambda
-            fits = cell[stopped], np.minimum(position[stopped], n_fits - 1)
-            _set_chains(lam, stopped, cell_lambdas[fits], q)
-            _set_chains(lam_t, stopped, lambda_thresh[fits], q)
-    return iterations, converged
+            # stopped chains move on to their next lambda
+            for a, v in zip((lam, lam_t), current_lambdas()):
+                _refill(a, v, q)
 
 
 class AdmmSolver:
@@ -595,7 +594,7 @@ def fit(data, hp, opts=None, init=None):
     FitReport
         Coefficients taken from the consensus copies (exact zeros), the
         penalized objective at those coefficients, the augmented Lagrangian
-        at every convergence check, the stationarity residual, the final
+        at every iteration, the stationarity residual, the final
         consensus gap and the final state.
     """
     return AdmmSolver(data, rho=hp.rho).fit(hp, opts=opts, init=init)

@@ -50,8 +50,6 @@ _FLAGS = {
                               "on the standardized scale instead of the original"),
     "metric-mode": dict(choices=_METRIC_MODES,
                         help="selection-rate denominator convention (default paper)"),
-    "threads": dict(type=int, help="accepted for compatibility and must be at least 1; "
-                    "fits run in one thread"),
 }
 
 
@@ -74,7 +72,7 @@ def build_parser():
         help="grid spec: NxM for a data-driven grid with N lambdas and M gammas, "
         "or explicit 'l1,l2,...;g1,g2,...' (default 15x15)",
     )
-    _add_flags(p_cv, ("seed", "k", "threads") + data_flags)
+    _add_flags(p_cv, ("seed", "k") + data_flags)
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo study")
     p_sim.add_argument(
         "--scenario",
@@ -85,7 +83,7 @@ def build_parser():
     p_sim.add_argument("--methods", help="comma list from mr,ur,mlasso,lasso")
     p_sim.add_argument("--grid", help="grid spec NxM for the study fits (default 15x15)")
     p_sim.add_argument("--n-test", type=int, help="test rows per dataset (default 1000)")
-    _add_flags(p_sim, ("seed", "k", "threads", "tol", "max-iter", "metric-mode"))
+    _add_flags(p_sim, ("seed", "k", "tol", "max-iter", "metric-mode"))
     p_rep = sub.add_parser("report", help="coefficient tables from a saved model")
     p_rep.add_argument("--model", help="model JSON written by fit or cv")
     _add_flags(p_rep, ())
@@ -101,7 +99,6 @@ _DEFAULTS = {
     "standardize": "false",
     "keep_standardized": False,
     "metric_mode": "paper",
-    "threads": 1,
     "lam": 0.0,
     "gamma": 0.0,
     "grid": "15x15",
@@ -201,8 +198,6 @@ def _settings(args):
         raise UsageError("--tol must be positive and finite")
     if merged["max_iter"] < 1:
         raise UsageError("--max-iter must be at least 1")
-    if merged["threads"] < 1:
-        raise UsageError("--threads must be at least 1")
     if not (0 <= merged["lam"] < math.inf and 0 <= merged["gamma"] < math.inf):
         raise UsageError("--lambda and --gamma must be nonnegative and finite")
     if not 0 < merged["rho"] < math.inf:

@@ -6,9 +6,15 @@ sharing no code with the production ADMM path, so the two can check each
 other.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 from hypothesis import strategies as st
 
+import intmr
+from intmr.admm import SolverOptions, run_chains, zero_state
 from intmr.model import DatasetBlock, IntegratedDataset, ModelFit, PaddedBlock, _pad
 
 
@@ -66,6 +72,15 @@ def random_fit(rng, data, density=0.7):
             c[rng.random((block.r, data.q)) > density] = 0.0
         C.append(c)
     return ModelFit(alpha=tuple(alpha), B=tuple(B), C=tuple(C))
+
+
+def run_sweeps(block, rho, lam, gammas, sweeps):
+    """The state after exactly `sweeps` ADMM sweeps of run_chains from zero,
+    whatever the stopping rule would say: a lambda path of `sweeps` copies
+    of lam, each fit stopped after its one sweep by max_iter=1."""
+    state = zero_state(block)
+    run_chains(block, rho, np.full(sweeps, lam), gammas, SolverOptions(max_iter=1), state=state)
+    return state
 
 
 def padded_stack(blocks, chains=1):
@@ -214,11 +229,12 @@ def vector_prox_oracle(c, d, grids=4001):
     return 0.5 * (ts[i] - nc) ** 2 + d * ts[i]
 
 
-def draw_blocks(data):
+def draw_blocks(data, max_p=3):
     """(dataset) or (dataset, fold) blocks of unequal n_m on both sides
-    of each dataset's k = 1 + p + r_m + q, with p = 0 and r_m = 0 among
-    the cases, and that k per block, shaped like PaddedBlock.n."""
-    M, p, q = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (0, 3), (1, 2)))
+    of each dataset's k = 1 + p + r_m + q, with p = 0 (p at most max_p) and
+    r_m = 0 among the cases, and that k per block, shaped like
+    PaddedBlock.n."""
+    M, p, q = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (0, max_p), (1, 2)))
     folds = data.draw(st.sampled_from([None, 2, 3]))
     r = data.draw(st.lists(st.integers(0, 3), min_size=M, max_size=M))
     k = 1 + p + np.array(r) + q
@@ -232,3 +248,15 @@ def draw_blocks(data):
         return draw_data(), k[:, None, None]
     parts = [draw_data() for _ in range(folds)]
     return [[f[m] for f in parts] for m in range(M)], k[:, None, None, None]
+
+
+def run_cli_process(argv, blas_threads):
+    """`python -m intmr ARGV` in a process of its own whose OpenBLAS runs
+    `blas_threads` threads; PYTHONPATH leads with the imported package's
+    directory, so the child runs the same source as the tests."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(intmr.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "intmr"] + list(argv), env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -140,7 +140,8 @@ class TestSteps:
         rng = np.random.default_rng(2)
         data = make_data(rng, M=1, n=9, p=2, q=2, r=1)
         b = data[0]
-        a = update_intercept(b, b.X @ np.zeros((2, 2)), b.Z @ np.zeros((1, 2)))
+        alpha = rng.standard_normal(2)
+        a = update_intercept(b, alpha, b.Y - alpha)
         assert np.allclose(a, b.Y.mean(axis=0), atol=1e-14)
 
     def test_intercept_zeroes_loss_gradient(self):
@@ -149,7 +150,8 @@ class TestSteps:
         b = data[0]
         B = rng.standard_normal((2, 2))
         C = rng.standard_normal((1, 2))
-        a = update_intercept(b, b.X @ B, b.Z @ C)
+        alpha = rng.standard_normal(2)
+        a = update_intercept(b, alpha, b.Y - alpha - b.X @ B - b.Z @ C)
 
         def loss(alpha):
             R = b.Y - alpha - b.X @ B - b.Z @ C
@@ -166,10 +168,11 @@ class TestSteps:
     def test_shared_update_scalar_case_frozen(self):
         # (X'X + n rho I)^{-1} X'Y with X=[[1]], Y=[[2]], n=1, rho=1 gives 1
         b = DatasetBlock(Y=np.array([[2.0]]), X=np.array([[1.0]]))
-        out = update_shared_coef(
+        out, XB = update_shared_coef(
             b, np.zeros(1), b.Z @ np.zeros((0, 1)), np.zeros((1, 1)), np.zeros((1, 1)), 1.0
         )
         assert out == pytest.approx(np.array([[1.0]]), abs=1e-14)
+        assert XB == pytest.approx(np.array([[1.0]]), abs=1e-14)
 
     def test_shared_update_solves_its_normal_equations(self):
         rng = np.random.default_rng(4)
@@ -180,7 +183,7 @@ class TestSteps:
         B_bar = rng.standard_normal((4, 2))
         B_dual = rng.standard_normal((4, 2))
         rho = 1.3
-        B = update_shared_coef(b, alpha, b.Z @ C, B_bar, B_dual, rho)
+        B, _ = update_shared_coef(b, alpha, b.Z @ C, B_bar, B_dual, rho)
         lhs = (b.X.T @ b.X + b.n * rho * np.eye(4)) @ B
         rhs = b.X.T @ (b.Y - alpha - b.Z @ C) + b.n * rho * (B_bar + B_dual)
         assert np.abs(lhs - rhs).max() < 1e-10
@@ -191,17 +194,18 @@ class TestSteps:
         b = data[0]
         B_bar = rng.standard_normal((3, 2))
         B_dual = rng.standard_normal((3, 2))
-        B = update_shared_coef(b, np.zeros(2), b.Z @ np.zeros((0, 2)), B_bar, B_dual, 1e8)
+        B, _ = update_shared_coef(b, np.zeros(2), b.Z @ np.zeros((0, 2)), B_bar, B_dual, 1e8)
         assert np.abs(B - (B_bar + B_dual)).max() < 1e-5
 
     def test_specific_update_scalar_case_frozen(self):
         b = DatasetBlock(
             Y=np.array([[4.0]]), X=np.zeros((1, 0)), Z=np.array([[1.0]])
         )
-        out = update_specific_coef(
+        out, ZC = update_specific_coef(
             b, np.zeros(1), b.X @ np.zeros((0, 1)), np.zeros((1, 1)), np.zeros((1, 1)), 1.0
         )
         assert out == pytest.approx(np.array([[2.0]]), abs=1e-14)
+        assert ZC == pytest.approx(np.array([[2.0]]), abs=1e-14)
 
     def test_specific_update_solves_its_normal_equations(self):
         rng = np.random.default_rng(6)
@@ -212,7 +216,7 @@ class TestSteps:
         C_bar = rng.standard_normal((4, 2))
         C_dual = rng.standard_normal((4, 2))
         rho = 0.7
-        C = update_specific_coef(b, alpha, b.X @ B, C_bar, C_dual, rho)
+        C, _ = update_specific_coef(b, alpha, b.X @ B, C_bar, C_dual, rho)
         lhs = (b.Z.T @ b.Z + b.n * rho * np.eye(4)) @ C
         rhs = b.Z.T @ (b.Y - alpha - b.X @ B) + b.n * rho * (C_bar - C_dual)
         assert np.abs(lhs - rhs).max() < 1e-10
@@ -225,11 +229,46 @@ class TestSteps:
         C = rng.standard_normal((3, 2))
         B_bar = rng.standard_normal((p, 2))
         B_dual = rng.standard_normal((p, 2))
-        B = update_shared_coef(b, alpha, b.Z @ C, B_bar, B_dual, rho,
-                               factor=ridge_factor(b.X, n, rho))
+        B, _ = update_shared_coef(b, alpha, b.Z @ C, B_bar, B_dual, rho,
+                                  factor=ridge_factor(b.X, n, rho))
         lhs = (b.X.T @ b.X + n * rho * np.eye(p)) @ B
         rhs = b.X.T @ (b.Y - alpha - b.Z @ C) + n * rho * (B_bar + B_dual)
         assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_svd_coordinate_steps_meet_their_normal_equations(self, data):
+        # both ridge steps on random stacks: n < p and n > p, zero-padded
+        # rows, r_m = 0 beside r_max > 0, compressed (dataset, fold) blocks,
+        # and rho from 1e-3 to 1e8.  Per (dataset, fold), the coefficients
+        # meet (A'A + n rho I) x = A'E + n rho T to 1e-12 of the largest of
+        # its three terms, the returned product is A x to 1e-12 of |A| |x|,
+        # and C's rows past r_m stay zero (at most 2.2e-13 and 1.1e-14 of
+        # those scales over 3,000 draws)
+        blocks, _ = draw_blocks(data, max_p=8)
+        chains = data.draw(st.integers(1, 2))
+        rho = 10.0 ** data.draw(st.floats(-3, 8))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        block = stack(blocks, chains)
+        s = random_state(rng, block)
+        XB, ZC = block.X @ s.B, block.Z @ s.C
+        YU = block.Y - block.u * s.alpha[..., None, :]
+        steps = (
+            (block.X, YU - ZC, s.B_bar + s.B_dual,
+             update_shared_coef(block, s.alpha, ZC, s.B_bar, s.B_dual, rho)),
+            (block.Z, YU - XB, s.C_bar - s.C_dual,
+             update_specific_coef(block, s.alpha, XB, s.C_bar, s.C_dual, rho)),
+        )
+        worst = lambda a: np.abs(a).max(axis=(-2, -1), initial=0)
+        for A, E, T, (x, Ax) in steps:
+            At, c = np.swapaxes(A, -1, -2), block.n * rho
+            terms = At @ (A @ x), c * x, At @ E + c * T
+            residual = terms[0] + terms[1] - terms[2]
+            assert (worst(residual) <= 1e-12 * np.max([worst(t) for t in terms], axis=0)).all()
+            assert (worst(Ax - A @ x) <= 1e-12 * worst(np.abs(A) @ np.abs(x))).all()
+        padded = np.arange(block.Z.shape[-1])[:, None] >= np.reshape(
+            block.r, (-1,) + (1,) * (s.C.ndim - 1))
+        assert (np.where(padded, steps[1][3][0], 0) == 0).all()
 
     def test_steps_over_padded_chain_stack_match_per_chain_steps(self):
         # two folds of unequal row counts, zero-padded and stacked as
@@ -242,26 +281,29 @@ class TestSteps:
         B, B_bar, B_dual = (rng.standard_normal((1, 2, 4, 6)) for _ in range(3))
         C, C_bar, C_dual = (rng.standard_normal((1, 2, 3, 6)) for _ in range(3))
         rho = 0.8
-        got = {
-            "alpha": update_intercept(stacked, stacked.X @ B, stacked.Z @ C),
-            "B": update_shared_coef(stacked, alpha, stacked.Z @ C, B_bar, B_dual, rho,
-                                    factor=ridge_factor(stacked.X, stacked.n, rho)),
-            "C": update_specific_coef(stacked, alpha, stacked.X @ B, C_bar, C_dual, rho,
-                                      factor=ridge_factor(stacked.Z, stacked.n, rho)),
-        }
+        XB, ZC = stacked.X @ B, stacked.Z @ C
+        R = stacked.Y - stacked.u * alpha[..., None, :] - XB - ZC
+        got = {"alpha": update_intercept(stacked, alpha, R)}
+        got["B"], got["XB"] = update_shared_coef(stacked, alpha, ZC, B_bar, B_dual, rho,
+                                                 factor=ridge_factor(stacked.X, stacked.n, rho))
+        got["C"], got["ZC"] = update_specific_coef(stacked, alpha, XB, C_bar, C_dual, rho,
+                                                   factor=ridge_factor(stacked.Z, stacked.n, rho))
         for k, b in enumerate(blocks):
             for j in range(3):
                 c = slice(2 * j, 2 * j + 2)
                 XB, ZC = b.X @ B[0, k, :, c], b.Z @ C[0, k, :, c]
-                want = {
-                    "alpha": update_intercept(b, XB, ZC),
-                    "B": update_shared_coef(b, alpha[0, k, c], ZC, B_bar[0, k, :, c],
-                                            B_dual[0, k, :, c], rho),
-                    "C": update_specific_coef(b, alpha[0, k, c], XB, C_bar[0, k, :, c],
-                                              C_dual[0, k, :, c], rho),
-                }
+                want = {"alpha": update_intercept(b, alpha[0, k, c],
+                                                  b.Y - alpha[0, k, c] - XB - ZC)}
+                want["B"], want["XB"] = update_shared_coef(
+                    b, alpha[0, k, c], ZC, B_bar[0, k, :, c], B_dual[0, k, :, c], rho)
+                want["C"], want["ZC"] = update_specific_coef(
+                    b, alpha[0, k, c], XB, C_bar[0, k, :, c], C_dual[0, k, :, c], rho)
                 for name, w in want.items():
-                    assert np.abs(got[name][0, k, ..., c] - w).max() <= 1e-12 * np.abs(w).max(), name
+                    g = got[name][0, k, ..., c]
+                    if name in ("XB", "ZC"):
+                        # the products keep the stack's zero-padded rows
+                        g = g[: b.n]
+                    assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
 
     def test_specific_threshold_is_entrywise_prox(self):
         rng = np.random.default_rng(7)
@@ -353,7 +395,7 @@ class TestFit:
         rng = np.random.default_rng(14)
         data = make_data(rng, M=2, n=30, p=4, q=2, r=2)
         hp = HyperParams(0.3, 0.3)
-        rep = fit(data, hp, SolverOptions(tol=1e-9, max_iter=50000, check_every=5))
+        rep = fit(data, hp, SolverOptions(tol=1e-9, max_iter=50000))
         _, _, _, f_ref = prox_gradient_reference(data, 0.3, 0.3)
         f_admm = rep.objective
         assert abs(f_admm - f_ref) <= 1e-6 * max(abs(f_admm), abs(f_ref))
@@ -489,14 +531,19 @@ class TestFit:
             rep = solver.fit(hp, SolverOptions(max_iter=1), init=start)
             st = start.copy()
             for m, b in enumerate(data):
+                # the steps composed as the loop runs them: the residual of
+                # the start, the intercept step from it, and the ridge steps
+                # handing on the products they return
                 C, C_bar, C_dual = (a[m, : b.r] for a in (st.C, st.C_bar, st.C_dual))
-                st.alpha[m] = update_intercept(b, b.X @ st.B[m], b.Z @ C)
-                st.B[m] = update_shared_coef(
-                    b, st.alpha[m], b.Z @ C, st.B_bar[m], st.B_dual[m], hp.rho
+                XB, ZC = b.X @ st.B[m], b.Z @ C
+                R = b.Y - b.u * st.alpha[m] - XB
+                R -= ZC
+                st.alpha[m] = update_intercept(b, st.alpha[m], R)
+                st.B[m], XB = update_shared_coef(
+                    b, st.alpha[m], ZC, st.B_bar[m], st.B_dual[m], hp.rho
                 )
                 if b.r:
-                    C[...] = update_specific_coef(b, st.alpha[m], b.X @ st.B[m], C_bar, C_dual,
-                                                  hp.rho)
+                    C[...], _ = update_specific_coef(b, st.alpha[m], XB, C_bar, C_dual, hp.rho)
                     C_bar[...] = threshold_specific(C, C_dual, hp.gamma / hp.rho)
             st.B_bar = threshold_shared(st.B, st.B_dual, hp.lam / hp.rho)
             update_duals(st)
@@ -514,14 +561,14 @@ class TestFit:
         rng = np.random.default_rng(32)
         data = make_data(rng, M=2, n=20, p=3, q=2, r=[1, 2])
         hp = HyperParams(0.15, 0.1)
-        rep = fit(data, hp, SolverOptions(tol=1e-9, check_every=3))
+        rep = fit(data, hp, SolverOptions(tol=1e-9))
         assert rep.objective == objective(data, rep.fit, hp)
 
     def test_reported_kkt_residual_is_kkt_residual_at_fit(self):
         rng = np.random.default_rng(32)
         data = make_data(rng, M=3, n=[20, 14, 17], p=3, q=2, r=[1, 0, 2])
         hp = HyperParams(0.15, 0.1)
-        rep = fit(data, hp, SolverOptions(tol=1e-9, check_every=3))
+        rep = fit(data, hp, SolverOptions(tol=1e-9))
         assert rep.kkt_residual == kkt_residual(data, rep.fit, hp)
 
 
@@ -618,7 +665,7 @@ class TestSolverOptions:
     @pytest.mark.parametrize(
         "kw",
         [{"tol": 0.0}, {"tol": -1.0}, {"tol": np.inf}, {"tol": np.nan},
-         {"max_iter": 0}, {"check_every": 0}],
+         {"max_iter": 0}],
     )
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -654,7 +701,7 @@ class TestDiagnostics:
         rng = np.random.default_rng(27)
         data = make_data(rng, M=2, n=30, p=4, q=2, r=2)
         hp = HyperParams(0.3, 0.3)
-        rep = fit(data, hp, SolverOptions(tol=1e-10, check_every=5))
+        rep = fit(data, hp, SolverOptions(tol=1e-10))
         assert rep.kkt_residual < 1e-4
         B = [b.copy() for b in rep.fit.B]
         B[0][0, 0] += 0.05
@@ -664,7 +711,7 @@ class TestDiagnostics:
     def test_consensus_gap_small_at_convergence(self):
         rng = np.random.default_rng(28)
         data = make_data(rng, M=2, n=30, p=4, q=2, r=2)
-        opts = SolverOptions(tol=1e-9, check_every=5)
+        opts = SolverOptions(tol=1e-9)
         rep = fit(data, HyperParams(0.3, 0.3), opts)
         assert rep.consensus_gap <= 100 * opts.tol
 
@@ -679,17 +726,18 @@ class TestBlockwiseDescent:
             st = random_state(rng, block)
             L = augmented_lagrangian(block, st, hp)
             for m, b in enumerate(data):
-                st.alpha[m] = update_intercept(b, b.X @ st.B[m], b.Z @ st.C[m])
+                R = b.Y - st.alpha[m] - b.X @ st.B[m] - b.Z @ st.C[m]
+                st.alpha[m] = update_intercept(b, st.alpha[m], R)
             L2 = augmented_lagrangian(block, st, hp)
             assert L2 <= L + 1e-10
             for m, b in enumerate(data):
-                st.B[m] = update_shared_coef(
+                st.B[m], _ = update_shared_coef(
                     b, st.alpha[m], b.Z @ st.C[m], st.B_bar[m], st.B_dual[m], 1.0
                 )
             L3 = augmented_lagrangian(block, st, hp)
             assert L3 <= L2 + 1e-10
             for m, b in enumerate(data):
-                st.C[m] = update_specific_coef(
+                st.C[m], _ = update_specific_coef(
                     b, st.alpha[m], b.X @ st.B[m], st.C_bar[m], st.C_dual[m], 1.0
                 )
             L4 = augmented_lagrangian(block, st, hp)

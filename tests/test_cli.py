@@ -10,6 +10,7 @@ import pytest
 
 import intmr
 from intmr.cli import cli
+from helpers import run_cli_process
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -96,7 +97,7 @@ class TestUsageErrors:
     # truncated or coerced value
     @pytest.mark.parametrize(
         "key, value",
-        [("tol", "1e-6"), ("threads", "4"), ("max_iter", 3.5), ("k", 2.5),
+        [("tol", "1e-6"), ("n_test", "4"), ("max_iter", 3.5), ("k", 2.5),
          ("max_iter", True), ("seed", True), ("standardize", "yes"),
          ("metric_mode", "bogus")],
     )
@@ -299,25 +300,14 @@ class TestFit:
 class TestCv:
     GRID = "0.6,0.12;0.4,0.08"
 
-    def run_cv(self, capsys, out, threads=1):
+    def args(self, out):
         out.mkdir(exist_ok=True)
         cfg = write_config(out, out=str(out))
-        code, stdout, err = run(
-            capsys,
-            "cv",
-            "--config",
-            cfg,
-            "--grid",
-            self.GRID,
-            "--k",
-            "3",
-            "--seed",
-            "7",
-            "--threads",
-            str(threads),
-            "--tol",
-            "1e-9",
-        )
+        return ["cv", "--config", cfg, "--grid", self.GRID, "--k", "3", "--seed", "7",
+                "--tol", "1e-9"]
+
+    def run_cv(self, capsys, out):
+        code, stdout, err = run(capsys, *self.args(out))
         assert code == 0, err
         return json.loads(stdout)
 
@@ -336,12 +326,13 @@ class TestCv:
         assert len(matrix_text) == 1 + 2
         assert read_json(tmp_path / "model.json")["meta"]["lambda"] == sel["best_lambda"]
 
-    def test_byte_identical_across_runs_and_threads(self, tmp_path, capsys):
-        a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-        self.run_cv(capsys, a)
-        self.run_cv(capsys, b)
-        self.run_cv(capsys, c, threads=3)
-        fa, fb, fc = self.files(a), self.files(b), self.files(c)
+    def test_byte_identical_across_runs_and_threads(self, tmp_path):
+        # each run is its own process: two reruns with one BLAS thread, and
+        # one with two threads
+        outs = [tmp_path / name for name in "abc"]
+        for out, threads in zip(outs, (1, 1, 2)):
+            run_cli_process(self.args(out), threads)
+        fa, fb, fc = (self.files(out) for out in outs)
         assert fa == fb
         assert fa == fc
 

@@ -18,7 +18,9 @@ from intmr.admm import (
     AdmmSolver, SolverOptions, fit, kkt_residual, run_chains, zero_state,
 )
 from intmr.selection import default_grid, penalty_ceiling
-from helpers import draw_blocks, make_data, padded_stack, random_fit, objective_reference
+from helpers import (
+    draw_blocks, make_data, padded_stack, random_fit, objective_reference, run_sweeps,
+)
 
 
 def kkt_reference(data, mf, hp):
@@ -376,20 +378,16 @@ class TestCompress:
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_random_fits_match_uncompressed_runs(self, data):
-        # a fixed 30 iterations of run_chains on each side, with one check at
-        # the last, so that the two cannot stop at different checks; the
+        # exactly 30 sweeps of run_chains on each side (helpers.run_sweeps),
+        # so that the two cannot stop at different iterations; the
         # compressed run agrees with the padded one to 1e-12 of each array's
         # largest entry, or of 1 (at most 7.2e-15 over 800 seeded draws)
         blocks, _ = draw_blocks(data)
         chains = data.draw(st.sampled_from([1, 2]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        lambdas, gammas = [rng.uniform(0.02, 0.3)], np.sort(rng.uniform(0.02, 0.3, chains))
-        opts = SolverOptions(tol=1e-300, max_iter=30, check_every=30)
-        states = []
-        for block in (stack(blocks, chains), padded_stack(blocks, chains)):
-            states.append(zero_state(block))
-            run_chains(block, 1.3, lambdas, gammas, opts, state=states[-1])
-        got, want = states
+        lam, gammas = rng.uniform(0.02, 0.3), np.sort(rng.uniform(0.02, 0.3, chains))
+        got, want = (run_sweeps(block, 1.3, lam, gammas, 30)
+                     for block in (stack(blocks, chains), padded_stack(blocks, chains)))
         assert got.iteration == want.iteration == 30
         for name in ("alpha", "B", "C", "B_bar", "C_bar", "B_dual", "C_dual"):
             a, b = getattr(got, name), getattr(want, name)

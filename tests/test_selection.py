@@ -245,7 +245,7 @@ class TestSelect:
         rng = np.random.default_rng(13)
         data = make_data(rng, M=2, n=18, p=3, q=2, r=2)
         grid = CvGrid(lambdas=(0.5, 0.1), gammas=(0.4, 0.08))
-        opts = SolverOptions(tol=1e-11, max_iter=30000, check_every=5)
+        opts = SolverOptions(tol=1e-12, max_iter=30000)
         res = select(data, grid, K=3, seed=5, opts=opts)
         for i, lam in enumerate(grid.lambdas):
             for j, gam in enumerate(grid.gammas):

@@ -293,7 +293,7 @@ class TestBaselines:
             (n, 2)
         )
         t = 0.08
-        opts = SolverOptions(tol=1e-11, check_every=5)
+        opts = SolverOptions(tol=1e-11)
         via_shared = fit(
             IntegratedDataset((DatasetBlock(Y=Y, X=W),)),
             HyperParams(lam=t, gamma=123.0),

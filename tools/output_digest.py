@@ -16,6 +16,12 @@ Two sets of outputs are digested (standard library and numpy only):
 The defaults are the benchmark's inputs.  Each line is "<set> seed <s>
 <output> <digest>", so two trees compare with diff: point PYTHONPATH at the
 other tree's src to digest its outputs against the same inputs.
+
+After the digests comes one line per cv run that rounding cannot move:
+"cv seed <s> iterates <grid iterations> <refit iterations> <cell>", the sum
+of CvResult.iterations over the grid, the refit's iteration count and the
+selected (lambda, gamma) index pair.  When a solver change moves every
+digest in the last bits, equal lines show that it kept the iterates.
 """
 
 import argparse
@@ -26,7 +32,7 @@ import json
 import os
 import tempfile
 
-from intmr import admm, cli, sim
+from intmr import admm, cli, selection, sim
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 HIGHDIM = os.path.join(ROOT, "tests", "data", "highdim")
@@ -46,9 +52,26 @@ def _run(argv):
         raise SystemExit("intmr %s exited %d: %s" % (argv[0], code, out.getvalue().strip()))
 
 
+@contextlib.contextmanager
+def _selections():
+    """The CvResult of every selection.select call made in the block."""
+    results, select = [], selection.select
+
+    def record(*args, **kwargs):
+        results.append(select(*args, **kwargs))
+        return results[-1]
+
+    selection.select = record
+    try:
+        yield results
+    finally:
+        selection.select = select
+
+
 def cv_digests(seed):
-    """(file name, digest) of every file that cv and report write."""
-    with tempfile.TemporaryDirectory() as tmp:
+    """(file name, digest) of every file that cv and report write, and the
+    iterates line of the cv run."""
+    with tempfile.TemporaryDirectory() as tmp, _selections() as results:
         config = os.path.join(tmp, "config.json")
         blocks = {part: os.path.join(HIGHDIM, part + ".csv") for part in ("y", "x", "z")}
         with open(config, "w") as fh:
@@ -63,7 +86,9 @@ def cv_digests(seed):
         for name in sorted(os.listdir(out)):
             with open(os.path.join(out, name), "rb") as fh:
                 digests.append((name, _sha(fh.read())))
-        return digests
+    (res,) = results
+    cell = res.grid.lambdas.index(res.best_lambda), res.grid.gammas.index(res.best_gamma)
+    return digests, "%d %d %d,%d" % ((int(res.iterations.sum()), res.refit.iterations) + cell)
 
 
 def study_digests(seed):
@@ -84,12 +109,16 @@ def main(argv=None):
     parser.add_argument("--cv-seeds", type=int, nargs="*", default=[0, 1, 4, 5, 6, 7, 8, 9])
     parser.add_argument("--study-seeds", type=int, nargs="*", default=[1, 2, 3, 7919])
     args = parser.parse_args(argv)
+    iterates = []
     for seed in args.cv_seeds:
-        for name, digest in cv_digests(seed):
+        digests, line = cv_digests(seed)
+        iterates.append("cv seed %d iterates %s" % (seed, line))
+        for name, digest in digests:
             print("cv seed %d %s %s" % (seed, name, digest))
     for seed in args.study_seeds:
         for name, digest in study_digests(seed):
             print("study seed %d %s %s" % (seed, name, digest))
+    print("\n".join(iterates))
 
 
 if __name__ == "__main__":
