@@ -37,14 +37,17 @@ Y - u alpha' once per sweep, X B and Z C as the ridge steps return them, the
 residual R = Y - u alpha' - X B - Z C as the C step's residual minus Z C,
 |C_bar| and the group norms of B_bar from the thresholds, and
 B_bar - B + B_dual and C - C_bar + C_dual from the dual increments.  R gives
-the next sweep's intercept step, and with the other pieces the augmented
-Lagrangian, evaluated with the body of augmented_lagrangian at every
-iteration; a fit stops when that value changes by less than tol between two
-iterations.  Reported coefficients are the consensus copies, so zeros are
-exact and the nonzero pattern of B is identical across datasets; the
-penalized objective is evaluated once, at the returned fit.
+the next sweep's intercept step.  The sweep writes R^2, the squares of the
+last two and the thresholds' magnitudes into one buffer (_merit_buffers),
+and the augmented Lagrangian is its weighted column sum, the body that
+augmented_lagrangian runs too; it is taken at every iteration, and a fit
+stops when it changes by less than tol between two iterations.  With one
+dataset every group of B is one entry, thresholded entrywise.  Reported coefficients are the consensus copies, so
+zeros are exact and the nonzero pattern of B is identical across datasets;
+the penalized objective is evaluated once, at the returned fit.
 """
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -56,7 +59,6 @@ from .model import (
     ModelFit,
     _colsum,
     _evaluate,
-    block_loss,
     group_norms,
     stack,
     stack_fit,
@@ -271,21 +273,33 @@ def update_duals(state):
 # merit functions
 
 
-def _lagrangian(block, R, abs_C_bar, norms_B_bar, Gb, Gc, lam, gamma, rho):
-    """Per-chain augmented Lagrangian from its pieces: the residual R, |C_bar|,
-    the group norms of B_bar, Gb = B_bar - B + B_dual and
-    Gc = C - C_bar + C_dual.  Overwrites abs_C_bar, Gb and Gc."""
-    Gc *= Gc
-    Gc *= 0.5 * rho
-    abs_C_bar *= gamma
-    Gc += abs_C_bar
-    per_dataset = block_loss(block, R) + _colsum(Gc)
-    Gb *= Gb
-    shared = Gb.sum(axis=0)
-    shared *= 0.5 * rho
-    shared += lam * norms_B_bar
-    total = per_dataset.sum(axis=0) + _colsum(shared)
-    return chain_sums(total[..., 0, :], block.q)
+def _merit_buffers(block, rho):
+    """A zeroed buffer for the pieces of the augmented Lagrangian,
+    [R^2 | G_C^2 | G_B^2 | |C_bar| | group norms of B_bar] on the row axis
+    with G_C = C - C_bar + C_dual and G_B = B_bar - B + B_dual, and its
+    per-entry weights [1/(2n) | rho/2 | rho/2 | gamma | lambda].
+
+    The group norms have no dataset axis: they fill dataset 0's rows, and
+    the other datasets' stay 0.  Returns the buffer, the weights, views of
+    the five pieces and views of the gamma and lambda weights, which the
+    caller fills.
+    """
+    rows, r, p = block.Y.shape[-2], block.Z.shape[-1], block.p
+    pieces = np.zeros(block.Y.shape[:-2] + (rows + 2 * (r + p), block.Y.shape[-1]))
+    weights = np.empty_like(pieces)
+    a, b, c, d = rows, rows + r, rows + r + p, rows + 2 * r + p
+    weights[..., :a, :] = 0.5 / block.n
+    weights[..., a:c, :] = 0.5 * rho
+    views = (pieces[..., :a, :], pieces[..., a:b, :], pieces[..., b:c, :], pieces[..., c:d, :],
+             pieces[0, ..., d:, :])
+    return pieces, weights, views, (weights[..., c:d, :], weights[..., d:, :])
+
+
+def _lagrangian(pieces, weights, q):
+    """Per-chain augmented Lagrangian from a filled pieces buffer and its
+    weights (see _merit_buffers).  Overwrites pieces."""
+    pieces *= weights
+    return chain_sums(_colsum(pieces).sum(axis=0)[..., 0, :], q)
 
 
 def augmented_lagrangian(block, state, hp):
@@ -296,16 +310,24 @@ def augmented_lagrangian(block, state, hp):
     (rho/2) ||B_bar - B + B_dual||_F^2 and (rho/2) ||C - C_bar + C_dual||_F^2
     summed over datasets: one value per chain, the sum over its q columns,
     shaped (*folds, G).  hp.lam and hp.gamma may be per-column arrays shaped
-    (*folds, 1, G q).  run_chains evaluates the same body on the pieces its
+    (*folds, 1, G q).  The state's pieces fill the buffer of _merit_buffers,
+    and _lagrangian sums it: run_chains runs the same body on the pieces its
     sweep already holds.
     """
     R = block.Y - block.u * state.alpha[..., None, :] - block.X @ state.B
     R -= block.Z @ state.C
-    return _lagrangian(
-        block, R, np.abs(state.C_bar), group_norms(state.B_bar),
-        state.B_bar - state.B + state.B_dual, state.C - state.C_bar + state.C_dual,
-        hp.lam, hp.gamma, hp.rho,
-    )
+    pieces, weights, (R_sq, Gc_sq, Gb_sq, abs_C_bar, norms_B_bar), (w_gamma, w_lam) = (
+        _merit_buffers(block, hp.rho))
+    w_gamma[...] = hp.gamma
+    w_lam[...] = hp.lam
+    np.multiply(R, R, out=R_sq)
+    Gc = state.C - state.C_bar + state.C_dual
+    np.multiply(Gc, Gc, out=Gc_sq)
+    Gb = state.B_bar - state.B + state.B_dual
+    np.multiply(Gb, Gb, out=Gb_sq)
+    np.abs(state.C_bar, out=abs_C_bar)
+    norms_B_bar[...] = group_norms(state.B_bar)
+    return _lagrangian(pieces, weights, block.q)
 
 
 def consensus_gap(state):
@@ -395,18 +417,23 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
     the residual R = Y - u alpha' - X B - Z C from the ridge steps (see the
     module docstring); B and C enter the next sweep only through these
     products, and alpha through R.  The stopping value is built from the
-    sweep's own pieces at every iteration, and a running chain whose value
-    is not finite raises FloatingPointError: every term of it is
-    nonnegative, so a non-finite alpha, B or C of the chain makes it
-    non-finite.  lambda, gamma and their thresholds are held per entry,
-    shaped like B_bar's group norms and like C, so that no step broadcasts
-    them along rows; when fits stop, the lambda arrays are refilled from
-    every chain's current lambda.
+    sweep's own pieces at every iteration (see _merit_buffers), and a
+    running chain whose value is not finite raises FloatingPointError:
+    every term of it is nonnegative, so a non-finite alpha, B or C of the
+    chain makes it, and the sum of all values, non-finite.  A fit's
+    iteration count is the sweeps since its chain's last stop, and the
+    stopped chains are looked for only when some chain met the rule or the
+    earliest running fit reached max_iter.  The thresholds and weights are
+    held per entry, shaped like B_bar's group norms, like one dataset's C
+    and like the buffer, so that no step broadcasts them along rows; when
+    fits stop, the lambda arrays are refilled from every chain's current
+    lambda.
 
     When a chain ends its path, block, factors and state narrow to the
     folds with a running chain and, per fold, its running chains, padded
-    with its finished ones to the largest running count; the products and
-    the penalty arrays are rebuilt on the narrowed arrays.  A padded chain
+    with its finished ones to the largest running count; the products, the
+    buffer, its weights and the thresholds are rebuilt on the narrowed
+    arrays.  A padded chain
     is swept along but can no longer stop the loop or raise
     FloatingPointError.  When fits stop, on_stop(state, stopped, cell,
     position) may read the working state and gets the mask of the working
@@ -432,7 +459,10 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
     gamma_thresh, lambda_thresh = cell_gamma / rho, cell_lambdas / rho
     cell = np.arange(cell_gamma.size).reshape(grid)
     position = np.zeros(grid, dtype=int)
-    it = np.zeros(grid, dtype=int)
+    # a chain's current fit began after sweep `first`; the earliest running
+    # fit reaches max_iter at sweep `cap`
+    sweep, cap = 0, opts.max_iter
+    first = np.zeros(grid, dtype=int)
     prev = np.full(grid, np.nan)
     active = np.ones(grid, dtype=bool)
     iterations = np.zeros(grid + (n_fits,), dtype=int)
@@ -445,23 +475,24 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
 
     def start():
         """The working set's carried products X B and Z C, its residual, its
-        penalty weights and thresholds per entry (lambda and lambda / rho
-        like B_bar's group norms, gamma and gamma / rho like one dataset's
-        C), and |C_bar| and B_bar's group norms, which each sweep replaces
-        unless the block has no Z or no X columns."""
+        stopping value's buffer, the buffer's views, weights and lambda
+        weights, and its thresholds lambda / rho and gamma / rho."""
         XB, ZC = block.X @ state.B, block.Z @ state.C
         R = block.Y - block.u * state.alpha[..., None, :] - XB
         R -= ZC
-        p, r_max = block.p, block.Z.shape[-1]
-        return ((XB, ZC, R) + tuple(_per_entry(v, q, p) for v in current_lambdas())
-                + (_per_entry(cell_gamma[cell], q, r_max), _per_entry(gamma_thresh[cell], q, r_max),
-                   np.abs(state.C_bar), group_norms(state.B_bar)))
+        pieces, weights, views, (w_gamma, w_lam) = _merit_buffers(block, rho)
+        lam, lam_t = current_lambdas()
+        _refill(w_gamma, cell_gamma[cell], q)
+        _refill(w_lam, lam, q)
+        return (XB, ZC, R, pieces, views, weights, w_lam, _per_entry(lam_t, q, block.p),
+                _per_entry(gamma_thresh[cell], q, block.Z.shape[-1]))
 
     fx, fz = ridge_factors(block, rho)
     if state is None:
         state = zero_state(block)
-    XB, ZC, R, lam, lam_t, gam, gam_t, abs_C_bar, norms_B_bar = start()
+    XB, ZC, R, pieces, views, weights, w_lam, lam_t, gam_t = start()
     while True:
+        R_sq, Gc_sq, Gb_sq, abs_C_bar, norms_B_bar = views
         state.alpha = update_intercept(block, state.alpha, R)
         YU = block.Y - block.u * state.alpha[..., None, :]
         if fx is not None:
@@ -470,34 +501,40 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
         if fz is not None:
             state.C, ZC = _ridge_step(fz, R, state.C_bar - state.C_dual)
             R -= ZC
-            state.C_bar, abs_C_bar = _shrink(state.C + state.C_dual, gam_t)
+            state.C_bar = _shrink(state.C + state.C_dual, gam_t, abs_C_bar)[0]
         if fx is not None:
-            state.B_bar, norms_B_bar = _group_shrink(state.B - state.B_dual, lam_t)
+            state.B_bar = _group_shrink(state.B - state.B_dual, lam_t, norms_B_bar)[0]
         dB, dC = _dual_ascent(state)
         dB += state.B_dual
         dC += state.C_dual
-        L = _lagrangian(block, R, abs_C_bar, norms_B_bar, dB, dC, lam, gam, rho)
+        np.multiply(R, R, out=R_sq)
+        np.multiply(dC, dC, out=Gc_sq)
+        np.multiply(dB, dB, out=Gb_sq)
+        L = _lagrangian(pieces, weights, q)
         state.iteration += 1
-        it += 1
+        sweep += 1
         # every term is nonnegative, so a non-finite alpha, B or C of a
-        # chain makes its value non-finite
-        if not np.isfinite(L).all():
+        # chain makes its value, and so the sum, non-finite
+        if not math.isfinite(L.sum()):
             diverged = active & ~np.isfinite(L)
             if diverged.any():
                 raise FloatingPointError(
-                    "solver diverged: non-finite iterate at iteration %d" % it[diverged].min()
+                    "solver diverged: non-finite iterate at iteration %d"
+                    % (sweep - first[diverged]).min()
                 )
         if trace is not None:
             trace.append(L)
         met = np.abs(L - prev) < opts.tol
         prev = L
+        if sweep < cap and not met.any():
+            continue
         stopped = active & met
-        if it.max() >= opts.max_iter:
-            stopped |= active & (it >= opts.max_iter)
+        if sweep >= cap:
+            stopped |= active & (sweep - first >= opts.max_iter)
         if not stopped.any():
             continue
         done = cell[stopped], position[stopped]
-        iterations.reshape(-1, n_fits)[done] = it[stopped]
+        iterations.reshape(-1, n_fits)[done] = sweep - first[stopped]
         converged.reshape(-1, n_fits)[done] = met[stopped]
         if on_stop is not None:
             on_stop(state, stopped, cell, position)
@@ -505,7 +542,8 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
         active = position < n_fits
         if not active.any():
             return iterations, converged
-        it[stopped] = 0
+        first = np.where(stopped, sweep, first)
+        cap = first[active].min() + opts.max_iter
         prev = np.where(stopped, np.nan, prev)
         keep, width = active.any(axis=-1), active.sum(axis=-1).max()
         if width < active.shape[-1] or not keep.all():
@@ -521,14 +559,14 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
             for f in fields(state):
                 if f.name != "iteration":
                     setattr(state, f.name, _take_columns(getattr(state, f.name), folds, cols))
-            cell, position, it, prev, active = (
+            cell, position, first, prev, active = (
                 np.take_along_axis(a[folds], order, axis=-1)
-                for a in (cell, position, it, prev, active)
+                for a in (cell, position, first, prev, active)
             )
-            XB, ZC, R, lam, lam_t, gam, gam_t, abs_C_bar, norms_B_bar = start()
+            XB, ZC, R, pieces, views, weights, w_lam, lam_t, gam_t = start()
         else:
             # stopped chains move on to their next lambda
-            for a, v in zip((lam, lam_t), current_lambdas()):
+            for a, v in zip((w_lam, lam_t), current_lambdas()):
                 _refill(a, v, q)
 
 

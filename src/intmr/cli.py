@@ -295,6 +295,7 @@ def _cmd_cv(cfg):
     )
     out = cfg["out"]
     io.write_cv_matrix_csv(result, os.path.join(out, "cv_matrix.csv"))
+    io.write_cv_diagnostics_csv(result, os.path.join(out, "cv_diagnostics.csv"))
     hp = HyperParams(lam=result.best_lambda, gamma=result.best_gamma, rho=cfg["rho"])
     io.dump_json(
         {

@@ -35,6 +35,7 @@ __all__ = [
     "atomic_write_text",
     "write_boxplot_csv",
     "write_cv_matrix_csv",
+    "write_cv_diagnostics_csv",
     "write_coefficient_csv",
 ]
 
@@ -301,6 +302,19 @@ def write_cv_matrix_csv(result, path):
         lines.append(
             _fmt(lam) + "," + ",".join(_fmt(v) for v in result.cv_matrix[i])
         )
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def write_cv_diagnostics_csv(result, path):
+    """How each fit scored by the CV grid stopped: one row per (fold,
+    lambda index, gamma index), folds numbered 1..K and indices from 0 along
+    the paths, with the cell's lambda and gamma, the fit's iteration count
+    and whether it met the stopping rule (1) or hit the cap (0)."""
+    lines = ["fold,lambda_index,gamma_index,lambda,gamma,iterations,converged"]
+    for (k, i, j), its in np.ndenumerate(result.iterations):
+        lines.append("%d,%d,%d,%s,%s,%d,%d" % (
+            k + 1, i, j, _fmt(result.grid.lambdas[i]), _fmt(result.grid.gammas[j]), its,
+            result.converged[k, i, j]))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

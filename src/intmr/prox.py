@@ -4,7 +4,8 @@ soft_threshold and group_soft_threshold check their thresholds.  The solver
 loop thresholds through the unchecked _shrink and _group_shrink instead,
 since admm.run_chains checks its penalty paths once per run; each also
 returns the magnitudes it thresholded to, |C_bar| and the group norms of
-B_bar, which the loop's stopping value reads.
+B_bar, and writes them straight into the loop's stopping-value buffer when
+given one.  Groups of one entry (one dataset) are thresholded entrywise.
 """
 
 import numpy as np
@@ -21,22 +22,30 @@ def _check_threshold(t):
         raise ValueError("threshold must be nonnegative")
 
 
-def _shrink(a, b):
+def _shrink(a, b, out=None):
     """sign(a) (|a| - b)+ as copysign((|a| - b)+, a), and (|a| - b)+, its
-    magnitude."""
-    magnitude = np.maximum(np.abs(a) - b, 0.0)
+    magnitude, written to `out` when given."""
+    magnitude = np.maximum(np.abs(a) - b, 0.0, out=out)
     return np.copysign(magnitude, a), magnitude
 
 
-def _group_shrink(c, d):
+def _group_shrink(c, d, out=None):
     """The groupwise threshold of c and (||g|| - d)+, the norm of each of
-    its groups."""
+    its groups, written to `out` when given.
+
+    A group axis of length 1 makes every group one entry, whose threshold
+    is the entrywise one: copysign((|c| - d)+, c), with magnitude
+    (|c| - d)+.
+    """
+    if len(c) == 1:
+        shrunk, magnitude = _shrink(c[0], d, out)
+        return shrunk[None], magnitude
     norms = group_norms(c)
     # (norm - d)+ / norm rather than (1 - d / norm)+: subtracting first keeps
     # full precision when d is close to the norm.  A zero group has a zero
     # numerator too, so dividing it by the smallest subnormal instead of its
     # norm maps it to 0, and leaves every other quotient as it is
-    shrunk = np.maximum(norms - d, 0.0)
+    shrunk = np.maximum(norms - d, 0.0, out=out)
     return shrunk / np.maximum(norms, _TINY) * c, shrunk
 
 
@@ -57,7 +66,8 @@ def group_soft_threshold(c, d):
     Groups run along axis 0: for c of shape (M, ...) each group is the
     length-M vector c[:, j, ...], and a 1-D vector is a single group.
     Proximal operator of d times the sum of the group norms; d may be an
-    array that broadcasts against the group norms, c.shape[1:].
+    array that broadcasts against the group norms, c.shape[1:].  Groups of
+    one entry, c of shape (1, ...), get the entrywise soft threshold.
     """
     _check_threshold(d)
     return _group_shrink(np.asarray(c, dtype=float), d)[0]

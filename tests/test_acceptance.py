@@ -262,7 +262,7 @@ def _toy_blocks():
 def test_criterion_8_cli_outputs_are_deterministic(tmp_path):
     # each run is its own process: two reruns with one BLAS thread, and one
     # with two threads
-    cv_files = ("cv_matrix.csv", "selection.json", "model.json")
+    cv_files = ("cv_matrix.csv", "cv_diagnostics.csv", "selection.json", "model.json")
     snapshots = []
     for name, threads in (("a", 1), ("b", 1), ("c", 2)):
         out = tmp_path / ("cv_" + name)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import intmr
+from intmr import selection
 from intmr.cli import cli
 from helpers import run_cli_process
 
@@ -314,7 +315,7 @@ class TestCv:
     def files(self, out):
         return {
             name: (out / name).read_bytes()
-            for name in ("cv_matrix.csv", "selection.json", "model.json")
+            for name in ("cv_matrix.csv", "cv_diagnostics.csv", "selection.json", "model.json")
         }
 
     def test_outputs_exist_and_selection_is_consistent(self, tmp_path, capsys):
@@ -325,6 +326,24 @@ class TestCv:
         matrix_text = (tmp_path / "cv_matrix.csv").read_text().splitlines()
         assert len(matrix_text) == 1 + 2
         assert read_json(tmp_path / "model.json")["meta"]["lambda"] == sel["best_lambda"]
+
+    def test_diagnostics_are_the_runs_cv_result(self, tmp_path, capsys, monkeypatch):
+        # one row per (fold, lambda, gamma) cell of the run's CvResult
+        results, select = [], selection.select
+        monkeypatch.setattr(selection, "select",
+                            lambda *a, **kw: results.append(select(*a, **kw)) or results[-1])
+        self.run_cv(capsys, tmp_path)
+        (res,) = results
+        lines = (tmp_path / "cv_diagnostics.csv").read_text().splitlines()
+        assert lines[0] == "fold,lambda_index,gamma_index,lambda,gamma,iterations,converged"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == res.iterations.size
+        assert sum(int(row[5]) for row in rows) == res.iterations.sum()
+        for row in rows:
+            k, i, j = (int(v) for v in row[:3])
+            assert float(row[3]) == res.grid.lambdas[i] and float(row[4]) == res.grid.gammas[j]
+            assert int(row[5]) == res.iterations[k - 1, i, j]
+            assert bool(int(row[6])) == res.converged[k - 1, i, j]
 
     def test_byte_identical_across_runs_and_threads(self, tmp_path):
         # each run is its own process: two reruns with one BLAS thread, and

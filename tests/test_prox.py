@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from intmr.prox import soft_threshold, group_soft_threshold
+from intmr.prox import _group_shrink, soft_threshold, group_soft_threshold
 from helpers import scalar_prox_oracle, vector_prox_oracle
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
 nonneg = st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+def bits(a):
+    """The bytes of a float or float array, so that -0.0 differs from 0.0."""
+    return np.asarray(a, dtype=float).tobytes()
 
 
 class TestSoftThreshold:
@@ -91,11 +97,26 @@ class TestGroupSoftThreshold:
     @given(a=finite, b=nonneg)
     @settings(max_examples=200, deadline=None)
     def test_length_one_group_matches_scalar(self, a, b):
+        # a one-entry group is thresholded entrywise, so bit for bit
         out = group_soft_threshold(np.array([a]), b)
-        # the group path squares and roots, so near the threshold the two
-        # results may differ by a few ulp of the inputs
-        slack = 8 * np.finfo(float).eps * max(abs(a), b, 1.0)
-        assert out[0] == pytest.approx(soft_threshold(a, b), rel=1e-12, abs=slack)
+        assert bits(out[0]) == bits(soft_threshold(a, b))
+
+    @given(
+        c=array_shapes(min_dims=1, max_dims=4, max_side=4).flatmap(
+            lambda shape: arrays(float, (1,) + shape, elements=finite)),
+        d=nonneg,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_dataset_groups_threshold_entrywise(self, c, d):
+        # groups of one entry: the threshold is soft_threshold bit for bit,
+        # and the magnitudes _group_shrink returns are (|c| - d)+
+        out = group_soft_threshold(c, d)
+        assert out.shape == c.shape
+        assert bits(out[0]) == bits(soft_threshold(c[0], d))
+        values, magnitudes = _group_shrink(c, d)
+        expected = np.maximum(np.abs(c[0]) - d, 0.0)
+        assert bits(magnitudes) == bits(expected)
+        assert bits(values[0]) == bits(np.copysign(expected, c[0]))
 
     def test_minimizes_group_prox_objective(self):
         rng = np.random.default_rng(13)

@@ -3,6 +3,7 @@
 Run from the repository root, with the package to check importable:
 
     PYTHONPATH=src python3 tools/output_digest.py [--cv-seeds S ...] [--study-seeds S ...]
+        [--full-grid-seeds S ...]
 
 Two sets of outputs are digested (standard library and numpy only):
 
@@ -17,11 +18,18 @@ The defaults are the benchmark's inputs.  Each line is "<set> seed <s>
 <output> <digest>", so two trees compare with diff: point PYTHONPATH at the
 other tree's src to digest its outputs against the same inputs.
 
-After the digests comes one line per cv run that rounding cannot move:
-"cv seed <s> iterates <grid iterations> <refit iterations> <cell>", the sum
-of CvResult.iterations over the grid, the refit's iteration count and the
-selected (lambda, gamma) index pair.  When a solver change moves every
-digest in the last bits, equal lines show that it kept the iterates.
+After the digests come the lines that rounding cannot move, so that equal
+lines show a solver change kept the iterates when it moves every digest in
+the last bits:
+
+* "cv seed <s> iterates <grid iterations> <refit iterations> <cell>" per cv
+  run: the sum of CvResult.iterations over the grid, the refit's iteration
+  count and the selected (lambda, gamma) index pair;
+* "cv15 seed <s> iterates ..." likewise for ``intmr cv --grid 15x15 --k 5``
+  on tests/data/highdim, one run per --full-grid-seeds seed (default 0);
+* "study seed <s> iterates <method> <grid iterations> <refit iterations>"
+  per study seed and method: the sum of CvResult.iterations over every
+  selection the method ran and the refit iteration counts, comma-joined.
 """
 
 import argparse
@@ -53,32 +61,37 @@ def _run(argv):
 
 
 @contextlib.contextmanager
-def _selections():
-    """The CvResult of every selection.select call made in the block."""
-    results, select = [], selection.select
+def _selections(*targets):
+    """The results of every call made in the block to the functions
+    (module, name) in targets, in call order."""
+    results, saved = [], [(module, name, getattr(module, name)) for module, name in targets]
 
-    def record(*args, **kwargs):
-        results.append(select(*args, **kwargs))
-        return results[-1]
+    def recorder(call):
+        def record(*args, **kwargs):
+            results.append(call(*args, **kwargs))
+            return results[-1]
+        return record
 
-    selection.select = record
+    for module, name, call in saved:
+        setattr(module, name, recorder(call))
     try:
         yield results
     finally:
-        selection.select = select
+        for module, name, call in saved:
+            setattr(module, name, call)
 
 
-def cv_digests(seed):
+def cv_digests(seed, grid="3x2"):
     """(file name, digest) of every file that cv and report write, and the
     iterates line of the cv run."""
-    with tempfile.TemporaryDirectory() as tmp, _selections() as results:
+    with tempfile.TemporaryDirectory() as tmp, _selections((selection, "select")) as results:
         config = os.path.join(tmp, "config.json")
         blocks = {part: os.path.join(HIGHDIM, part + ".csv") for part in ("y", "x", "z")}
         with open(config, "w") as fh:
             json.dump({"blocks": [blocks]}, fh)
         out = os.path.join(tmp, "out")
         os.mkdir(out)
-        _run(["cv", "--config", config, "--grid", "3x2", "--k", "5", "--seed", str(seed),
+        _run(["cv", "--config", config, "--grid", grid, "--k", "5", "--seed", str(seed),
               "--out", out])
         _run(["report", "--model", os.path.join(out, "model.json"), "--config", config,
               "--out", out])
@@ -92,22 +105,33 @@ def cv_digests(seed):
 
 
 def study_digests(seed):
-    """(method, digest) of every record of one replicate, and of its failures."""
+    """(method, digest) of every record of one replicate and of its
+    failures, and the iterates line of each method."""
     config = sim.parse_scenario(SCENARIO, seed=seed, n_test=1000)
-    metrics = sim.run_study([config], methods=METHODS, replicates=1, K=5,
-                            opts=admm.SolverOptions(tol=1e-6, max_iter=4000),
-                            grid_size=(10, 8))
+    # sim imports select and select_many by name; each method makes one call
+    with _selections((sim, "select"), (sim, "select_many")) as results:
+        metrics = sim.run_study([config], methods=METHODS, replicates=1, K=5,
+                                opts=admm.SolverOptions(tol=1e-6, max_iter=4000),
+                                grid_size=(10, 8))
     digests = [
         (r.method, _sha(r.method.encode() + r.mse.tobytes() + repr((r.fpr, r.fnr)).encode()))
         for r in metrics.records
     ]
-    return digests + [("failures", _sha(repr(metrics.failures).encode()))]
+    iterates = []
+    for method, res in zip(METHODS, results):
+        res = res if isinstance(res, tuple) else (res,)
+        iterates.append("%s %d %s" % (method, sum(int(r.iterations.sum()) for r in res),
+                                      ",".join(str(r.refit.iterations) for r in res)))
+    if len(results) != len(METHODS):
+        iterates.append("selections %d, expected %d" % (len(results), len(METHODS)))
+    return digests + [("failures", _sha(repr(metrics.failures).encode()))], iterates
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cv-seeds", type=int, nargs="*", default=[0, 1, 4, 5, 6, 7, 8, 9])
     parser.add_argument("--study-seeds", type=int, nargs="*", default=[1, 2, 3, 7919])
+    parser.add_argument("--full-grid-seeds", type=int, nargs="*", default=[0])
     args = parser.parse_args(argv)
     iterates = []
     for seed in args.cv_seeds:
@@ -115,8 +139,12 @@ def main(argv=None):
         iterates.append("cv seed %d iterates %s" % (seed, line))
         for name, digest in digests:
             print("cv seed %d %s %s" % (seed, name, digest))
+    for seed in args.full_grid_seeds:
+        iterates.append("cv15 seed %d iterates %s" % (seed, cv_digests(seed, "15x15")[1]))
     for seed in args.study_seeds:
-        for name, digest in study_digests(seed):
+        digests, lines = study_digests(seed)
+        iterates += ["study seed %d iterates %s" % (seed, line) for line in lines]
+        for name, digest in digests:
             print("study seed %d %s %s" % (seed, name, digest))
     print("\n".join(iterates))
 
