@@ -42,9 +42,10 @@ last two and the thresholds' magnitudes into one buffer (_merit_buffers),
 and the augmented Lagrangian is its weighted column sum, the body that
 augmented_lagrangian runs too; it is taken at every iteration, and a fit
 stops when it changes by less than tol between two iterations.  With one
-dataset every group of B is one entry, thresholded entrywise.  Reported coefficients are the consensus copies, so
-zeros are exact and the nonzero pattern of B is identical across datasets;
-the penalized objective is evaluated once, at the returned fit.
+dataset every group of B is one entry, thresholded entrywise.  Reported
+coefficients are the consensus copies, so zeros are exact and the nonzero
+pattern of B is identical across datasets; the penalized objective is
+evaluated once, at the returned fit.
 """
 
 import math
@@ -273,33 +274,43 @@ def update_duals(state):
 # merit functions
 
 
-def _merit_buffers(block, rho):
-    """A zeroed buffer for the pieces of the augmented Lagrangian,
-    [R^2 | G_C^2 | G_B^2 | |C_bar| | group norms of B_bar] on the row axis
-    with G_C = C - C_bar + C_dual and G_B = B_bar - B + B_dual, and its
-    per-entry weights [1/(2n) | rho/2 | rho/2 | gamma | lambda].
+def _merit_buffers(block, rho, gamma, lam):
+    """A zeroed buffer for the pieces of the augmented Lagrangian and its
+    per-entry weights.
 
-    The group norms have no dataset axis: they fill dataset 0's rows, and
-    the other datasets' stay 0.  Returns the buffer, the weights, views of
-    the five pieces and views of the gamma and lambda weights, which the
-    caller fills.
+    Each dataset has the rows [R^2 | G_C^2 | G_B^2 | |C_bar|], with
+    G_C = C - C_bar + C_dual and G_B = B_bar - B + B_dual, weighted
+    [1/(2n) | rho/2 | rho/2 | gamma]; after every dataset's rows come the
+    group norms of B_bar, weighted lambda.  gamma broadcasts against one
+    dataset's C and lam against the group norms.  Returns the buffer, the
+    weights, views of the five pieces shaped like R, C, B, C and the group
+    norms, and the view of the lambda weights.
     """
-    rows, r, p = block.Y.shape[-2], block.Z.shape[-1], block.p
-    pieces = np.zeros(block.Y.shape[:-2] + (rows + 2 * (r + p), block.Y.shape[-1]))
+    M, rows, r, p = len(block.Y), block.Y.shape[-2], block.Z.shape[-1], block.p
+    folds, cols = block.Y.shape[1:-2], block.Y.shape[-1]
+    k = rows + 2 * r + p
+    pieces = np.zeros(folds + (M * k + p, cols))
     weights = np.empty_like(pieces)
-    a, b, c, d = rows, rows + r, rows + r + p, rows + 2 * r + p
-    weights[..., :a, :] = 0.5 / block.n
-    weights[..., a:c, :] = 0.5 * rho
-    views = (pieces[..., :a, :], pieces[..., a:b, :], pieces[..., b:c, :], pieces[..., c:d, :],
-             pieces[0, ..., d:, :])
-    return pieces, weights, views, (weights[..., c:d, :], weights[..., d:, :])
+
+    def views(a):
+        per = np.moveaxis(a[..., : M * k, :].reshape(folds + (M, k, cols)), -3, 0)
+        cuts = (0, rows, rows + r, k - r, k)
+        return tuple(per[..., i:j, :] for i, j in zip(cuts, cuts[1:])) + (a[..., M * k:, :],)
+
+    w = views(weights)
+    w[0][...] = 0.5 / block.n
+    w[1][...] = w[2][...] = 0.5 * rho
+    w[3][...] = gamma
+    w[4][...] = lam
+    return pieces, weights, views(pieces), w[4]
 
 
 def _lagrangian(pieces, weights, q):
     """Per-chain augmented Lagrangian from a filled pieces buffer and its
-    weights (see _merit_buffers).  Overwrites pieces."""
+    weights (see _merit_buffers): one weighted column sum.  Overwrites
+    pieces."""
     pieces *= weights
-    return chain_sums(_colsum(pieces).sum(axis=0)[..., 0, :], q)
+    return chain_sums(_colsum(pieces)[..., 0, :], q)
 
 
 def augmented_lagrangian(block, state, hp):
@@ -310,23 +321,19 @@ def augmented_lagrangian(block, state, hp):
     (rho/2) ||B_bar - B + B_dual||_F^2 and (rho/2) ||C - C_bar + C_dual||_F^2
     summed over datasets: one value per chain, the sum over its q columns,
     shaped (*folds, G).  hp.lam and hp.gamma may be per-column arrays shaped
-    (*folds, 1, G q).  The state's pieces fill the buffer of _merit_buffers,
-    and _lagrangian sums it: run_chains runs the same body on the pieces its
+    (*folds, 1, G q).  The state fills the buffer of _merit_buffers and
+    _lagrangian sums it, the body that run_chains runs on the pieces its
     sweep already holds.
     """
     R = block.Y - block.u * state.alpha[..., None, :] - block.X @ state.B
     R -= block.Z @ state.C
-    pieces, weights, (R_sq, Gc_sq, Gb_sq, abs_C_bar, norms_B_bar), (w_gamma, w_lam) = (
-        _merit_buffers(block, hp.rho))
-    w_gamma[...] = hp.gamma
-    w_lam[...] = hp.lam
-    np.multiply(R, R, out=R_sq)
+    pieces, weights, views, _ = _merit_buffers(block, hp.rho, hp.gamma, hp.lam)
     Gc = state.C - state.C_bar + state.C_dual
-    np.multiply(Gc, Gc, out=Gc_sq)
     Gb = state.B_bar - state.B + state.B_dual
-    np.multiply(Gb, Gb, out=Gb_sq)
-    np.abs(state.C_bar, out=abs_C_bar)
-    norms_B_bar[...] = group_norms(state.B_bar)
+    for a, out in zip((R, Gc, Gb), views):
+        np.multiply(a, a, out=out)
+    np.abs(state.C_bar, out=views[3])
+    views[4][...] = group_norms(state.B_bar)
     return _lagrangian(pieces, weights, block.q)
 
 
@@ -421,24 +428,22 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
     running chain whose value is not finite raises FloatingPointError:
     every term of it is nonnegative, so a non-finite alpha, B or C of the
     chain makes it, and the sum of all values, non-finite.  A fit's
-    iteration count is the sweeps since its chain's last stop, and the
-    stopped chains are looked for only when some chain met the rule or the
-    earliest running fit reached max_iter.  The thresholds and weights are
-    held per entry, shaped like B_bar's group norms, like one dataset's C
-    and like the buffer, so that no step broadcasts them along rows; when
-    fits stop, the lambda arrays are refilled from every chain's current
-    lambda.
+    iteration count is the sweeps since its chain's last stop, and stopped
+    chains are looked for only when some chain met the rule or the earliest
+    running fit reached max_iter.  The thresholds are held per entry, shaped
+    like B_bar's group norms and like one dataset's C, so that no step
+    broadcasts them along rows; when fits stop, they and the lambda weights
+    are refilled from every chain's current lambda.
 
     When a chain ends its path, block, factors and state narrow to the
     folds with a running chain and, per fold, its running chains, padded
     with its finished ones to the largest running count; the products, the
-    buffer, its weights and the thresholds are rebuilt on the narrowed
-    arrays.  A padded chain
-    is swept along but can no longer stop the loop or raise
-    FloatingPointError.  When fits stop, on_stop(state, stopped, cell,
-    position) may read the working state and gets the mask of the working
-    chains that stopped, every working chain's cell (its flat index into
-    the grid, a new array exactly when the working set changed) and its
+    buffer with its weights and the thresholds are rebuilt on the narrowed
+    arrays.  A padded chain is swept along but can no longer stop the loop
+    or raise FloatingPointError.  When fits stop, on_stop(state, stopped,
+    cell, position) may read the working state and gets the mask of the
+    working chains that stopped, every working chain's cell (its flat index
+    into the grid, a new array exactly when the working set changed) and its
     index into its lambda path.  Each iteration appends the Lagrangian of
     every working chain to `trace` when one is given; a given `state` ends
     holding the last working set.  The caller need keep no reference to
@@ -459,10 +464,6 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
     gamma_thresh, lambda_thresh = cell_gamma / rho, cell_lambdas / rho
     cell = np.arange(cell_gamma.size).reshape(grid)
     position = np.zeros(grid, dtype=int)
-    # a chain's current fit began after sweep `first`; the earliest running
-    # fit reaches max_iter at sweep `cap`
-    sweep, cap = 0, opts.max_iter
-    first = np.zeros(grid, dtype=int)
     prev = np.full(grid, np.nan)
     active = np.ones(grid, dtype=bool)
     iterations = np.zeros(grid + (n_fits,), dtype=int)
@@ -475,24 +476,25 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
 
     def start():
         """The working set's carried products X B and Z C, its residual, its
-        stopping value's buffer, the buffer's views, weights and lambda
-        weights, and its thresholds lambda / rho and gamma / rho."""
+        stopping value's buffer with weights, views and lambda weights (see
+        _merit_buffers), and its thresholds lambda / rho and gamma / rho."""
         XB, ZC = block.X @ state.B, block.Z @ state.C
         R = block.Y - block.u * state.alpha[..., None, :] - XB
         R -= ZC
-        pieces, weights, views, (w_gamma, w_lam) = _merit_buffers(block, rho)
         lam, lam_t = current_lambdas()
-        _refill(w_gamma, cell_gamma[cell], q)
-        _refill(w_lam, lam, q)
-        return (XB, ZC, R, pieces, views, weights, w_lam, _per_entry(lam_t, q, block.p),
-                _per_entry(gamma_thresh[cell], q, block.Z.shape[-1]))
+        return (XB, ZC, R) + _merit_buffers(
+            block, rho, _per_entry(cell_gamma[cell], q, 1), _per_entry(lam, q, 1)
+        ) + (_per_entry(lam_t, q, block.p), _per_entry(gamma_thresh[cell], q, block.Z.shape[-1]))
 
     fx, fz = ridge_factors(block, rho)
     if state is None:
         state = zero_state(block)
-    XB, ZC, R, pieces, views, weights, w_lam, lam_t, gam_t = start()
+    # a chain's current fit began after sweep `first` of state.iteration; the
+    # earliest running fit reaches max_iter at sweep `cap`
+    first = np.full(grid, state.iteration)
+    cap = state.iteration + opts.max_iter
+    XB, ZC, R, pieces, weights, views, w_lam, lam_t, gam_t = start()
     while True:
-        R_sq, Gc_sq, Gb_sq, abs_C_bar, norms_B_bar = views
         state.alpha = update_intercept(block, state.alpha, R)
         YU = block.Y - block.u * state.alpha[..., None, :]
         if fx is not None:
@@ -501,18 +503,17 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
         if fz is not None:
             state.C, ZC = _ridge_step(fz, R, state.C_bar - state.C_dual)
             R -= ZC
-            state.C_bar = _shrink(state.C + state.C_dual, gam_t, abs_C_bar)[0]
+            state.C_bar = _shrink(state.C + state.C_dual, gam_t, views[3])[0]
         if fx is not None:
-            state.B_bar = _group_shrink(state.B - state.B_dual, lam_t, norms_B_bar)[0]
+            state.B_bar = _group_shrink(state.B - state.B_dual, lam_t, views[4])[0]
         dB, dC = _dual_ascent(state)
         dB += state.B_dual
         dC += state.C_dual
-        np.multiply(R, R, out=R_sq)
-        np.multiply(dC, dC, out=Gc_sq)
-        np.multiply(dB, dB, out=Gb_sq)
+        for a, out in zip((R, dC, dB), views):
+            np.multiply(a, a, out=out)
         L = _lagrangian(pieces, weights, q)
         state.iteration += 1
-        sweep += 1
+        sweep = state.iteration
         # every term is nonnegative, so a non-finite alpha, B or C of a
         # chain makes its value, and so the sum, non-finite
         if not math.isfinite(L.sum()):
@@ -563,7 +564,7 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
                 np.take_along_axis(a[folds], order, axis=-1)
                 for a in (cell, position, first, prev, active)
             )
-            XB, ZC, R, pieces, views, weights, w_lam, lam_t, gam_t = start()
+            XB, ZC, R, pieces, weights, views, w_lam, lam_t, gam_t = start()
         else:
             # stopped chains move on to their next lambda
             for a, v in zip((w_lam, lam_t), current_lambdas()):
