@@ -489,8 +489,8 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
     fx, fz = ridge_factors(block, rho)
     if state is None:
         state = zero_state(block)
-    # a chain's current fit began after sweep `first` of state.iteration; the
-    # earliest running fit reaches max_iter at sweep `cap`
+    # state.iteration counts sweeps; a chain's current fit began after sweep
+    # `first`, and the earliest running fit reaches max_iter at sweep `cap`
     first = np.full(grid, state.iteration)
     cap = state.iteration + opts.max_iter
     XB, ZC, R, pieces, weights, views, w_lam, lam_t, gam_t = start()

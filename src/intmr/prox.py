@@ -31,12 +31,8 @@ def _shrink(a, b, out=None):
 
 def _group_shrink(c, d, out=None):
     """The groupwise threshold of c and (||g|| - d)+, the norm of each of
-    its groups, written to `out` when given.
-
-    A group axis of length 1 makes every group one entry, whose threshold
-    is the entrywise one: copysign((|c| - d)+, c), with magnitude
-    (|c| - d)+.
-    """
+    its groups, written to `out` when given.  A group axis of length 1 (one
+    dataset) makes every group one entry, thresholded entrywise by _shrink."""
     if len(c) == 1:
         shrunk, magnitude = _shrink(c[0], d, out)
         return shrunk[None], magnitude
