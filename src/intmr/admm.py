@@ -14,38 +14,42 @@ scaled dual variables tie each pair together.  One iteration sweeps:
   (e) groupwise soft threshold of B - B_dual onto B_bar,
   (f/g) dual ascent on both consensus residuals.
 
-Each step is one public function below, separable by response column.
-Data and iterates are stacked with the dataset on the leading axis, then a
-fold axis for a cross-validation grid, and a fold's warm-start chains, one
-per gamma, sit side by side as groups of q columns (model.stack builds
-the data side, zero_state the iterate).  A fold need not come from the same
-problem as the next: each fold may carry its own lambda and gamma paths.
-run_chains advances such a grid through the steps in one loop, narrowed to
-the chains still running; AdmmSolver.fit is its one-chain case.  The ridge
-steps run in the thin-SVD coordinates A = U diag(s) V' of X and of Z, one
-batched SVD each, computed once per run (rho stays fixed): with c = n rho,
-a = s / (s^2 + c) and w = -s^2 / (s^2 + c), the step from residual E toward
-target T is T + V g with g = (U diag(a))'E + w * V'T, and A times it is
-U diag(s) (V'T + g), so the loop never multiplies by X or Z.  The intercept
-enters as u alpha', with u the block's intercept column (see
-model.PaddedBlock) and u'u = n; a dataset with more rows than
-1 + p + r_m + q enters the stack as the R of a thin QR of its rows
-(model.stack), which leaves every step unchanged up to rounding.
+Each step is one function, the one the loop calls, separable by response
+column: update_intercept for (a), ridge_step for (b) and (c), prox._shrink
+and prox._group_shrink for (d) and (e), and update_duals for (f/g).  The two
+thresholds are the bodies of prox.soft_threshold and
+prox.group_soft_threshold without their checks, since run_chains checks its
+penalty paths once per run.  Data and iterates are stacked with the dataset
+on the leading axis, then a fold axis for a cross-validation grid, and a
+fold's warm-start chains, one per gamma, sit side by side as groups of q
+columns (model.stack builds the data side, zero_state the iterate).  A fold
+need not come from the same problem as the next: each fold may carry its own
+lambda and gamma paths.  run_chains advances such a grid through the steps
+in one loop, narrowed to the chains still running; AdmmSolver.fit is its
+one-chain case.  The ridge steps run in the thin-SVD coordinates
+A = U diag(s) V' of X and of Z, one batched SVD each, computed once per run
+(rho stays fixed): with c = n rho, a = s / (s^2 + c) and
+w = -s^2 / (s^2 + c), the step from residual E toward target T is T + V g
+with g = (U diag(a))'E + w * V'T, and A times it is U diag(s) (V'T + g), so
+the loop never multiplies by X or Z.  The intercept enters as u alpha', with
+u the block's intercept column (see model.PaddedBlock) and u'u = n; a
+dataset with more rows than 1 + p + r_m + q enters the stack as the R of a
+thin QR of its rows (model.stack), which leaves every step unchanged up to
+rounding.
 
-The loop runs the bodies of the step functions and keeps what they share:
-Y - u alpha' once per sweep, X B and Z C as the ridge steps return them, the
-residual R = Y - u alpha' - X B - Z C as the C step's residual minus Z C,
-|C_bar| and the group norms of B_bar from the thresholds, and
-B_bar - B + B_dual and C - C_bar + C_dual from the dual increments.  R gives
-the next sweep's intercept step.  The sweep writes R^2, the squares of the
-last two and the thresholds' magnitudes into one buffer (_merit_buffers),
-and the augmented Lagrangian is its weighted column sum, the body that
-augmented_lagrangian runs too; it is taken at every iteration, and a fit
-stops when it changes by less than tol between two iterations.  With one
-dataset every group of B is one entry, thresholded entrywise.  Reported
-coefficients are the consensus copies, so zeros are exact and the nonzero
-pattern of B is identical across datasets; the penalized objective is
-evaluated once, at the returned fit.
+The loop keeps what the steps share: Y - u alpha' once per sweep, X B and
+Z C as the ridge steps return them, the residual R = Y - u alpha' - X B - Z C
+as the C step's residual minus Z C, |C_bar| and the group norms of B_bar
+from the thresholds, and B_bar - B + B_dual and C - C_bar + C_dual from the
+dual increments.  R gives the next sweep's intercept step.  The sweep writes
+R^2, the squares of the last two and the thresholds' magnitudes into one
+buffer (_merit_buffers), and the augmented Lagrangian is its weighted column
+sum, the body that augmented_lagrangian runs too; it is taken at every
+iteration, and a fit stops when it changes by less than tol between two
+iterations.  With one dataset every group of B is one entry, thresholded
+entrywise.  Reported coefficients are the consensus copies, so zeros are
+exact and the nonzero pattern of B is identical across datasets; the
+penalized objective is evaluated once, at the returned fit.
 """
 
 import math
@@ -79,10 +83,7 @@ __all__ = [
     "ridge_factor",
     "ridge_factors",
     "update_intercept",
-    "update_shared_coef",
-    "update_specific_coef",
-    "threshold_specific",
-    "threshold_shared",
+    "ridge_step",
     "update_duals",
     "augmented_lagrangian",
     "consensus_gap",
@@ -174,7 +175,7 @@ def update_intercept(block, alpha, R):
 class RidgeFactor(NamedTuple):
     """A design A = U diag(s) V' in the coordinates of its thin SVD, with
     a = s / (s^2 + c), w = -s^2 / (s^2 + c) and c = n rho (see
-    _ridge_step): V', w (..., k, 1), (U diag(a))' and U diag(s)."""
+    ridge_step): V', w (..., k, 1), (U diag(a))' and U diag(s)."""
 
     Vt: np.ndarray
     w: np.ndarray
@@ -205,7 +206,7 @@ def ridge_factors(block, rho):
     )
 
 
-def _ridge_step(factor, E, T):
+def ridge_step(factor, E, T):
     """The solution of (A'A + c I) x = A'E + c T and its product A x, in the
     SVD coordinates of A: x = T + V g with g = (U diag(a))'E + w * V'T, and
     A x = U diag(s) (V'T + g).  V is taken as the transpose of V', which
@@ -219,55 +220,13 @@ def _ridge_step(factor, E, T):
     return x, factor.Us @ t
 
 
-def update_shared_coef(block, alpha_m, ZC, B_bar_m, B_dual_m, rho, factor=None):
-    """Solve (X'X + n rho I) B = X'(Y - u alpha' - Z C) + n rho (B_bar + B_dual),
-    given ZC = Z C; returns B and X B."""
-    if factor is None:
-        factor = ridge_factor(block.X, block.n, rho)
-    return _ridge_step(factor, block.Y - block.u * alpha_m[..., None, :] - ZC,
-                       B_bar_m + B_dual_m)
-
-
-def update_specific_coef(block, alpha_m, XB, C_bar_m, C_dual_m, rho, factor=None):
-    """Solve (Z'Z + n rho I) C = Z'(Y - u alpha' - X B) + n rho (C_bar - C_dual),
-    given XB = X B; returns C and Z C."""
-    if factor is None:
-        factor = ridge_factor(block.Z, block.n, rho)
-    return _ridge_step(factor, block.Y - block.u * alpha_m[..., None, :] - XB,
-                       C_bar_m - C_dual_m)
-
-
-def threshold_specific(C_m, C_dual_m, thresh):
-    """Entrywise soft threshold of C + C_dual.
-
-    thresh must be nonnegative and is not checked here: run_chains checks
-    its penalty paths once per run (prox.soft_threshold checks its own).
-    """
-    return _shrink(C_m + C_dual_m, thresh)[0]
-
-
-def threshold_shared(B, B_dual, thresh):
-    """Groupwise soft threshold of B - B_dual, groups running across datasets.
-
-    B and B_dual are stacked (M, *chains, p, q); group (j, k) of a chain is
-    the length-M vector at [:, ..., j, k].  thresh is unchecked, as in
-    threshold_specific.
-    """
-    return _group_shrink(B - B_dual, thresh)[0]
-
-
-def _dual_ascent(state):
-    """The dual increments B_bar - B and C - C_bar, added to the duals."""
+def update_duals(state):
+    """Dual ascent, in place: B_dual += B_bar - B and C_dual += C - C_bar.
+    Returns the increments B_bar - B and C - C_bar."""
     dB, dC = state.B_bar - state.B, state.C - state.C_bar
     state.B_dual += dB
     state.C_dual += dC
     return dB, dC
-
-
-def update_duals(state):
-    """Dual ascent: B_dual += B_bar - B, C_dual += C - C_bar.  In place."""
-    _dual_ascent(state)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +329,6 @@ class FitReport:
     iterations: int
     converged: bool
     objective: float
-    lagrangian_trace: np.ndarray
     kkt_residual: float
     consensus_gap: float
     state: AdmmState = field(repr=False, default=None)
@@ -404,8 +362,7 @@ def _check_paths(rho, lambdas, gammas):
             raise ValueError("%s must be finite and nonnegative" % name)
 
 
-def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
-               trace=None):
+def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None):
     """Advance a grid of warm-start chains through one ADMM loop.
 
     Chain g of a fold is the g-th group of q columns of block.Y and of the
@@ -435,19 +392,18 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
     broadcasts them along rows; when fits stop, they and the lambda weights
     are refilled from every chain's current lambda.
 
-    When a chain ends its path, block, factors and state narrow to the
-    folds with a running chain and, per fold, its running chains, padded
-    with its finished ones to the largest running count; the products, the
-    buffer with its weights and the thresholds are rebuilt on the narrowed
-    arrays.  A padded chain is swept along but can no longer stop the loop
-    or raise FloatingPointError.  When fits stop, on_stop(state, stopped,
-    cell, position) may read the working state and gets the mask of the
-    working chains that stopped, every working chain's cell (its flat index
-    into the grid, a new array exactly when the working set changed) and its
-    index into its lambda path.  Each iteration appends the Lagrangian of
-    every working chain to `trace` when one is given; a given `state` ends
-    holding the last working set.  The caller need keep no reference to
-    block: the first narrowing then frees the full-size arrays.
+    When a chain ends its path, block, factors and state narrow to the folds
+    with a running chain and, per fold, its running chains, padded with its
+    finished ones to the largest running count; the products, the buffer
+    with its weights and the thresholds are rebuilt on the narrowed arrays.
+    A padded chain is swept along but can no longer stop the loop or raise
+    FloatingPointError.  When fits stop, on_stop(state, stopped, cell,
+    position) may read the working state and gets the mask of the working
+    chains that stopped, every working chain's cell (its flat index into the
+    grid, a new array exactly when the working set changed) and its index
+    into its lambda path.  A given `state` ends holding the last working
+    set.  The caller need keep no reference to block: the first narrowing
+    then frees the full-size arrays.
 
     Returns the iteration count and convergence flag of every fit, shaped
     (*folds, G, L).
@@ -498,15 +454,15 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
         state.alpha = update_intercept(block, state.alpha, R)
         YU = block.Y - block.u * state.alpha[..., None, :]
         if fx is not None:
-            state.B, XB = _ridge_step(fx, YU - ZC, state.B_bar + state.B_dual)
+            state.B, XB = ridge_step(fx, YU - ZC, state.B_bar + state.B_dual)
         R = YU - XB
         if fz is not None:
-            state.C, ZC = _ridge_step(fz, R, state.C_bar - state.C_dual)
+            state.C, ZC = ridge_step(fz, R, state.C_bar - state.C_dual)
             R -= ZC
             state.C_bar = _shrink(state.C + state.C_dual, gam_t, views[3])[0]
         if fx is not None:
             state.B_bar = _group_shrink(state.B - state.B_dual, lam_t, views[4])[0]
-        dB, dC = _dual_ascent(state)
+        dB, dC = update_duals(state)
         dB += state.B_dual
         dC += state.C_dual
         for a, out in zip((R, dC, dB), views):
@@ -523,8 +479,6 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None,
                     "solver diverged: non-finite iterate at iteration %d"
                     % (sweep - first[diverged]).min()
                 )
-        if trace is not None:
-            trace.append(L)
         met = np.abs(L - prev) < opts.tol
         prev = L
         if sweep < cap and not met.any():
@@ -594,10 +548,8 @@ class AdmmSolver:
         else:
             _check_state_matches(block, init)
             state = init.copy()
-        trace = []
-        iterations, converged = run_chains(
-            block, self.rho, [hp.lam], [hp.gamma], opts, state=state, trace=trace
-        )
+        iterations, converged = run_chains(block, self.rho, [hp.lam], [hp.gamma], opts,
+                                           state=state)
         result = ModelFit(
             alpha=tuple(state.alpha.copy()),
             B=tuple(state.B_bar.copy()),
@@ -609,7 +561,6 @@ class AdmmSolver:
             iterations=int(iterations[0, 0]),
             converged=bool(converged[0, 0]),
             objective=value,
-            lagrangian_trace=np.ravel(trace),
             kkt_residual=kkt,
             consensus_gap=consensus_gap(state),
             state=state,
@@ -632,8 +583,7 @@ def fit(data, hp, opts=None, init=None):
     -------
     FitReport
         Coefficients taken from the consensus copies (exact zeros), the
-        penalized objective at those coefficients, the augmented Lagrangian
-        at every iteration, the stationarity residual, the final
-        consensus gap and the final state.
+        penalized objective at those coefficients, the stationarity
+        residual, the final consensus gap and the final state.
     """
     return AdmmSolver(data, rho=hp.rho).fit(hp, opts=opts, init=init)

@@ -14,8 +14,17 @@ import numpy as np
 from hypothesis import strategies as st
 
 import intmr
-from intmr.admm import SolverOptions, run_chains, zero_state
+from intmr.admm import (
+    SolverOptions,
+    ridge_factor,
+    ridge_step,
+    run_chains,
+    update_duals,
+    update_intercept,
+    zero_state,
+)
 from intmr.model import DatasetBlock, IntegratedDataset, ModelFit, PaddedBlock, _pad
+from intmr.prox import group_soft_threshold, soft_threshold
 
 
 def make_data(
@@ -81,6 +90,45 @@ def run_sweeps(block, rho, lam, gammas, sweeps):
     state = zero_state(block)
     run_chains(block, rho, np.full(sweeps, lam), gammas, SolverOptions(max_iter=1), state=state)
     return state
+
+
+def reference_sweep(data, state, hp):
+    """One ADMM sweep of the step functions, run on each unstacked
+    DatasetBlock of `data` in turn and in the order run_chains runs them;
+    updates the stacked `state` in place.  Yields each step's name after
+    the step: "intercept", "B", "C", "C_bar", "B_bar" and "duals".
+
+    Each dataset's residual is taken from the state once, and the ridge
+    steps hand on the products X B and Z C they return, as the loop does.
+    The thresholds are the checked prox operators at gamma / rho and
+    lam / rho.  A dataset without specific covariates skips the C step."""
+    C = [tuple(a[m, : b.r] for a in (state.C, state.C_bar, state.C_dual))
+         for m, b in enumerate(data)]
+    XB = [b.X @ state.B[m] for m, b in enumerate(data)]
+    ZC = [b.Z @ c for b, (c, _, _) in zip(data, C)]
+    for m, b in enumerate(data):
+        R = b.Y - b.u * state.alpha[m] - XB[m]
+        R -= ZC[m]
+        state.alpha[m] = update_intercept(b, state.alpha[m], R)
+    yield "intercept"
+    for m, b in enumerate(data):
+        state.B[m], XB[m] = ridge_step(ridge_factor(b.X, b.n, hp.rho),
+                                       b.Y - b.u * state.alpha[m] - ZC[m],
+                                       state.B_bar[m] + state.B_dual[m])
+    yield "B"
+    for m, b in enumerate(data):
+        if b.r:
+            c, c_bar, c_dual = C[m]
+            c[...], ZC[m] = ridge_step(ridge_factor(b.Z, b.n, hp.rho),
+                                       b.Y - b.u * state.alpha[m] - XB[m], c_bar - c_dual)
+    yield "C"
+    for c, c_bar, c_dual in C:
+        c_bar[...] = soft_threshold(c + c_dual, hp.gamma / hp.rho)
+    yield "C_bar"
+    state.B_bar = group_soft_threshold(state.B - state.B_dual, hp.lam / hp.rho)
+    yield "B_bar"
+    update_duals(state)
+    yield "duals"
 
 
 def padded_stack(blocks, chains=1):

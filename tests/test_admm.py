@@ -1,4 +1,6 @@
+from itertools import islice
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,16 +14,14 @@ from intmr.model import (
     objective,
     stack,
 )
+from intmr import admm
 from intmr.admm import (
     SolverOptions,
     AdmmSolver,
     fit,
     zero_state,
     update_intercept,
-    update_shared_coef,
-    update_specific_coef,
-    threshold_specific,
-    threshold_shared,
+    ridge_step,
     update_duals,
     augmented_lagrangian,
     ridge_factor,
@@ -34,7 +34,7 @@ from helpers import (
     draw_blocks,
     make_data,
     prox_gradient_reference,
-    scalar_prox_oracle,
+    reference_sweep,
     vector_prox_oracle,
 )
 
@@ -168,9 +168,7 @@ class TestSteps:
     def test_shared_update_scalar_case_frozen(self):
         # (X'X + n rho I)^{-1} X'Y with X=[[1]], Y=[[2]], n=1, rho=1 gives 1
         b = DatasetBlock(Y=np.array([[2.0]]), X=np.array([[1.0]]))
-        out, XB = update_shared_coef(
-            b, np.zeros(1), b.Z @ np.zeros((0, 1)), np.zeros((1, 1)), np.zeros((1, 1)), 1.0
-        )
+        out, XB = ridge_step(ridge_factor(b.X, b.n, 1.0), b.Y, np.zeros((1, 1)))
         assert out == pytest.approx(np.array([[1.0]]), abs=1e-14)
         assert XB == pytest.approx(np.array([[1.0]]), abs=1e-14)
 
@@ -183,9 +181,10 @@ class TestSteps:
         B_bar = rng.standard_normal((4, 2))
         B_dual = rng.standard_normal((4, 2))
         rho = 1.3
-        B, _ = update_shared_coef(b, alpha, b.Z @ C, B_bar, B_dual, rho)
+        E, T = b.Y - alpha - b.Z @ C, B_bar + B_dual
+        B, _ = ridge_step(ridge_factor(b.X, b.n, rho), E, T)
         lhs = (b.X.T @ b.X + b.n * rho * np.eye(4)) @ B
-        rhs = b.X.T @ (b.Y - alpha - b.Z @ C) + b.n * rho * (B_bar + B_dual)
+        rhs = b.X.T @ E + b.n * rho * T
         assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_shared_update_heavily_weighted_toward_target(self):
@@ -194,16 +193,14 @@ class TestSteps:
         b = data[0]
         B_bar = rng.standard_normal((3, 2))
         B_dual = rng.standard_normal((3, 2))
-        B, _ = update_shared_coef(b, np.zeros(2), b.Z @ np.zeros((0, 2)), B_bar, B_dual, 1e8)
+        B, _ = ridge_step(ridge_factor(b.X, b.n, 1e8), b.Y, B_bar + B_dual)
         assert np.abs(B - (B_bar + B_dual)).max() < 1e-5
 
     def test_specific_update_scalar_case_frozen(self):
         b = DatasetBlock(
             Y=np.array([[4.0]]), X=np.zeros((1, 0)), Z=np.array([[1.0]])
         )
-        out, ZC = update_specific_coef(
-            b, np.zeros(1), b.X @ np.zeros((0, 1)), np.zeros((1, 1)), np.zeros((1, 1)), 1.0
-        )
+        out, ZC = ridge_step(ridge_factor(b.Z, b.n, 1.0), b.Y, np.zeros((1, 1)))
         assert out == pytest.approx(np.array([[2.0]]), abs=1e-14)
         assert ZC == pytest.approx(np.array([[2.0]]), abs=1e-14)
 
@@ -216,9 +213,10 @@ class TestSteps:
         C_bar = rng.standard_normal((4, 2))
         C_dual = rng.standard_normal((4, 2))
         rho = 0.7
-        C, _ = update_specific_coef(b, alpha, b.X @ B, C_bar, C_dual, rho)
+        E, T = b.Y - alpha - b.X @ B, C_bar - C_dual
+        C, _ = ridge_step(ridge_factor(b.Z, b.n, rho), E, T)
         lhs = (b.Z.T @ b.Z + b.n * rho * np.eye(4)) @ C
-        rhs = b.Z.T @ (b.Y - alpha - b.X @ B) + b.n * rho * (C_bar - C_dual)
+        rhs = b.Z.T @ E + b.n * rho * T
         assert np.abs(lhs - rhs).max() < 1e-10
 
     @pytest.mark.parametrize("n, p, rho", [(6, 15, 1.0), (40, 5, 0.3), (6, 15, 1e8), (40, 5, 1e8)])
@@ -229,10 +227,10 @@ class TestSteps:
         C = rng.standard_normal((3, 2))
         B_bar = rng.standard_normal((p, 2))
         B_dual = rng.standard_normal((p, 2))
-        B, _ = update_shared_coef(b, alpha, b.Z @ C, B_bar, B_dual, rho,
-                                  factor=ridge_factor(b.X, n, rho))
+        E, T = b.Y - alpha - b.Z @ C, B_bar + B_dual
+        B, _ = ridge_step(ridge_factor(b.X, n, rho), E, T)
         lhs = (b.X.T @ b.X + n * rho * np.eye(p)) @ B
-        rhs = b.X.T @ (b.Y - alpha - b.Z @ C) + n * rho * (B_bar + B_dual)
+        rhs = b.X.T @ E + n * rho * T
         assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
     @given(st.data())
@@ -253,12 +251,8 @@ class TestSteps:
         s = random_state(rng, block)
         XB, ZC = block.X @ s.B, block.Z @ s.C
         YU = block.Y - block.u * s.alpha[..., None, :]
-        steps = (
-            (block.X, YU - ZC, s.B_bar + s.B_dual,
-             update_shared_coef(block, s.alpha, ZC, s.B_bar, s.B_dual, rho)),
-            (block.Z, YU - XB, s.C_bar - s.C_dual,
-             update_specific_coef(block, s.alpha, XB, s.C_bar, s.C_dual, rho)),
-        )
+        steps = [(A, E, T, ridge_step(ridge_factor(A, block.n, rho), E, T)) for A, E, T in
+                 ((block.X, YU - ZC, s.B_bar + s.B_dual), (block.Z, YU - XB, s.C_bar - s.C_dual))]
         worst = lambda a: np.abs(a).max(axis=(-2, -1), initial=0)
         for A, E, T, (x, Ax) in steps:
             At, c = np.swapaxes(A, -1, -2), block.n * rho
@@ -282,22 +276,22 @@ class TestSteps:
         C, C_bar, C_dual = (rng.standard_normal((1, 2, 3, 6)) for _ in range(3))
         rho = 0.8
         XB, ZC = stacked.X @ B, stacked.Z @ C
-        R = stacked.Y - stacked.u * alpha[..., None, :] - XB - ZC
-        got = {"alpha": update_intercept(stacked, alpha, R)}
-        got["B"], got["XB"] = update_shared_coef(stacked, alpha, ZC, B_bar, B_dual, rho,
-                                                 factor=ridge_factor(stacked.X, stacked.n, rho))
-        got["C"], got["ZC"] = update_specific_coef(stacked, alpha, XB, C_bar, C_dual, rho,
-                                                   factor=ridge_factor(stacked.Z, stacked.n, rho))
+        YU = stacked.Y - stacked.u * alpha[..., None, :]
+        got = {"alpha": update_intercept(stacked, alpha, YU - XB - ZC)}
+        got["B"], got["XB"] = ridge_step(ridge_factor(stacked.X, stacked.n, rho),
+                                         YU - ZC, B_bar + B_dual)
+        got["C"], got["ZC"] = ridge_step(ridge_factor(stacked.Z, stacked.n, rho),
+                                         YU - XB, C_bar - C_dual)
         for k, b in enumerate(blocks):
             for j in range(3):
                 c = slice(2 * j, 2 * j + 2)
                 XB, ZC = b.X @ B[0, k, :, c], b.Z @ C[0, k, :, c]
-                want = {"alpha": update_intercept(b, alpha[0, k, c],
-                                                  b.Y - alpha[0, k, c] - XB - ZC)}
-                want["B"], want["XB"] = update_shared_coef(
-                    b, alpha[0, k, c], ZC, B_bar[0, k, :, c], B_dual[0, k, :, c], rho)
-                want["C"], want["ZC"] = update_specific_coef(
-                    b, alpha[0, k, c], XB, C_bar[0, k, :, c], C_dual[0, k, :, c], rho)
+                YU = b.Y - alpha[0, k, c]
+                want = {"alpha": update_intercept(b, alpha[0, k, c], YU - XB - ZC)}
+                want["B"], want["XB"] = ridge_step(ridge_factor(b.X, b.n, rho), YU - ZC,
+                                                   B_bar[0, k, :, c] + B_dual[0, k, :, c])
+                want["C"], want["ZC"] = ridge_step(ridge_factor(b.Z, b.n, rho), YU - XB,
+                                                   C_bar[0, k, :, c] - C_dual[0, k, :, c])
                 for name, w in want.items():
                     g = got[name][0, k, ..., c]
                     if name in ("XB", "ZC"):
@@ -305,44 +299,18 @@ class TestSteps:
                         g = g[: b.n]
                     assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
 
-    def test_specific_threshold_is_entrywise_prox(self):
-        rng = np.random.default_rng(7)
-        C = rng.standard_normal((3, 2))
-        V = rng.standard_normal((3, 2))
-        thresh = 0.8
-        out = threshold_specific(C, V, thresh)
-        target = C + V
-        for idx in np.ndindex(3, 2):
-            x = out[idx]
-            val = 0.5 * (x - target[idx]) ** 2 + thresh * abs(x)
-            assert val <= scalar_prox_oracle(target[idx], thresh) + 1e-8
-
-    def test_specific_threshold_zero_gamma_identity(self):
-        rng = np.random.default_rng(8)
-        C = rng.standard_normal((3, 2))
-        V = rng.standard_normal((3, 2))
-        assert np.array_equal(threshold_specific(C, V, 0.0), C + V)
-
-    def test_shared_threshold_known_group(self):
-        # one group of values (3, 4) across two datasets
-        B = np.array([3.0, 4.0]).reshape(2, 1, 1)
-        zero = np.zeros_like(B)
-        assert np.array_equal(threshold_shared(B, zero, 5.0), zero)
-        shrunk = threshold_shared(B, zero, 2.5)
-        assert np.allclose(shrunk.ravel(), [1.5, 2.0], atol=1e-14)
-
     def test_shared_threshold_zero_lambda(self):
         rng = np.random.default_rng(9)
         B = rng.standard_normal((2, 3, 2))
         U = rng.standard_normal((2, 3, 2))
-        assert np.allclose(threshold_shared(B, U, 0.0), B - U, atol=1e-15)
+        assert np.allclose(group_soft_threshold(B - U, 0.0), B - U, atol=1e-15)
 
     def test_shared_threshold_is_groupwise_prox(self):
         rng = np.random.default_rng(10)
         B = rng.standard_normal((3, 4, 2))
         U = rng.standard_normal((3, 4, 2))
         thresh = 0.9
-        out = threshold_shared(B, U, thresh)
+        out = group_soft_threshold(B - U, thresh)
         target = B - U
         for j in range(4):
             for k in range(2):
@@ -359,7 +327,8 @@ class TestSteps:
         st = random_state(rng, stack(data))
         before_b = st.B_dual.copy()
         before_c = st.C_dual.copy()
-        update_duals(st)
+        dB, dC = update_duals(st)
+        assert np.array_equal(dB, st.B_bar - st.B) and np.array_equal(dC, st.C - st.C_bar)
         assert np.allclose(st.B_dual, before_b + st.B_bar - st.B, atol=1e-15)
         assert np.allclose(st.C_dual, before_c + st.C - st.C_bar, atol=1e-15)
         # at consensus the duals stay put
@@ -413,12 +382,20 @@ class TestFit:
                 assert (rep.fit.B[m][off] == 0).all()
 
     def test_converged_flag_matches_trace(self):
+        # a fit stops at the first sweep k whose Lagrangian changed by less
+        # than tol; the states after k - 2 and k - 1 sweeps are the same fit
+        # capped there.  Here the last two changes are -1.46e-8 and -6.56e-9
         rng = np.random.default_rng(16)
         data = make_data(rng, M=2, n=15, p=3, q=2, r=1)
+        hp = HyperParams(0.1, 0.1)
         opts = SolverOptions(tol=1e-8, max_iter=10000)
-        rep = fit(data, HyperParams(0.1, 0.1), opts)
+        rep = fit(data, hp, opts)
         assert rep.converged
-        assert abs(rep.lagrangian_trace[-1] - rep.lagrangian_trace[-2]) < opts.tol
+        k = rep.iterations
+        states = [fit(data, hp, SolverOptions(tol=opts.tol, max_iter=j)).state
+                  for j in (k - 2, k - 1)] + [rep.state]
+        L = [augmented_lagrangian(stack(data), s, hp).item() for s in states]
+        assert abs(L[2] - L[1]) < opts.tol <= abs(L[1] - L[0])
 
     def test_max_iter_cap_reported_as_not_converged(self):
         rng = np.random.default_rng(17)
@@ -530,23 +507,8 @@ class TestFit:
             start = random_state(rng, solver.block)
             rep = solver.fit(hp, SolverOptions(max_iter=1), init=start)
             st = start.copy()
-            for m, b in enumerate(data):
-                # the steps composed as the loop runs them: the residual of
-                # the start, the intercept step from it, and the ridge steps
-                # handing on the products they return
-                C, C_bar, C_dual = (a[m, : b.r] for a in (st.C, st.C_bar, st.C_dual))
-                XB, ZC = b.X @ st.B[m], b.Z @ C
-                R = b.Y - b.u * st.alpha[m] - XB
-                R -= ZC
-                st.alpha[m] = update_intercept(b, st.alpha[m], R)
-                st.B[m], XB = update_shared_coef(
-                    b, st.alpha[m], ZC, st.B_bar[m], st.B_dual[m], hp.rho
-                )
-                if b.r:
-                    C[...], _ = update_specific_coef(b, st.alpha[m], XB, C_bar, C_dual, hp.rho)
-                    C_bar[...] = threshold_specific(C, C_dual, hp.gamma / hp.rho)
-            st.B_bar = threshold_shared(st.B, st.B_dual, hp.lam / hp.rho)
-            update_duals(st)
+            for _ in reference_sweep(data, st, hp):
+                pass
             got = rep.state
             assert rep.iterations == 1 and got.iteration == start.iteration + 1
             for name in ("alpha", "B", "C", "B_bar", "B_dual", "C_bar", "C_dual"):
@@ -618,8 +580,9 @@ class TestRunChains:
     @settings(max_examples=60, deadline=None)
     def test_each_checked_value_is_the_lagrangian_of_its_state(self, data):
         # the loop builds its stopping value from the sweep's pieces; it must
-        # be augmented_lagrangian of the state it checked.  A check records a
-        # copy of the state; checks taken after the working set narrowed
+        # be augmented_lagrangian of the state it checked.  A check records
+        # the value the loop's _lagrangian returns and a copy of the state;
+        # checks taken after the working set narrowed
         # (a chain that stopped at an exact fixed point) are skipped
         blocks, _ = draw_blocks(data)
         chains = data.draw(st.integers(1, 3))
@@ -630,14 +593,16 @@ class TestRunChains:
         gammas = rng.uniform(0.02, 0.3, grid)
         rho = float(rng.uniform(0.5, 2.0))
         state, seen = zero_state(block), []
+        value_of = admm._lagrangian
 
-        class Checks(list):
-            def append(self, value):
-                super().append(value)
-                seen.append((value, state.copy()))
+        def checked(*args):
+            value = value_of(*args)
+            seen.append((value, state.copy()))
+            return value
 
-        run_chains(block, rho, lambdas, gammas, SolverOptions(tol=1e-300, max_iter=25),
-                   state=state, trace=Checks())
+        with mock.patch.object(admm, "_lagrangian", checked):
+            run_chains(block, rho, lambdas, gammas, SolverOptions(tol=1e-300, max_iter=25),
+                       state=state)
         per_column = SimpleNamespace(
             lam=np.repeat(np.broadcast_to(lambdas, grid), q, axis=-1)[..., None, :],
             gamma=np.repeat(gammas, q, axis=-1)[..., None, :],
@@ -718,37 +683,21 @@ class TestDiagnostics:
 
 class TestBlockwiseDescent:
     def test_each_primal_step_never_increases_lagrangian(self):
+        # criterion 6 at rho = 1.7 and 0.3: the ridge steps solve at rho and
+        # the thresholds are lam / rho and gamma / rho
         rng = np.random.default_rng(29)
-        hp = HyperParams(0.4, 0.3)
-        for _ in range(60):
-            data = make_data(rng, M=2, n=8, p=3, q=2, r=2)
-            block = stack(data)
-            st = random_state(rng, block)
-            L = augmented_lagrangian(block, st, hp)
-            for m, b in enumerate(data):
-                R = b.Y - st.alpha[m] - b.X @ st.B[m] - b.Z @ st.C[m]
-                st.alpha[m] = update_intercept(b, st.alpha[m], R)
-            L2 = augmented_lagrangian(block, st, hp)
-            assert L2 <= L + 1e-10
-            for m, b in enumerate(data):
-                st.B[m], _ = update_shared_coef(
-                    b, st.alpha[m], b.Z @ st.C[m], st.B_bar[m], st.B_dual[m], 1.0
-                )
-            L3 = augmented_lagrangian(block, st, hp)
-            assert L3 <= L2 + 1e-10
-            for m, b in enumerate(data):
-                st.C[m], _ = update_specific_coef(
-                    b, st.alpha[m], b.X @ st.B[m], st.C_bar[m], st.C_dual[m], 1.0
-                )
-            L4 = augmented_lagrangian(block, st, hp)
-            assert L4 <= L3 + 1e-10
-            for m in range(data.M):
-                st.C_bar[m] = threshold_specific(st.C[m], st.C_dual[m], hp.gamma)
-            L5 = augmented_lagrangian(block, st, hp)
-            assert L5 <= L4 + 1e-10
-            st.B_bar = threshold_shared(st.B, st.B_dual, hp.lam)
-            L6 = augmented_lagrangian(block, st, hp)
-            assert L6 <= L5 + 1e-10
+        for rho in (0.3, 1.7):
+            hp = HyperParams(0.4, 0.3, rho=rho)
+            for _ in range(300):
+                data = make_data(rng, M=2, n=8, p=3, q=2, r=2)
+                block = stack(data)
+                st = random_state(rng, block)
+                L = augmented_lagrangian(block, st, hp)
+                # every step before the dual ascent
+                for step in islice(reference_sweep(data, st, hp), 5):
+                    after = augmented_lagrangian(block, st, hp)
+                    assert after <= L + 1e-10, (rho, step, after - L)
+                    L = after
 
 
 class TestSparsityPath:
