@@ -5,14 +5,17 @@ The objective couples the shared-covariate coefficients B^m across datasets
 through a group penalty on the vectors (B^1[j,k], ..., B^M[j,k]).  The
 solver splits both penalties off with consensus copies: B_bar carries the
 group-thresholded copy of B, C_bar the entrywise-thresholded copy of C, and
-scaled dual variables tie each pair together.  One iteration sweeps:
+scaled dual variables tie each pair together.  Both duals take the one
+scaled sign (Boyd et al. 2011, sec. 3.1.1): for a primal x, its consensus
+copy z and its scaled dual u, the dual step is u += x - z, the ridge target
+z - u and the threshold input x + u.  One iteration sweeps:
 
   (a) intercepts from the residual, alpha + u'R / n,
-  (b) ridge update of B toward B_bar + B_dual,
+  (b) ridge update of B toward B_bar - B_dual,
   (c) ridge update of C toward C_bar - C_dual,
   (d) entrywise soft threshold of C + C_dual onto C_bar,
-  (e) groupwise soft threshold of B - B_dual onto B_bar,
-  (f/g) dual ascent on both consensus residuals.
+  (e) groupwise soft threshold of B + B_dual onto B_bar,
+  (f/g) dual ascent on both consensus residuals, u += x - z.
 
 Each step is one function, the one the loop calls, separable by response
 column: update_intercept for (a), ridge_step for (b) and (c), prox._shrink
@@ -37,11 +40,22 @@ dataset with more rows than 1 + p + r_m + q enters the stack as the R of a
 thin QR of its rows (model.stack), which leaves every step unchanged up to
 rounding.
 
+Within run_chains each ADMM variable is one flat, contiguous buffer laid
+out [C | B]: one for the primal x, one for the consensus z and one for the
+scaled dual u, and the state's C, B, C_bar, B_bar, C_dual and B_dual are
+contiguous views into them.  The target, the threshold input, the dual
+step and its increment each run once over both blocks, and with one
+dataset so do the two thresholds, against a flat [gamma / rho | lambda / rho]
+array.  The buffers, the views and every
+workspace are built once per working set, at the start of a run and after
+each narrowing, so a sweep writes with out= and allocates no array.
+
 The loop keeps what the steps share: Y - u alpha' once per sweep, X B and
 Z C as the ridge steps return them, the residual R = Y - u alpha' - X B - Z C
 as the C step's residual minus Z C, |C_bar| and the group norms of B_bar
-from the thresholds, and B_bar - B + B_dual and C - C_bar + C_dual from the
-dual increments.  R gives the next sweep's intercept step.  The sweep writes
+from the thresholds, and G = x - z + u, that is C - C_bar + C_dual and
+B - B_bar + B_dual, from the dual increment.  R gives the next sweep's
+intercept step.  The sweep writes
 R^2, the squares of the last two and the thresholds' magnitudes into one
 buffer (_merit_buffers), and the augmented Lagrangian is its weighted column
 sum, the body that augmented_lagrangian runs too; it is taken at every
@@ -62,8 +76,8 @@ from .model import (
     IntegratedDataset,
     HyperParams,
     ModelFit,
-    _colsum,
     _evaluate,
+    _ones_row,
     group_norms,
     stack,
     stack_fit,
@@ -161,23 +175,31 @@ def _check_state_matches(block, state):
 # single update steps
 #
 # Every step takes leading axes: coefficient blocks (..., rows, q),
-# intercepts (..., q), residuals and the products XB = X B and ZC = Z C
-# (..., n, q), against data whose arrays broadcast over those axes, whether
-# one dataset's DatasetBlock or a stacked PaddedBlock.
+# intercept rows (..., 1, q), residuals and the products XB = X B and
+# ZC = Z C (..., n, q), against data whose arrays broadcast over those axes,
+# whether one dataset's DatasetBlock or a stacked PaddedBlock.  Given
+# buffers, a step writes into them and allocates nothing.
 
 
-def update_intercept(block, alpha, R):
-    """alpha + u'R / n, given the residual R = Y - u alpha' - X B - Z C: the
-    column means of Y - X B - Z C, since u'u = n."""
-    return alpha + (np.swapaxes(block.u, -1, -2) @ R / block.n)[..., 0, :]
+def update_intercept(ut, n, alpha, R, work=None):
+    """alpha += u'R / n in place, given u' (the transposed intercept column)
+    and the residual R = Y - u alpha' - X B - Z C: the column means of
+    Y - X B - Z C, since u'u = n.  alpha is a row (..., 1, q); work is a
+    buffer shaped like it.  Returns alpha."""
+    step = np.matmul(ut, R, out=work)
+    step /= n
+    alpha += step
+    return alpha
 
 
 class RidgeFactor(NamedTuple):
     """A design A = U diag(s) V' in the coordinates of its thin SVD, with
     a = s / (s^2 + c), w = -s^2 / (s^2 + c) and c = n rho (see
-    ridge_step): V', w (..., k, 1), (U diag(a))' and U diag(s)."""
+    ridge_step): V', V as the transposed view of V', w (..., k, 1) or
+    widened to the columns it multiplies, (U diag(a))' and U diag(s)."""
 
     Vt: np.ndarray
+    V: np.ndarray
     w: np.ndarray
     Ua_t: np.ndarray
     Us: np.ndarray
@@ -192,7 +214,7 @@ def ridge_factor(A, n, rho):
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     s = s[..., None, :]
     d = s * s + n * rho
-    return RidgeFactor(Vt=Vt, w=np.swapaxes(-(s * s) / d, -1, -2),
+    return RidgeFactor(Vt=Vt, V=np.swapaxes(Vt, -1, -2), w=np.swapaxes(-(s * s) / d, -1, -2),
                        Ua_t=np.swapaxes(U * (s / d), -1, -2), Us=U * s)
 
 
@@ -206,44 +228,58 @@ def ridge_factors(block, rho):
     )
 
 
-def ridge_step(factor, E, T):
+def ridge_step(factor, E, T, out=None):
     """The solution of (A'A + c I) x = A'E + c T and its product A x, in the
     SVD coordinates of A: x = T + V g with g = (U diag(a))'E + w * V'T, and
-    A x = U diag(s) (V'T + g).  V is taken as the transpose of V', which
-    OpenBLAS multiplies faster at these sizes than a contiguous V."""
-    t = factor.Vt @ T
-    g = factor.Ua_t @ E
-    g += factor.w * t
+    A x = U diag(s) (V'T + g).  V is the transposed view of V', which
+    OpenBLAS multiplies faster at these sizes than a contiguous V.  out, if
+    given, is (x, A x, t, g, h): the two results and three workspaces
+    shaped (..., k, q)."""
+    x, Ax, t, g, h = (None,) * 5 if out is None else out
+    t = np.matmul(factor.Vt, T, out=t)
+    g = np.multiply(factor.w, t, out=g)
+    g += np.matmul(factor.Ua_t, E, out=h)
     t += g
-    x = np.swapaxes(factor.Vt, -1, -2) @ g
+    x = np.matmul(factor.V, g, out=x)
     x += T
-    return x, factor.Us @ t
+    return x, np.matmul(factor.Us, t, out=Ax)
 
 
-def update_duals(state):
-    """Dual ascent, in place: B_dual += B_bar - B and C_dual += C - C_bar.
-    Returns the increments B_bar - B and C - C_bar."""
-    dB, dC = state.B_bar - state.B, state.C - state.C_bar
-    state.B_dual += dB
-    state.C_dual += dC
-    return dB, dC
+def update_duals(x, z, u, out=None):
+    """Scaled dual ascent, in place: u += x - z.  Returns the increment
+    x - z, written to `out` when given."""
+    d = np.subtract(x, z, out=out)
+    u += d
+    return d
 
 
 # ---------------------------------------------------------------------------
 # merit functions
 
 
+class _Merit(NamedTuple):
+    """The stopping value's buffers (see _merit_buffers)."""
+
+    pieces: np.ndarray
+    weights: np.ndarray
+    views: tuple
+    lam_weights: np.ndarray
+    sums: np.ndarray
+    chains: np.ndarray
+
+
 def _merit_buffers(block, rho, gamma, lam):
-    """A zeroed buffer for the pieces of the augmented Lagrangian and its
-    per-entry weights.
+    """A zeroed buffer for the pieces of the augmented Lagrangian, its
+    per-entry weights and the buffer of their column sums.
 
     Each dataset has the rows [R^2 | G_C^2 | G_B^2 | |C_bar|], with
-    G_C = C - C_bar + C_dual and G_B = B_bar - B + B_dual, weighted
+    G_C = C - C_bar + C_dual and G_B = B - B_bar + B_dual, weighted
     [1/(2n) | rho/2 | rho/2 | gamma]; after every dataset's rows come the
     group norms of B_bar, weighted lambda.  gamma broadcasts against one
-    dataset's C and lam against the group norms.  Returns the buffer, the
-    weights, views of the five pieces shaped like R, C, B, C and the group
-    norms, and the view of the lambda weights.
+    dataset's C and lam against the group norms.  Holds the buffer
+    (*folds, M k + p, G q), the weights, views of the five pieces shaped
+    like R, C, B, C and the group norms, the view of the lambda weights, the
+    column sums (*folds, 1, G q) and their view per chain (*folds, G, q).
     """
     M, rows, r, p = len(block.Y), block.Y.shape[-2], block.Z.shape[-1], block.p
     folds, cols = block.Y.shape[1:-2], block.Y.shape[-1]
@@ -261,15 +297,19 @@ def _merit_buffers(block, rho, gamma, lam):
     w[1][...] = w[2][...] = 0.5 * rho
     w[3][...] = gamma
     w[4][...] = lam
-    return pieces, weights, views(pieces), w[4]
+    sums = np.empty(folds + (1, cols))
+    return _Merit(pieces, weights, views(pieces), w[4], sums,
+                  sums.reshape(folds + (-1, block.q)))
 
 
-def _lagrangian(pieces, weights, q):
-    """Per-chain augmented Lagrangian from a filled pieces buffer and its
-    weights (see _merit_buffers): one weighted column sum.  Overwrites
-    pieces."""
-    pieces *= weights
-    return chain_sums(_colsum(pieces)[..., 0, :], q)
+def _lagrangian(merit, out=None):
+    """Per-chain augmented Lagrangian from a filled pieces buffer (see
+    _merit_buffers): one weighted column sum, written to `out` when given.
+    Overwrites the pieces and the column sums."""
+    pieces = merit.pieces
+    pieces *= merit.weights
+    np.matmul(_ones_row(pieces.shape[-2]), pieces, out=merit.sums)
+    return np.sum(merit.chains, axis=-1, out=out)
 
 
 def augmented_lagrangian(block, state, hp):
@@ -277,7 +317,7 @@ def augmented_lagrangian(block, state, hp):
     block.
 
     Loss at the primal variables, penalties at the consensus copies, plus
-    (rho/2) ||B_bar - B + B_dual||_F^2 and (rho/2) ||C - C_bar + C_dual||_F^2
+    (rho/2) ||B - B_bar + B_dual||_F^2 and (rho/2) ||C - C_bar + C_dual||_F^2
     summed over datasets: one value per chain, the sum over its q columns,
     shaped (*folds, G).  hp.lam and hp.gamma may be per-column arrays shaped
     (*folds, 1, G q).  The state fills the buffer of _merit_buffers and
@@ -286,14 +326,15 @@ def augmented_lagrangian(block, state, hp):
     """
     R = block.Y - block.u * state.alpha[..., None, :] - block.X @ state.B
     R -= block.Z @ state.C
-    pieces, weights, views, _ = _merit_buffers(block, hp.rho, hp.gamma, hp.lam)
+    merit = _merit_buffers(block, hp.rho, hp.gamma, hp.lam)
+    views = merit.views
     Gc = state.C - state.C_bar + state.C_dual
-    Gb = state.B_bar - state.B + state.B_dual
+    Gb = state.B - state.B_bar + state.B_dual
     for a, out in zip((R, Gc, Gb), views):
         np.multiply(a, a, out=out)
     np.abs(state.C_bar, out=views[3])
-    views[4][...] = group_norms(state.B_bar)
-    return _lagrangian(pieces, weights, block.q)
+    group_norms(state.B_bar, out=views[4])
+    return _lagrangian(merit)
 
 
 def consensus_gap(state):
@@ -362,6 +403,132 @@ def _check_paths(rho, lambdas, gammas):
             raise ValueError("%s must be finite and nonnegative" % name)
 
 
+def _split(flat, shapes):
+    """Contiguous views of the flat buffer, one per shape, in order."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _own(state, names):
+    """Copy the state's arrays `names` into one new flat buffer, in that
+    order, and point those fields at contiguous views of it; returns the
+    buffer.  The arrays the fields held are not written."""
+    arrays = [getattr(state, name) for name in names]
+    flat = np.empty(sum(a.size for a in arrays))
+    for name, a, view in zip(names, arrays, _split(flat, [a.shape for a in arrays])):
+        view[...] = a
+        setattr(state, name, view)
+    return flat
+
+
+def _narrow_factor(f, folds):
+    """A ridge factor at the folds at index tuple `folds`, V taken afresh
+    as the transposed view of V'."""
+    Vt, w, Ua_t, Us = (a[(slice(None),) + folds] for a in (f.Vt, f.w, f.Ua_t, f.Us))
+    return RidgeFactor(Vt, np.swapaxes(Vt, -1, -2), w, Ua_t, Us)
+
+
+def _sweeper(block, factors, state, rho, tol, gamma, lam, prev):
+    """One working set's ADMM sweep, and the function that sets its chains'
+    lambdas.
+
+    The state's arrays are copied into buffers of the working set: alpha
+    as rows (..., 1, G q), and one flat buffer laid out [C | B] for each of
+    the primal x, the consensus z and the scaled dual u, whose fields
+    become contiguous views of them.  The target z - u, the threshold input
+    x + u, the dual step u += x - z and its increment x - z + u then run once
+    over both blocks, and with one dataset the two thresholds run as one
+    against a flat [gamma / rho | lambda / rho] array.  The squares and
+    magnitudes go to the stopping value's buffer block by block, whose
+    per-fold row order fixes the order of its sums.  Every product, residual, threshold, transposed factor, widened
+    ridge weight and workspace is built here, so that a sweep writes with
+    out= into them and builds no array or view.  gamma, lam and prev are
+    each working chain's gamma, lambda and last stopping value (..., G);
+    the working set keeps prev as its own.
+
+    sweep() runs one sweep and returns its stopping values and the mask of
+    the chains whose value changed by less than tol; the values are the
+    ones the next sweep compares against, so setting an entry to NaN
+    restarts that chain's comparison, and the sweep after next overwrites
+    them.  set_lambdas(lam) sets the lambda weights and thresholds.
+    """
+    M, q = len(block.Y), block.q
+    Y, ucol, n = block.Y, block.u, block.n
+    alpha = _own(state, ("alpha",)).reshape(state.alpha.shape[:-1] + (1, -1))
+    x, z, u = (_own(state, names) for names in
+               (("C", "B"), ("C_bar", "B_bar"), ("C_dual", "B_dual")))
+    C, B, C_bar, B_bar = state.C, state.B, state.C_bar, state.B_bar
+    shapes = C.shape, B.shape
+    # one workspace holds in turn the target z - u, the threshold input
+    # x + u and the increment x - z + u
+    work = np.empty(x.size)
+    wC, wB = _split(work, shapes)
+    XB, ZC = block.X @ B, block.Z @ C
+    R = Y - ucol * alpha - XB
+    R -= ZC
+    YU, E, step = np.empty_like(R), np.empty_like(R), np.empty_like(alpha)
+    ut = np.swapaxes(ucol, -1, -2)
+    # each factor with its w widened to the columns, and its step's outputs
+    # and workspaces
+    fx, fz = (None if f is None else
+              f._replace(w=np.broadcast_to(f.w, f.w.shape[:-1] + R.shape[-1:]).copy())
+              for f in factors)
+    out_b, out_c = (None if f is None else (a, Aa) + tuple(np.empty_like(f.w) for _ in range(3))
+                    for f, a, Aa in ((fx, B, XB), (fz, C, ZC)))
+    # the per-entry thresholds, shaped like one dataset's [C | B]
+    thr = np.empty(x.size // M)
+    gam_t, lam_t = _split(thr, (C.shape[1:], B.shape[1:]))
+    _refill(gam_t, gamma / rho, q)
+    merit = _merit_buffers(block, rho, _per_entry(gamma, q, 1), 0.0)
+    sq = merit.views
+    single = M == 1
+    if single:
+        B_bar1 = B_bar[0]
+    else:
+        norms, squares = np.empty(B.shape[1:]), np.empty(B.shape)
+    cur, change, met = np.empty_like(prev), np.empty_like(prev), np.empty(prev.shape, dtype=bool)
+
+    def set_lambdas(lam):
+        _refill(merit.lam_weights, lam, q)
+        _refill(lam_t, lam / rho, q)
+
+    def sweep():
+        nonlocal prev, cur
+        update_intercept(ut, n, alpha, R, step)
+        np.subtract(Y, np.multiply(ucol, alpha, out=YU), out=YU)
+        np.subtract(z, u, out=work)
+        if fx is not None:
+            ridge_step(fx, np.subtract(YU, ZC, out=E), wB, out_b)
+        np.subtract(YU, XB, out=R)
+        if fz is not None:
+            ridge_step(fz, R, wC, out_c)
+            np.subtract(R, ZC, out=R)
+        np.add(x, u, out=work)
+        if single:
+            # the magnitudes are |z|, copysign keeps them
+            _shrink(work, thr, z, z)
+            np.abs(C_bar, out=sq[3])
+            np.abs(B_bar1, out=sq[4])
+        else:
+            _shrink(wC, gam_t, C_bar, sq[3])
+            _group_shrink(wB, lam_t, B_bar, sq[4], norms, squares)
+        np.add(update_duals(x, z, u, work), u, out=work)
+        np.multiply(R, R, out=sq[0])
+        np.multiply(wC, wC, out=sq[1])
+        np.multiply(wB, wB, out=sq[2])
+        L = _lagrangian(merit, cur)
+        np.less(np.abs(np.subtract(L, prev, out=change), out=change), tol, out=met)
+        prev, cur = L, prev
+        return L, met
+
+    set_lambdas(lam)
+    return sweep, set_lambdas
+
+
 def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None):
     """Advance a grid of warm-start chains through one ADMM loop.
 
@@ -401,9 +568,15 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None)
     position) may read the working state and gets the mask of the working
     chains that stopped, every working chain's cell (its flat index into the
     grid, a new array exactly when the working set changed) and its index
-    into its lambda path.  A given `state` ends holding the last working
-    set.  The caller need keep no reference to block: the first narrowing
-    then frees the full-size arrays.
+    into its lambda path.  The caller need keep no reference to block: the
+    first narrowing then frees the full-size arrays.
+
+    The iterate lives in buffers of the working set (see _sweeper): a given
+    `state` has its arrays copied into them, which leaves those arrays as
+    they were, and its fields pointed at views of them, which every sweep
+    writes in place.  So the state is updated in place and ends holding the
+    last working set, and on_stop reads live views: it must copy whatever
+    it keeps.
 
     Returns the iteration count and convergence flag of every fit, shaped
     (*folds, G, L).
@@ -414,60 +587,30 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None)
     _check_paths(rho, lambdas, gammas)
     q, n_fits = block.q, lambdas.shape[-1]
     grid = block.n.shape[1:-2] + gammas.shape[-1:]
-    # each cell's gamma and lambda path, and their thresholds, by flat cell
+    # each cell's gamma and lambda path, by flat cell
     cell_gamma = np.broadcast_to(gammas, grid).ravel()
     cell_lambdas = np.broadcast_to(lambdas[..., None, :], grid + (n_fits,)).reshape(-1, n_fits)
-    gamma_thresh, lambda_thresh = cell_gamma / rho, cell_lambdas / rho
     cell = np.arange(cell_gamma.size).reshape(grid)
     position = np.zeros(grid, dtype=int)
-    prev = np.full(grid, np.nan)
     active = np.ones(grid, dtype=bool)
     iterations = np.zeros(grid + (n_fits,), dtype=int)
     converged = np.zeros(grid + (n_fits,), dtype=bool)
 
     def current_lambdas():
-        """Every working chain's lambda and lambda / rho."""
-        fits = cell, np.minimum(position, n_fits - 1)
-        return cell_lambdas[fits], lambda_thresh[fits]
+        """Every working chain's lambda."""
+        return cell_lambdas[cell, np.minimum(position, n_fits - 1)]
 
-    def start():
-        """The working set's carried products X B and Z C, its residual, its
-        stopping value's buffer with weights, views and lambda weights (see
-        _merit_buffers), and its thresholds lambda / rho and gamma / rho."""
-        XB, ZC = block.X @ state.B, block.Z @ state.C
-        R = block.Y - block.u * state.alpha[..., None, :] - XB
-        R -= ZC
-        lam, lam_t = current_lambdas()
-        return (XB, ZC, R) + _merit_buffers(
-            block, rho, _per_entry(cell_gamma[cell], q, 1), _per_entry(lam, q, 1)
-        ) + (_per_entry(lam_t, q, block.p), _per_entry(gamma_thresh[cell], q, block.Z.shape[-1]))
-
-    fx, fz = ridge_factors(block, rho)
+    factors = ridge_factors(block, rho)
     if state is None:
         state = zero_state(block)
     # state.iteration counts sweeps; a chain's current fit began after sweep
     # `first`, and the earliest running fit reaches max_iter at sweep `cap`
     first = np.full(grid, state.iteration)
     cap = state.iteration + opts.max_iter
-    XB, ZC, R, pieces, weights, views, w_lam, lam_t, gam_t = start()
+    run_sweep, set_lambdas = _sweeper(block, factors, state, rho, opts.tol, cell_gamma[cell],
+                                      current_lambdas(), np.full(grid, np.nan))
     while True:
-        state.alpha = update_intercept(block, state.alpha, R)
-        YU = block.Y - block.u * state.alpha[..., None, :]
-        if fx is not None:
-            state.B, XB = ridge_step(fx, YU - ZC, state.B_bar + state.B_dual)
-        R = YU - XB
-        if fz is not None:
-            state.C, ZC = ridge_step(fz, R, state.C_bar - state.C_dual)
-            R -= ZC
-            state.C_bar = _shrink(state.C + state.C_dual, gam_t, views[3])[0]
-        if fx is not None:
-            state.B_bar = _group_shrink(state.B - state.B_dual, lam_t, views[4])[0]
-        dB, dC = update_duals(state)
-        dB += state.B_dual
-        dC += state.C_dual
-        for a, out in zip((R, dC, dB), views):
-            np.multiply(a, a, out=out)
-        L = _lagrangian(pieces, weights, q)
+        L, met = run_sweep()
         state.iteration += 1
         sweep = state.iteration
         # every term is nonnegative, so a non-finite alpha, B or C of a
@@ -479,8 +622,6 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None)
                     "solver diverged: non-finite iterate at iteration %d"
                     % (sweep - first[diverged]).min()
                 )
-        met = np.abs(L - prev) < opts.tol
-        prev = L
         if sweep < cap and not met.any():
             continue
         stopped = active & met
@@ -499,7 +640,8 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None)
             return iterations, converged
         first = np.where(stopped, sweep, first)
         cap = first[active].min() + opts.max_iter
-        prev = np.where(stopped, np.nan, prev)
+        # a stopped chain's next fit compares its first value with nothing
+        L[stopped] = np.nan
         keep, width = active.any(axis=-1), active.sum(axis=-1).max()
         if width < active.shape[-1] or not keep.all():
             # the folds with a running chain, as a view when that is all of
@@ -509,20 +651,19 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None)
             order = np.argsort(~active[folds], axis=-1, kind="stable")[..., :width]
             cols = (order[..., None] * q + np.arange(q)).reshape(order.shape[:-1] + (-1,))
             block = block.narrow(folds, width)
-            fx, fz = (None if f is None else RidgeFactor(*(a[(slice(None),) + folds] for a in f))
-                      for f in (fx, fz))
+            factors = tuple(None if f is None else _narrow_factor(f, folds) for f in factors)
             for f in fields(state):
                 if f.name != "iteration":
                     setattr(state, f.name, _take_columns(getattr(state, f.name), folds, cols))
             cell, position, first, prev, active = (
                 np.take_along_axis(a[folds], order, axis=-1)
-                for a in (cell, position, first, prev, active)
+                for a in (cell, position, first, L, active)
             )
-            XB, ZC, R, pieces, weights, views, w_lam, lam_t, gam_t = start()
+            run_sweep, set_lambdas = _sweeper(block, factors, state, rho, opts.tol,
+                                              cell_gamma[cell], current_lambdas(), prev)
         else:
             # stopped chains move on to their next lambda
-            for a, v in zip((w_lam, lam_t), current_lambdas()):
-                _refill(a, v, q)
+            set_lambdas(current_lambdas())
 
 
 class AdmmSolver:
@@ -547,7 +688,9 @@ class AdmmSolver:
             state = zero_state(block)
         else:
             _check_state_matches(block, init)
-            state = init.copy()
+            # run_chains copies the arrays into buffers of its own, so a
+            # shallow copy leaves init as it was
+            state = replace(init)
         iterations, converged = run_chains(block, self.rho, [hp.lam], [hp.gamma], opts,
                                            state=state)
         result = ModelFit(

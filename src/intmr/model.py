@@ -414,20 +414,18 @@ def loss_gradient(block, R):
     return -uR / block.n, -XtR / block.n, -ZtR / block.n
 
 
-def group_norms(B):
+def group_norms(B, out=None, squares=None):
     """l2 norms of the cross-dataset coefficient groups.
 
     B holds one coefficient array per dataset, stacked on its leading axis
     or given as a sequence; entry [j, k] of the result is
-    || (B^1[j,k], ..., B^M[j,k]) ||_2.  The squares are summed in dataset
-    order as a running sum, with no reduction call: a reduction over the
-    leading axis costs more than the few additions it replaces.
+    || (B^1[j,k], ..., B^M[j,k]) ||_2.  The squares are summed over the
+    leading axis in one reduction, which adds them in dataset order.  The
+    norms are written to `out` and the squares to `squares` when given.
     """
     B = np.asarray(B, dtype=float)
-    total = B[0] * B[0]
-    for b in B[1:]:
-        total += b * b
-    return np.sqrt(total)
+    total = np.add.reduce(np.multiply(B, B, out=squares), axis=0, out=out)
+    return np.sqrt(total, out=out)
 
 
 def objective(data, fit, hp):

@@ -4,8 +4,10 @@ soft_threshold and group_soft_threshold check their thresholds.  The solver
 loop thresholds through the unchecked _shrink and _group_shrink instead,
 since admm.run_chains checks its penalty paths once per run; each also
 returns the magnitudes it thresholded to, |C_bar| and the group norms of
-B_bar, and writes them straight into the loop's stopping-value buffer when
-given one.  Groups of one entry (one dataset) are thresholded entrywise.
+B_bar.  Given buffers, both write their results and magnitudes into them
+and allocate nothing, so the loop's thresholds write straight into its
+iterate and its stopping-value buffer.  Groups of one entry (one dataset)
+are thresholded entrywise.
 """
 
 import numpy as np
@@ -22,27 +24,30 @@ def _check_threshold(t):
         raise ValueError("threshold must be nonnegative")
 
 
-def _shrink(a, b, out=None):
+def _shrink(a, b, out=None, magnitude=None):
     """sign(a) (|a| - b)+ as copysign((|a| - b)+, a), and (|a| - b)+, its
-    magnitude, written to `out` when given."""
-    magnitude = np.maximum(np.abs(a) - b, 0.0, out=out)
-    return np.copysign(magnitude, a), magnitude
+    magnitude, written to `out` and `magnitude` when given."""
+    m = np.maximum(np.subtract(np.abs(a, out=magnitude), b, out=magnitude), 0.0, out=magnitude)
+    return np.copysign(m, a, out=out), m
 
 
-def _group_shrink(c, d, out=None):
+def _group_shrink(c, d, out=None, magnitude=None, norms=None, squares=None):
     """The groupwise threshold of c and (||g|| - d)+, the norm of each of
-    its groups, written to `out` when given.  A group axis of length 1 (one
-    dataset) makes every group one entry, thresholded entrywise by _shrink."""
+    its groups, written to `out` and `magnitude` when given; `norms` (shaped
+    like c[0]) and `squares` (like c) are workspaces.  A group axis of
+    length 1 (one dataset) makes every group one entry, thresholded
+    entrywise by _shrink."""
     if len(c) == 1:
-        shrunk, magnitude = _shrink(c[0], d, out)
+        shrunk, magnitude = _shrink(c[0], d, None if out is None else out[0], magnitude)
         return shrunk[None], magnitude
-    norms = group_norms(c)
+    g = group_norms(c, norms, squares)
     # (norm - d)+ / norm rather than (1 - d / norm)+: subtracting first keeps
     # full precision when d is close to the norm.  A zero group has a zero
     # numerator too, so dividing it by the smallest subnormal instead of its
     # norm maps it to 0, and leaves every other quotient as it is
-    shrunk = np.maximum(norms - d, 0.0, out=out)
-    return shrunk / np.maximum(norms, _TINY) * c, shrunk
+    shrunk = np.maximum(np.subtract(g, d, out=magnitude), 0.0, out=magnitude)
+    scale = np.divide(shrunk, np.maximum(g, _TINY, out=norms), out=norms)
+    return np.multiply(scale, c, out=out), shrunk
 
 
 def soft_threshold(a, b):

@@ -170,8 +170,8 @@ class CvResult:
 def select(data, grid, K=5, seed=0, opts=None, rho=1.0):
     """Evaluate the CV criterion over the grid and refit at the winner.
 
-    Ties within 1e-12 of the minimum resolve to the largest lambda, then the
-    largest gamma.  Each (fold, gamma) pair forms an independent warm-start
+    Ties within 1e-12 of the minimum, relative to it, resolve to the
+    largest lambda, then the largest gamma.  Each (fold, gamma) pair forms an independent warm-start
     chain.  The one-problem case of select_many.
     """
     return select_many((data,), (grid,), K=K, seed=seed, opts=opts, rho=rho)[0]
@@ -253,9 +253,12 @@ def _cv_matrices(problems, grids, folds, opts, rho):
 
 def _result(data, grid, folds, cv_matrix, iterations, converged, opts, rho):
     """The CvResult of one problem: its best cell and the refit there."""
-    # paths are descending, so the first qualifying cell in row-major order
-    # carries the largest lambda, then the largest gamma
-    best_i, best_j = np.argwhere(cv_matrix <= cv_matrix.min() + 1e-12)[0]
+    # a cell ties when within 1e-12 of the minimum, relative to it, so that
+    # the rule holds in any response units.  Paths are descending, so the
+    # first qualifying cell in row-major order carries the largest lambda,
+    # then the largest gamma
+    lo = cv_matrix.min()
+    best_i, best_j = np.argwhere(cv_matrix <= lo + 1e-12 * abs(lo))[0]
     best_lambda = grid.lambdas[best_i]
     best_gamma = grid.gammas[best_j]
     refit = AdmmSolver(data, rho=rho).fit(

@@ -100,8 +100,10 @@ def reference_sweep(data, state, hp):
 
     Each dataset's residual is taken from the state once, and the ridge
     steps hand on the products X B and Z C they return, as the loop does.
-    The thresholds are the checked prox operators at gamma / rho and
-    lam / rho.  A dataset without specific covariates skips the C step."""
+    Both duals are scaled the same way, u += x - z, so every target is
+    z - u and every threshold input x + u.  The thresholds are the checked
+    prox operators at gamma / rho and lam / rho.  A dataset without
+    specific covariates skips the C step."""
     C = [tuple(a[m, : b.r] for a in (state.C, state.C_bar, state.C_dual))
          for m, b in enumerate(data)]
     XB = [b.X @ state.B[m] for m, b in enumerate(data)]
@@ -109,12 +111,12 @@ def reference_sweep(data, state, hp):
     for m, b in enumerate(data):
         R = b.Y - b.u * state.alpha[m] - XB[m]
         R -= ZC[m]
-        state.alpha[m] = update_intercept(b, state.alpha[m], R)
+        update_intercept(b.u.T, b.n, state.alpha[m, None], R)
     yield "intercept"
     for m, b in enumerate(data):
         state.B[m], XB[m] = ridge_step(ridge_factor(b.X, b.n, hp.rho),
                                        b.Y - b.u * state.alpha[m] - ZC[m],
-                                       state.B_bar[m] + state.B_dual[m])
+                                       state.B_bar[m] - state.B_dual[m])
     yield "B"
     for m, b in enumerate(data):
         if b.r:
@@ -125,9 +127,10 @@ def reference_sweep(data, state, hp):
     for c, c_bar, c_dual in C:
         c_bar[...] = soft_threshold(c + c_dual, hp.gamma / hp.rho)
     yield "C_bar"
-    state.B_bar = group_soft_threshold(state.B - state.B_dual, hp.lam / hp.rho)
+    state.B_bar = group_soft_threshold(state.B + state.B_dual, hp.lam / hp.rho)
     yield "B_bar"
-    update_duals(state)
+    for x, z, u in ((state.C, state.C_bar, state.C_dual), (state.B, state.B_bar, state.B_dual)):
+        update_duals(x, z, u)
     yield "duals"
 
 

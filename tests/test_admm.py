@@ -1,3 +1,4 @@
+from dataclasses import fields
 from itertools import islice
 from types import SimpleNamespace
 from unittest import mock
@@ -66,7 +67,7 @@ def lagrangian_reference(data, st, hp):
         total += hp.gamma * np.abs(C_bar).sum()
     stacked = st.B_bar
     total += hp.lam * np.sqrt((stacked**2).sum(axis=0)).sum()
-    diff = st.B_bar - st.B + st.B_dual
+    diff = st.B - st.B_bar + st.B_dual
     total += hp.rho / 2 * (diff * diff).sum()
     return float(total)
 
@@ -141,7 +142,7 @@ class TestSteps:
         data = make_data(rng, M=1, n=9, p=2, q=2, r=1)
         b = data[0]
         alpha = rng.standard_normal(2)
-        a = update_intercept(b, alpha, b.Y - alpha)
+        a = update_intercept(b.u.T, b.n, alpha[None].copy(), b.Y - alpha)
         assert np.allclose(a, b.Y.mean(axis=0), atol=1e-14)
 
     def test_intercept_zeroes_loss_gradient(self):
@@ -151,7 +152,7 @@ class TestSteps:
         B = rng.standard_normal((2, 2))
         C = rng.standard_normal((1, 2))
         alpha = rng.standard_normal(2)
-        a = update_intercept(b, alpha, b.Y - alpha - b.X @ B - b.Z @ C)
+        a = update_intercept(b.u.T, b.n, alpha[None].copy(), b.Y - alpha - b.X @ B - b.Z @ C)[0]
 
         def loss(alpha):
             R = b.Y - alpha - b.X @ B - b.Z @ C
@@ -252,7 +253,7 @@ class TestSteps:
         XB, ZC = block.X @ s.B, block.Z @ s.C
         YU = block.Y - block.u * s.alpha[..., None, :]
         steps = [(A, E, T, ridge_step(ridge_factor(A, block.n, rho), E, T)) for A, E, T in
-                 ((block.X, YU - ZC, s.B_bar + s.B_dual), (block.Z, YU - XB, s.C_bar - s.C_dual))]
+                 ((block.X, YU - ZC, s.B_bar - s.B_dual), (block.Z, YU - XB, s.C_bar - s.C_dual))]
         worst = lambda a: np.abs(a).max(axis=(-2, -1), initial=0)
         for A, E, T, (x, Ax) in steps:
             At, c = np.swapaxes(A, -1, -2), block.n * rho
@@ -277,9 +278,10 @@ class TestSteps:
         rho = 0.8
         XB, ZC = stacked.X @ B, stacked.Z @ C
         YU = stacked.Y - stacked.u * alpha[..., None, :]
-        got = {"alpha": update_intercept(stacked, alpha, YU - XB - ZC)}
+        got = {"alpha": update_intercept(np.swapaxes(stacked.u, -1, -2), stacked.n,
+                                         alpha[..., None, :].copy(), YU - XB - ZC)[..., 0, :]}
         got["B"], got["XB"] = ridge_step(ridge_factor(stacked.X, stacked.n, rho),
-                                         YU - ZC, B_bar + B_dual)
+                                         YU - ZC, B_bar - B_dual)
         got["C"], got["ZC"] = ridge_step(ridge_factor(stacked.Z, stacked.n, rho),
                                          YU - XB, C_bar - C_dual)
         for k, b in enumerate(blocks):
@@ -287,9 +289,10 @@ class TestSteps:
                 c = slice(2 * j, 2 * j + 2)
                 XB, ZC = b.X @ B[0, k, :, c], b.Z @ C[0, k, :, c]
                 YU = b.Y - alpha[0, k, c]
-                want = {"alpha": update_intercept(b, alpha[0, k, c], YU - XB - ZC)}
+                want = {"alpha": update_intercept(b.u.T, b.n, alpha[0, k, None, c].copy(),
+                                                  YU - XB - ZC)[0]}
                 want["B"], want["XB"] = ridge_step(ridge_factor(b.X, b.n, rho), YU - ZC,
-                                                   B_bar[0, k, :, c] + B_dual[0, k, :, c])
+                                                   B_bar[0, k, :, c] - B_dual[0, k, :, c])
                 want["C"], want["ZC"] = ridge_step(ridge_factor(b.Z, b.n, rho), YU - XB,
                                                    C_bar[0, k, :, c] - C_dual[0, k, :, c])
                 for name, w in want.items():
@@ -325,18 +328,16 @@ class TestSteps:
         rng = np.random.default_rng(11)
         data = make_data(rng, M=2, n=5, p=2, q=2, r=1)
         st = random_state(rng, stack(data))
-        before_b = st.B_dual.copy()
-        before_c = st.C_dual.copy()
-        dB, dC = update_duals(st)
-        assert np.array_equal(dB, st.B_bar - st.B) and np.array_equal(dC, st.C - st.C_bar)
-        assert np.allclose(st.B_dual, before_b + st.B_bar - st.B, atol=1e-15)
-        assert np.allclose(st.C_dual, before_c + st.C - st.C_bar, atol=1e-15)
-        # at consensus the duals stay put
-        st.B_bar = st.B.copy()
-        st.C_bar = st.C.copy()
-        frozen_b = st.B_dual.copy()
-        update_duals(st)
-        assert np.array_equal(st.B_dual, frozen_b)
+        # both duals take the one scaled sign, u += x - z
+        for x, z, u in ((st.B, st.B_bar, st.B_dual), (st.C, st.C_bar, st.C_dual)):
+            before = u.copy()
+            d = update_duals(x, z, u)
+            assert np.array_equal(d, x - z)
+            assert np.allclose(u, before + x - z, atol=1e-15)
+            # at consensus the dual stays put
+            frozen = u.copy()
+            update_duals(x, x.copy(), u)
+            assert np.array_equal(u, frozen)
 
 
 class TestFit:
@@ -396,6 +397,38 @@ class TestFit:
                   for j in (k - 2, k - 1)] + [rep.state]
         L = [augmented_lagrangian(stack(data), s, hp).item() for s in states]
         assert abs(L[2] - L[1]) < opts.tol <= abs(L[1] - L[0])
+
+    def test_warm_start_leaves_init_unchanged(self):
+        # the loop writes its state in place; a warm start must not write
+        # the state it starts from
+        rng = np.random.default_rng(41)
+        data = make_data(rng, M=2, n=20, p=3, q=2, r=[2, 1])
+        hp = HyperParams(0.1, 0.1)
+        rep = fit(data, hp, SolverOptions(tol=1e-6))
+        before = rep.state.copy()
+        fit(data, HyperParams(0.05, 0.1), SolverOptions(tol=1e-10), init=rep.state)
+        for f in fields(before):
+            got, want = getattr(rep.state, f.name), getattr(before, f.name)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
+
+    def test_fits_share_no_memory(self):
+        # two fits of one solver, the second warm-started from the first:
+        # no array of one fit's ModelFit or state shares memory with any of
+        # the other's
+        rng = np.random.default_rng(42)
+        data = make_data(rng, M=2, n=20, p=3, q=2, r=[2, 1])
+        solver = AdmmSolver(data)
+        first = solver.fit(HyperParams(0.1, 0.1))
+        second = solver.fit(HyperParams(0.05, 0.1), init=first.state)
+
+        def arrays(rep):
+            fitted = [a for name in ("alpha", "B", "C") for a in getattr(rep.fit, name)]
+            return fitted + [getattr(rep.state, f.name) for f in fields(rep.state)
+                             if f.name != "iteration"]
+
+        for a in arrays(first):
+            for b in arrays(second):
+                assert not np.shares_memory(a, b)
 
     def test_max_iter_cap_reported_as_not_converged(self):
         rng = np.random.default_rng(17)
@@ -544,8 +577,9 @@ def run_recording(block, lambdas, gammas):
         shapes.append(cell.shape)
         for k, j in np.argwhere(stopped & (position == last)):
             cols = slice(j * q, (j + 1) * q)
-            finals[cell[k, j]] = (state.alpha[:, k, cols], state.B_bar[:, k, :, cols],
-                                  state.C_bar[:, k, :, cols])
+            # the loop writes the state in place, so keep copies
+            finals[cell[k, j]] = tuple(a[:, k, ..., cols].copy()
+                                       for a in (state.alpha, state.B_bar, state.C_bar))
 
     out = run_chains(block, 1.0, lambdas, gammas, on_stop=record)
     return out, finals, shapes
@@ -581,7 +615,8 @@ class TestRunChains:
     def test_each_checked_value_is_the_lagrangian_of_its_state(self, data):
         # the loop builds its stopping value from the sweep's pieces; it must
         # be augmented_lagrangian of the state it checked.  A check records
-        # the value the loop's _lagrangian returns and a copy of the state;
+        # copies of the value the loop's _lagrangian returns (a buffer the
+        # loop writes again) and of the state;
         # checks taken after the working set narrowed
         # (a chain that stopped at an exact fixed point) are skipped
         blocks, _ = draw_blocks(data)
@@ -597,7 +632,7 @@ class TestRunChains:
 
         def checked(*args):
             value = value_of(*args)
-            seen.append((value, state.copy()))
+            seen.append((value.copy(), state.copy()))
             return value
 
         with mock.patch.object(admm, "_lagrangian", checked):
@@ -698,6 +733,35 @@ class TestBlockwiseDescent:
                     after = augmented_lagrangian(block, st, hp)
                     assert after <= L + 1e-10, (rho, step, after - L)
                     L = after
+
+
+class TestBlockwiseMinimum:
+    @pytest.mark.parametrize("M, r", [(1, [2]), (3, [2, 0, 1])])
+    @pytest.mark.parametrize("rho", [0.3, 1.7])
+    def test_each_primal_step_minimizes_lagrangian_over_its_block(self, rho, M, r):
+        # after each primal step the block it updated minimizes the
+        # augmented Lagrangian over that block, so no small perturbation of
+        # the block lowers it.  Unlike descent, this pins each step's
+        # scaling: thresholds at lam and gamma in place of lam / rho and
+        # gamma / rho, or a dual entering a target with the wrong sign, fail
+        rng = np.random.default_rng(40)
+        hp = HyperParams(0.4, 0.3, rho=rho)
+        updated = {"intercept": "alpha", "B": "B", "C": "C", "C_bar": "C_bar", "B_bar": "B_bar"}
+        # C's rows past r_m are padding, not part of the block
+        live = np.arange(max(r))[:, None] < np.array(r)[:, None, None]
+        for _ in range(30):
+            data = make_data(rng, M=M, n=8, p=3, q=2, r=r)
+            block = stack(data)
+            st = random_state(rng, block)
+            for step in islice(reference_sweep(data, st, hp), 5):
+                a = getattr(st, updated[step])
+                kept, L = a.copy(), augmented_lagrangian(block, st, hp).item()
+                mask = live if step.startswith("C") else 1.0
+                for _ in range(10):
+                    a += 1e-4 * rng.standard_normal(a.shape) * mask
+                    after = augmented_lagrangian(block, st, hp).item()
+                    a[...] = kept
+                    assert after >= L - 1e-12 * abs(L), (step, after - L)
 
 
 class TestSparsityPath:

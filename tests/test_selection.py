@@ -282,7 +282,8 @@ class TestSelect:
     @pytest.mark.parametrize("gap, want", [(5e-13, (0, 1)), (1e-9, (1, 0))])
     def test_tie_rule_spans_rows_and_columns(self, monkeypatch, gap, want):
         # the minimum sits at (1, 0); (0, 1) wins only when within 1e-12 of
-        # it, since the larger lambda comes before the larger gamma
+        # it relative to it (5e-13 here), since the larger lambda comes
+        # before the larger gamma
         cv_matrix = np.array([[2.0, 0.5 + gap], [0.5, 3.0]])
 
         def crafted(problems, grids, folds, opts, rho):
@@ -294,6 +295,21 @@ class TestSelect:
         grid = CvGrid(lambdas=(0.4, 0.1), gammas=(0.3, 0.06))
         res = select(data, grid, K=4, seed=0)
         assert (res.best_lambda, res.best_gamma) == (grid.lambdas[want[0]], grid.gammas[want[1]])
+
+    def test_tie_rule_is_relative_to_the_minimum(self, monkeypatch):
+        # scores in small response units: a clear minimum at (1, 1), every
+        # cell scaled by 1e-14, must still be the one selected rather than
+        # tie with the larger-penalty cells
+        cv_matrix = 1e-14 * np.array([[2.0, 1.5], [1.2, 1.0]])
+
+        def crafted(problems, grids, folds, opts, rho):
+            return [(cv_matrix, None, None) for _ in problems]
+
+        monkeypatch.setattr(selection, "_cv_matrices", crafted)
+        data = make_data(np.random.default_rng(17), M=2, n=16, p=3, q=2, r=1)
+        grid = CvGrid(lambdas=(0.4, 0.1), gammas=(0.3, 0.06))
+        res = select(data, grid, K=4, seed=0)
+        assert (res.best_lambda, res.best_gamma) == (0.1, 0.06)
 
     def test_selection_beats_corner_on_test_mse(self):
         # the corner of the default grid is the intercept-only model; with
