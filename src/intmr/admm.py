@@ -195,8 +195,8 @@ def update_intercept(ut, n, alpha, R, work=None):
 class RidgeFactor(NamedTuple):
     """A design A = U diag(s) V' in the coordinates of its thin SVD, with
     a = s / (s^2 + c), w = -s^2 / (s^2 + c) and c = n rho (see
-    ridge_step): V', V as the transposed view of V', w (..., k, 1) or
-    widened to the columns it multiplies, (U diag(a))' and U diag(s)."""
+    ridge_step): V', its transpose V, w (..., k, 1) or widened to the
+    columns it multiplies, (U diag(a))' and U diag(s)."""
 
     Vt: np.ndarray
     V: np.ndarray
@@ -231,8 +231,9 @@ def ridge_factors(block, rho):
 def ridge_step(factor, E, T, out=None):
     """The solution of (A'A + c I) x = A'E + c T and its product A x, in the
     SVD coordinates of A: x = T + V g with g = (U diag(a))'E + w * V'T, and
-    A x = U diag(s) (V'T + g).  V is the transposed view of V', which
-    OpenBLAS multiplies faster at these sizes than a contiguous V.  out, if
+    A x = U diag(s) (V'T + g).  ridge_factor and run_chains take V as the
+    transposed view of V', which OpenBLAS multiplies faster at these sizes
+    than a contiguous V.  out, if
     given, is (x, A x, t, g, h): the two results and three workspaces
     shaped (..., k, q)."""
     x, Ax, t, g, h = (None,) * 5 if out is None else out
@@ -425,36 +426,23 @@ def _own(state, names):
     return flat
 
 
-def _narrow_factor(f, folds):
-    """A ridge factor at the folds at index tuple `folds`, V taken afresh
-    as the transposed view of V'."""
-    Vt, w, Ua_t, Us = (a[(slice(None),) + folds] for a in (f.Vt, f.w, f.Ua_t, f.Us))
-    return RidgeFactor(Vt, np.swapaxes(Vt, -1, -2), w, Ua_t, Us)
-
-
 def _sweeper(block, factors, state, rho, tol, gamma, lam, prev):
-    """One working set's ADMM sweep, and the function that sets its chains'
-    lambdas.
+    """One working set's sweep, and the setter of its chains' lambdas.
 
-    The state's arrays are copied into buffers of the working set: alpha
-    as rows (..., 1, G q), and one flat buffer laid out [C | B] for each of
-    the primal x, the consensus z and the scaled dual u, whose fields
-    become contiguous views of them.  The target z - u, the threshold input
-    x + u, the dual step u += x - z and its increment x - z + u then run once
-    over both blocks, and with one dataset the two thresholds run as one
-    against a flat [gamma / rho | lambda / rho] array.  The squares and
-    magnitudes go to the stopping value's buffer block by block, whose
-    per-fold row order fixes the order of its sums.  Every product, residual, threshold, transposed factor, widened
-    ridge weight and workspace is built here, so that a sweep writes with
-    out= into them and builds no array or view.  gamma, lam and prev are
-    each working chain's gamma, lambda and last stopping value (..., G);
-    the working set keeps prev as its own.
+    Copies the state into buffers of the working set and points its fields
+    at views of them (alpha as rows (..., 1, G q), and x, z and u as flat
+    [C | B] buffers; see the module docstring), and builds every product,
+    residual, threshold, transposed factor, widened ridge weight and
+    workspace, so that a sweep writes with out= into them and builds no
+    array or view.  gamma, lam and prev are each working chain's gamma,
+    lambda and last stopping value (..., G); prev becomes the working set's
+    own.
 
-    sweep() runs one sweep and returns its stopping values and the mask of
-    the chains whose value changed by less than tol; the values are the
-    ones the next sweep compares against, so setting an entry to NaN
-    restarts that chain's comparison, and the sweep after next overwrites
-    them.  set_lambdas(lam) sets the lambda weights and thresholds.
+    sweep() returns the sweep's stopping values and the mask of the chains
+    whose value changed by less than tol.  The values are what the next
+    sweep compares against, so a NaN entry restarts that chain's test, and
+    the sweep after next overwrites them.  set_lambdas(lam) sets the lambda
+    weights and thresholds.
     """
     M, q = len(block.Y), block.q
     Y, ucol, n = block.Y, block.u, block.n
@@ -472,10 +460,11 @@ def _sweeper(block, factors, state, rho, tol, gamma, lam, prev):
     R -= ZC
     YU, E, step = np.empty_like(R), np.empty_like(R), np.empty_like(alpha)
     ut = np.swapaxes(ucol, -1, -2)
-    # each factor with its w widened to the columns, and its step's outputs
-    # and workspaces
+    # each factor with V as the transposed view of V' and w widened to the
+    # columns, and its step's outputs and workspaces
     fx, fz = (None if f is None else
-              f._replace(w=np.broadcast_to(f.w, f.w.shape[:-1] + R.shape[-1:]).copy())
+              f._replace(V=np.swapaxes(f.Vt, -1, -2),
+                         w=np.broadcast_to(f.w, f.w.shape[:-1] + R.shape[-1:]).copy())
               for f in factors)
     out_b, out_c = (None if f is None else (a, Aa) + tuple(np.empty_like(f.w) for _ in range(3))
                     for f, a, Aa in ((fx, B, XB), (fz, C, ZC)))
@@ -517,6 +506,8 @@ def _sweeper(block, factors, state, rho, tol, gamma, lam, prev):
             _shrink(wC, gam_t, C_bar, sq[3])
             _group_shrink(wB, lam_t, B_bar, sq[4], norms, squares)
         np.add(update_duals(x, z, u, work), u, out=work)
+        # the squares go to the stopping value's buffer block by block: its
+        # per-fold row order fixes the order of its sums
         np.multiply(R, R, out=sq[0])
         np.multiply(wC, wC, out=sq[1])
         np.multiply(wB, wB, out=sq[2])
@@ -651,7 +642,9 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None)
             order = np.argsort(~active[folds], axis=-1, kind="stable")[..., :width]
             cols = (order[..., None] * q + np.arange(q)).reshape(order.shape[:-1] + (-1,))
             block = block.narrow(folds, width)
-            factors = tuple(None if f is None else _narrow_factor(f, folds) for f in factors)
+            factors = tuple(
+                None if f is None else RidgeFactor(*(a[(slice(None),) + folds] for a in f))
+                for f in factors)
             for f in fields(state):
                 if f.name != "iteration":
                     setattr(state, f.name, _take_columns(getattr(state, f.name), folds, cols))
