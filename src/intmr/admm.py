@@ -310,7 +310,7 @@ def _lagrangian(merit, out=None):
     pieces = merit.pieces
     pieces *= merit.weights
     np.matmul(_ones_row(pieces.shape[-2]), pieces, out=merit.sums)
-    return np.sum(merit.chains, axis=-1, out=out)
+    return np.add.reduce(merit.chains, axis=-1, out=out)
 
 
 def augmented_lagrangian(block, state, hp):
@@ -635,6 +635,8 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None)
         L[stopped] = np.nan
         keep, width = active.any(axis=-1), active.sum(axis=-1).max()
         if width < active.shape[-1] or not keep.all():
+            # free the working set's buffers before the narrowed one's are built
+            run_sweep = set_lambdas = None
             # the folds with a running chain, as a view when that is all of
             # them; per fold, running chains first
             folds = () if not keep.ndim else (
@@ -642,8 +644,9 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None)
             order = np.argsort(~active[folds], axis=-1, kind="stable")[..., :width]
             cols = (order[..., None] * q + np.arange(q)).reshape(order.shape[:-1] + (-1,))
             block = block.narrow(folds, width)
-            factors = tuple(
-                None if f is None else RidgeFactor(*(a[(slice(None),) + folds] for a in f))
+            # V is not narrowed: each working set takes it afresh from V'
+            factors = tuple(None if f is None else RidgeFactor(
+                *(None if a is f.V else a[(slice(None),) + folds] for a in f))
                 for f in factors)
             for f in fields(state):
                 if f.name != "iteration":

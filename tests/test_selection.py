@@ -282,8 +282,8 @@ class TestSelect:
     @pytest.mark.parametrize("gap, want", [(5e-13, (0, 1)), (1e-9, (1, 0))])
     def test_tie_rule_spans_rows_and_columns(self, monkeypatch, gap, want):
         # the minimum sits at (1, 0); (0, 1) wins only when within 1e-12 of
-        # it relative to it (5e-13 here), since the larger lambda comes
-        # before the larger gamma
+        # it relative to it, since the larger lambda comes before the larger
+        # gamma.  The 5e-13 gap is that bound exactly at a minimum of 0.5
         cv_matrix = np.array([[2.0, 0.5 + gap], [0.5, 3.0]])
 
         def crafted(problems, grids, folds, opts, rho):
