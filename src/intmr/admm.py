@@ -132,7 +132,8 @@ class AdmmState:
     Every variable is stacked like the data: alpha (M, *folds, G q), B,
     B_bar and B_dual (M, *folds, p, G q), and C, C_bar and C_dual
     (M, *folds, r_max, G q), whose rows past dataset m's r_m stay zero.  A
-    single fit has no fold axis and one chain, G = 1.
+    single fit has no fold axis and one chain, G = 1.  Both duals are
+    scaled with one sign: B_dual += B - B_bar and C_dual += C - C_bar.
     """
 
     alpha: np.ndarray

@@ -171,8 +171,8 @@ def select(data, grid, K=5, seed=0, opts=None, rho=1.0):
     """Evaluate the CV criterion over the grid and refit at the winner.
 
     Ties within 1e-12 of the minimum, relative to it, resolve to the
-    largest lambda, then the largest gamma.  Each (fold, gamma) pair forms an independent warm-start
-    chain.  The one-problem case of select_many.
+    largest lambda, then the largest gamma.  Each (fold, gamma) pair forms
+    an independent warm-start chain.  The one-problem case of select_many.
     """
     return select_many((data,), (grid,), K=K, seed=seed, opts=opts, rho=rho)[0]
 
