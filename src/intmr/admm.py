@@ -182,14 +182,14 @@ def _check_state_matches(block, state):
 # buffers, a step writes into them and allocates nothing.
 
 
-def update_intercept(ut, n, alpha, R, work=None):
-    """alpha += u'R / n in place, given u' (the transposed intercept column)
-    and the residual R = Y - u alpha' - X B - Z C: the column means of
-    Y - X B - Z C, since u'u = n.  alpha is a row (..., 1, q); work is a
-    buffer shaped like it.  Returns alpha."""
-    step = np.matmul(ut, R, out=work)
-    step /= n
-    alpha += step
+def update_intercept(ut, alpha, R, work=None):
+    """alpha += ut R in place, given ut = u'/n (the transposed intercept
+    column over the row count) and the residual R = Y - u alpha' - X B - Z C:
+    the column means of Y - X B - Z C, since u'u = n.  alpha is a row
+    (..., 1, q); work is a buffer shaped like it.  ut and R may be cut to
+    the leading rows where u is nonzero.  Returns alpha."""
+    mm = np.dot if ut.ndim == R.ndim == 2 else np.matmul
+    alpha += mm(ut, R, out=work)
     return alpha
 
 
@@ -236,15 +236,18 @@ def ridge_step(factor, E, T, out=None):
     transposed view of V', which OpenBLAS multiplies faster at these sizes
     than a contiguous V.  out, if
     given, is (x, A x, t, g, h): the two results and three workspaces
-    shaped (..., k, q)."""
+    shaped (..., k, q).  Single matrices multiply through np.dot, which
+    reaches the same dgemm as np.matmul at less cost per call; so do the
+    intercept step and the stopping value's column sum."""
     x, Ax, t, g, h = (None,) * 5 if out is None else out
-    t = np.matmul(factor.Vt, T, out=t)
+    mm = np.dot if factor.Vt.ndim == T.ndim == E.ndim == 2 else np.matmul
+    t = mm(factor.Vt, T, out=t)
     g = np.multiply(factor.w, t, out=g)
-    g += np.matmul(factor.Ua_t, E, out=h)
+    g += mm(factor.Ua_t, E, out=h)
     t += g
-    x = np.matmul(factor.V, g, out=x)
+    x = mm(factor.V, g, out=x)
     x += T
-    return x, np.matmul(factor.Us, t, out=Ax)
+    return x, mm(factor.Us, t, out=Ax)
 
 
 def update_duals(x, z, u, out=None):
@@ -282,6 +285,8 @@ def _merit_buffers(block, rho, gamma, lam):
     (*folds, M k + p, G q), the weights, views of the five pieces shaped
     like R, C, B, C and the group norms, the view of the lambda weights, the
     column sums (*folds, 1, G q) and their view per chain (*folds, G, q).
+    With at most one fold, the buffer, the weights and the sums are held as
+    2-D views.
     """
     M, rows, r, p = len(block.Y), block.Y.shape[-2], block.Z.shape[-1], block.p
     folds, cols = block.Y.shape[1:-2], block.Y.shape[-1]
@@ -300,8 +305,11 @@ def _merit_buffers(block, rho, gamma, lam):
     w[3][...] = gamma
     w[4][...] = lam
     sums = np.empty(folds + (1, cols))
-    return _Merit(pieces, weights, views(pieces), w[4], sums,
-                  sums.reshape(folds + (-1, block.q)))
+    chains, pieces_of = sums.reshape(folds + (-1, block.q)), views(pieces)
+    if math.prod(folds) == 1:
+        # the column sum of one fold multiplies single matrices
+        pieces, weights, sums = (a.reshape(a.shape[-2:]) for a in (pieces, weights, sums))
+    return _Merit(pieces, weights, pieces_of, w[4], sums, chains)
 
 
 def _lagrangian(merit, out=None):
@@ -310,7 +318,8 @@ def _lagrangian(merit, out=None):
     Overwrites the pieces and the column sums."""
     pieces = merit.pieces
     pieces *= merit.weights
-    np.matmul(_ones_row(pieces.shape[-2]), pieces, out=merit.sums)
+    mm = np.dot if pieces.ndim == 2 else np.matmul
+    mm(_ones_row(pieces.shape[-2]), pieces, out=merit.sums)
     return np.add.reduce(merit.chains, axis=-1, out=out)
 
 
@@ -435,9 +444,10 @@ def _sweeper(block, factors, state, rho, tol, gamma, lam, prev):
     [C | B] buffers; see the module docstring), and builds every product,
     residual, threshold, transposed factor, widened ridge weight and
     workspace, so that a sweep writes with out= into them and builds no
-    array or view.  gamma, lam and prev are each working chain's gamma,
-    lambda and last stopping value (..., G); prev becomes the working set's
-    own.
+    array or view.  A working set of one matrix (one dataset and at most one
+    fold) hands the steps 2-D views, which they multiply with np.dot.  gamma,
+    lam and prev are each working chain's gamma, lambda and last stopping
+    value (..., G); prev becomes the working set's own.
 
     sweep() returns the sweep's stopping values and the mask of the chains
     whose value changed by less than tol.  The values are what the next
@@ -446,50 +456,68 @@ def _sweeper(block, factors, state, rho, tol, gamma, lam, prev):
     weights and thresholds.
     """
     M, q = len(block.Y), block.q
-    Y, ucol, n = block.Y, block.u, block.n
+    Y, ucol = block.Y, block.u
     alpha = _own(state, ("alpha",)).reshape(state.alpha.shape[:-1] + (1, -1))
     x, z, u = (_own(state, names) for names in
                (("C", "B"), ("C_bar", "B_bar"), ("C_dual", "B_dual")))
     C, B, C_bar, B_bar = state.C, state.B, state.C_bar, state.B_bar
-    shapes = C.shape, B.shape
+    # the per-entry thresholds t and -t, each shaped like one dataset's [C | B]
+    neg, thr = np.empty((2, x.size // M))
+    (gam_lo, lam_lo), (gam_t, lam_t) = (_split(a, (C.shape[1:], B.shape[1:])) for a in (neg, thr))
+    _refill(gam_t, gamma / rho, q)
+    np.negative(gam_t, out=gam_lo)
     # one workspace holds in turn the target z - u, the threshold input
     # x + u and the increment x - z + u
     work = np.empty(x.size)
-    wC, wB = _split(work, shapes)
+    wC, wB = _split(work, (C.shape, B.shape))
     XB, ZC = block.X @ B, block.Z @ C
     R = Y - ucol * alpha - XB
     R -= ZC
-    YU, E, step = np.empty_like(R), np.empty_like(R), np.empty_like(alpha)
-    ut = np.swapaxes(ucol, -1, -2)
+    # u' / n over the leading rows where some u is nonzero (a compressed
+    # dataset's u is nonzero in its first row only): below them the
+    # intercept step adds nothing and Y - u alpha' is Y
+    h = np.flatnonzero(ucol.reshape(-1, ucol.shape[-2]).any(axis=0))[-1] + 1
+    ut = np.swapaxes(ucol[..., :h, :], -1, -2) / block.n
+    YU, E, step = Y.copy(), np.empty_like(R), np.empty_like(alpha)
     # each factor with V as the transposed view of V' and w widened to the
-    # columns, and its step's outputs and workspaces
+    # columns
     fx, fz = (None if f is None else
               f._replace(V=np.swapaxes(f.Vt, -1, -2),
                          w=np.broadcast_to(f.w, f.w.shape[:-1] + R.shape[-1:]).copy())
               for f in factors)
-    out_b, out_c = (None if f is None else (a, Aa) + tuple(np.empty_like(f.w) for _ in range(3))
-                    for f, a, Aa in ((fx, B, XB), (fz, C, ZC)))
-    # the per-entry thresholds, shaped like one dataset's [C | B]
-    thr = np.empty(x.size // M)
-    gam_t, lam_t = _split(thr, (C.shape[1:], B.shape[1:]))
-    _refill(gam_t, gamma / rho, q)
     merit = _merit_buffers(block, rho, _per_entry(gamma, q, 1), 0.0)
     sq = merit.views
     single = M == 1
     if single:
+        # the group norms' rows of a dataset's one-entry groups
         B_bar1 = B_bar[0]
     else:
-        norms, squares = np.empty(B.shape[1:]), np.empty(B.shape)
+        norms, squares = np.empty(B_bar.shape[1:]), np.empty(B_bar.shape)
+    if math.prod(Y.shape[:-2]) == 1:
+        # one dataset and at most one fold: every array of the sweep is a
+        # single matrix, held as a 2-D view
+        def matrix(a):
+            return a[(0,) * (a.ndim - 2)]
+
+        (alpha, step, ut, Y, ucol, YU, R, E, XB, ZC, B, C, wB, wC, C_bar, B_bar1) = map(
+            matrix, (alpha, step, ut, Y, ucol, YU, R, E, XB, ZC, B, C, wB, wC, C_bar, B_bar1))
+        sq = tuple(map(matrix, sq))
+        fx, fz = (None if f is None else RidgeFactor(*map(matrix, f)) for f in (fx, fz))
+    Yh, uh, YUh, Rh = (a[..., :h, :] for a in (Y, ucol, YU, R))
+    # each ridge step's outputs and workspaces
+    out_b, out_c = (None if f is None else (a, Aa) + tuple(np.empty_like(f.w) for _ in range(3))
+                    for f, a, Aa in ((fx, B, XB), (fz, C, ZC)))
     cur, change, met = np.empty_like(prev), np.empty_like(prev), np.empty(prev.shape, dtype=bool)
 
     def set_lambdas(lam):
         _refill(merit.lam_weights, lam, q)
         _refill(lam_t, lam / rho, q)
+        np.negative(lam_t, out=lam_lo)
 
     def sweep():
         nonlocal prev, cur
-        update_intercept(ut, n, alpha, R, step)
-        np.subtract(Y, np.multiply(ucol, alpha, out=YU), out=YU)
+        update_intercept(ut, alpha, Rh, step)
+        np.subtract(Yh, np.multiply(uh, alpha, out=YUh), out=YUh)
         np.subtract(z, u, out=work)
         if fx is not None:
             ridge_step(fx, np.subtract(YU, ZC, out=E), wB, out_b)
@@ -499,14 +527,17 @@ def _sweeper(block, factors, state, rho, tol, gamma, lam, prev):
             np.subtract(R, ZC, out=R)
         np.add(x, u, out=work)
         if single:
-            # the magnitudes are |z|, copysign keeps them
-            _shrink(work, thr, z, z)
+            # by Moreau's decomposition the new dual is the clip of the
+            # threshold input a = x + u, and z is a minus it
+            _shrink(work, neg, thr, z, u)
             np.abs(C_bar, out=sq[3])
             np.abs(B_bar1, out=sq[4])
+            np.subtract(x, z, out=work)
         else:
-            _shrink(wC, gam_t, C_bar, sq[3])
+            np.abs(_shrink(wC, gam_lo, gam_t, C_bar, C_bar), out=sq[3])
             _group_shrink(wB, lam_t, B_bar, sq[4], norms, squares)
-        np.add(update_duals(x, z, u, work), u, out=work)
+            update_duals(x, z, u, work)
+        np.add(work, u, out=work)
         # the squares go to the stopping value's buffer block by block: its
         # per-fold row order fixes the order of its sums
         np.multiply(R, R, out=sq[0])

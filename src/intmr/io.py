@@ -49,7 +49,7 @@ class RaggedRowsError(DataFormatError):
 
 
 class NonNumericCellError(DataFormatError):
-    """A data cell does not parse as a number."""
+    """A data cell does not parse as a finite number."""
 
 
 class HeaderMismatchError(DataFormatError):
@@ -65,27 +65,43 @@ class ZeroVarianceError(DataFormatError):
 
 
 def read_table(path):
-    """Read a headed numeric CSV; returns (header tuple, float matrix)."""
+    """Read a headed numeric CSV; returns (header tuple, float matrix).
+
+    Cells are parsed by float(), one row at a time; a cell that does not
+    parse, or parses to nan or an infinity, is reported by line and column.
+    Rows are checked for their cell count and parsed first, then the cells
+    for being finite."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise DataFormatError("%s: empty file" % path)
     header = tuple(h.strip() for h in rows[0])
     width = len(header)
-    data = np.empty((len(rows) - 1, width))
+    values = []
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != width:
             raise RaggedRowsError(
                 "%s: line %d has %d cells, header has %d" % (path, i, len(row), width)
             )
-        for j, cell in enumerate(row):
-            try:
-                data[i - 2, j] = float(cell)
-            except ValueError:
-                raise NonNumericCellError(
-                    "%s: line %d, column %r: %r is not numeric"
-                    % (path, i, header[j], cell)
-                ) from None
+        try:
+            values.append(list(map(float, row)))
+        except ValueError:
+            for j, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise NonNumericCellError(
+                        "%s: line %d, column %r: %r is not numeric"
+                        % (path, i, header[j], cell)
+                    ) from None
+    data = np.array(values, dtype=float).reshape(len(values), width)
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        i, j = bad[0]
+        raise NonNumericCellError(
+            "%s: line %d, column %r: %r is not a finite number"
+            % (path, i + 2, header[j], rows[i + 1][j])
+        )
     return header, data
 
 

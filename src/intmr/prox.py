@@ -2,12 +2,13 @@
 
 soft_threshold and group_soft_threshold check their thresholds.  The solver
 loop thresholds through the unchecked _shrink and _group_shrink instead,
-since admm.run_chains checks its penalty paths once per run; each also
-returns the magnitudes it thresholded to, |C_bar| and the group norms of
-B_bar.  Given buffers, both write their results and magnitudes into them
-and allocate nothing, so the loop's thresholds write straight into its
-iterate and its stopping-value buffer.  Groups of one entry (one dataset)
-are thresholded entrywise.
+since admm.run_chains checks its penalty paths once per run.  Given
+buffers, both write their results into them and allocate nothing, so the
+loop's thresholds write straight into its iterate.  The entrywise threshold
+is a - clip(a, -b, b), by Moreau's decomposition (Parikh & Boyd, Proximal
+Algorithms, 2014, sec. 2.5): the clip is the projection onto the dual-norm
+ball, and _shrink can hand it to the loop as the new scaled dual.  Groups
+of one entry (one dataset) are thresholded entrywise.
 """
 
 import numpy as np
@@ -24,11 +25,13 @@ def _check_threshold(t):
         raise ValueError("threshold must be nonnegative")
 
 
-def _shrink(a, b, out=None, magnitude=None):
-    """sign(a) (|a| - b)+ as copysign((|a| - b)+, a), and (|a| - b)+, its
-    magnitude, written to `out` and `magnitude` when given."""
-    m = np.maximum(np.subtract(np.abs(a, out=magnitude), b, out=magnitude), 0.0, out=magnitude)
-    return np.copysign(m, a, out=out), m
+def _shrink(a, lower, upper, out=None, clipped=None):
+    """The soft threshold of a at upper = -lower >= 0, as a - clip(a, lower,
+    upper), written to `out` when given.  The clip, taken as
+    min(max(a, lower), upper) (two ufuncs run faster than np.clip), is
+    written to `clipped` when given; `clipped` may be `out`."""
+    c = np.minimum(np.maximum(a, lower, out=clipped), upper, out=clipped)
+    return np.subtract(a, c, out=out)
 
 
 def _group_shrink(c, d, out=None, magnitude=None, norms=None, squares=None):
@@ -38,8 +41,8 @@ def _group_shrink(c, d, out=None, magnitude=None, norms=None, squares=None):
     length 1 (one dataset) makes every group one entry, thresholded
     entrywise by _shrink."""
     if len(c) == 1:
-        shrunk, magnitude = _shrink(c[0], d, None if out is None else out[0], magnitude)
-        return shrunk[None], magnitude
+        shrunk = _shrink(c[0], np.negative(d), d, None if out is None else out[0])
+        return shrunk[None], np.abs(shrunk, out=magnitude)
     g = group_norms(c, norms, squares)
     # (norm - d)+ / norm rather than (1 - d / norm)+: subtracting first keeps
     # full precision when d is close to the norm.  A zero group has a zero
@@ -51,13 +54,14 @@ def _group_shrink(c, d, out=None, magnitude=None, norms=None, squares=None):
 
 
 def soft_threshold(a, b):
-    """Entrywise soft threshold sign(a) * max(|a| - b, 0).
+    """Entrywise soft threshold sign(a) * max(|a| - b, 0), computed as
+    a - clip(a, -b, b), so a zero result is +0.
 
     Proximal operator of b * |.|; a may be a scalar or an array, and b a
     threshold that broadcasts against it.
     """
     _check_threshold(b)
-    out = _shrink(np.asarray(a, dtype=float), b)[0]
+    out = _shrink(np.asarray(a, dtype=float), np.negative(b), b)
     return float(out) if out.ndim == 0 else out
 
 

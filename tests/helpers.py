@@ -102,8 +102,11 @@ def reference_sweep(data, state, hp):
     steps hand on the products X B and Z C they return, as the loop does.
     Both duals are scaled the same way, u += x - z, so every target is
     z - u and every threshold input x + u.  The thresholds are the checked
-    prox operators at gamma / rho and lam / rho.  A dataset without
-    specific covariates skips the C step."""
+    prox operators at gamma / rho and lam / rho.  With one dataset the dual
+    step is, as in the loop, its Moreau form: the new dual is the
+    projection clip(x + u, -t, t) of the threshold input, with t the
+    block's threshold, which the threshold step left unchanged.  A dataset
+    without specific covariates skips the C step."""
     C = [tuple(a[m, : b.r] for a in (state.C, state.C_bar, state.C_dual))
          for m, b in enumerate(data)]
     XB = [b.X @ state.B[m] for m, b in enumerate(data)]
@@ -111,7 +114,7 @@ def reference_sweep(data, state, hp):
     for m, b in enumerate(data):
         R = b.Y - b.u * state.alpha[m] - XB[m]
         R -= ZC[m]
-        update_intercept(b.u.T, b.n, state.alpha[m, None], R)
+        update_intercept(b.u.T / b.n, state.alpha[m, None], R)
     yield "intercept"
     for m, b in enumerate(data):
         state.B[m], XB[m] = ridge_step(ridge_factor(b.X, b.n, hp.rho),
@@ -129,8 +132,12 @@ def reference_sweep(data, state, hp):
     yield "C_bar"
     state.B_bar = group_soft_threshold(state.B + state.B_dual, hp.lam / hp.rho)
     yield "B_bar"
-    for x, z, u in ((state.C, state.C_bar, state.C_dual), (state.B, state.B_bar, state.B_dual)):
-        update_duals(x, z, u)
+    for x, z, u, t in ((state.C, state.C_bar, state.C_dual, hp.gamma / hp.rho),
+                       (state.B, state.B_bar, state.B_dual, hp.lam / hp.rho)):
+        if data.M == 1:
+            u[...] = np.clip(x + u, -t, t)
+        else:
+            update_duals(x, z, u)
     yield "duals"
 
 

@@ -142,7 +142,7 @@ class TestSteps:
         data = make_data(rng, M=1, n=9, p=2, q=2, r=1)
         b = data[0]
         alpha = rng.standard_normal(2)
-        a = update_intercept(b.u.T, b.n, alpha[None].copy(), b.Y - alpha)
+        a = update_intercept(b.u.T / b.n, alpha[None].copy(), b.Y - alpha)
         assert np.allclose(a, b.Y.mean(axis=0), atol=1e-14)
 
     def test_intercept_zeroes_loss_gradient(self):
@@ -152,7 +152,8 @@ class TestSteps:
         B = rng.standard_normal((2, 2))
         C = rng.standard_normal((1, 2))
         alpha = rng.standard_normal(2)
-        a = update_intercept(b.u.T, b.n, alpha[None].copy(), b.Y - alpha - b.X @ B - b.Z @ C)[0]
+        a = update_intercept(b.u.T / b.n, alpha[None].copy(),
+                             b.Y - alpha - b.X @ B - b.Z @ C)[0]
 
         def loss(alpha):
             R = b.Y - alpha - b.X @ B - b.Z @ C
@@ -278,7 +279,7 @@ class TestSteps:
         rho = 0.8
         XB, ZC = stacked.X @ B, stacked.Z @ C
         YU = stacked.Y - stacked.u * alpha[..., None, :]
-        got = {"alpha": update_intercept(np.swapaxes(stacked.u, -1, -2), stacked.n,
+        got = {"alpha": update_intercept(np.swapaxes(stacked.u, -1, -2) / stacked.n,
                                          alpha[..., None, :].copy(), YU - XB - ZC)[..., 0, :]}
         got["B"], got["XB"] = ridge_step(ridge_factor(stacked.X, stacked.n, rho),
                                          YU - ZC, B_bar - B_dual)
@@ -289,7 +290,7 @@ class TestSteps:
                 c = slice(2 * j, 2 * j + 2)
                 XB, ZC = b.X @ B[0, k, :, c], b.Z @ C[0, k, :, c]
                 YU = b.Y - alpha[0, k, c]
-                want = {"alpha": update_intercept(b.u.T, b.n, alpha[0, k, None, c].copy(),
+                want = {"alpha": update_intercept(b.u.T / b.n, alpha[0, k, None, c].copy(),
                                                   YU - XB - ZC)[0]}
                 want["B"], want["XB"] = ridge_step(ridge_factor(b.X, b.n, rho), YU - ZC,
                                                    B_bar[0, k, :, c] - B_dual[0, k, :, c])
@@ -526,13 +527,15 @@ class TestFit:
         # the reference steps each unpadded DatasetBlock on its own.  With
         # equal n_m, no partly padded C and no dataset of more rows than its
         # own 1 + p + r_m + q (6 for dataset 1), so that the stack compresses
-        # none, it must match exactly.  With more rows the solver steps the
+        # none, it must match exactly; one dataset takes the loop's Moreau
+        # form of the dual step, and 2-D views multiplied by np.dot.  With
+        # more rows the solver steps the
         # R of a QR of the data (see model.stack), and with unequal n_m and
         # r_m the stack also routes a dataset's products through other BLAS
         # kernel shapes, so there it agrees to rounding: at most 40 units of
         # eps times each array's largest entry over 400 random draws
-        for n, r, rel in ((6, [2, 0], 0.0), (12, [2, 0], 1e-14),
-                          ([12, 15, 10], [2, 0, 1], 1e-14)):
+        for n, r, rel in ((6, [2, 0], 0.0), (6, [2], 0.0), (12, [2, 0], 1e-14),
+                          (12, [2], 1e-14), ([12, 15, 10], [2, 0, 1], 1e-14)):
             rng = np.random.default_rng(31)
             data = make_data(rng, M=len(r), n=n, p=3, q=2, r=r)
             hp = HyperParams(0.3, 0.2, rho=1.7)
@@ -609,6 +612,25 @@ class TestRunChains:
             for j in range(3):
                 for got, want in zip(finals[3 * k + j], finals_k[j]):
                     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n, p, r", [(18, 20, 10), (40, 5, 3)])
+    def test_one_fold_runs_bit_for_bit_as_in_a_two_fold_stack(self, n, p, r):
+        # alone, a fold of one dataset is a single matrix, whose steps
+        # multiply 2-D views through np.dot; twice in one stack, its steps
+        # run through np.matmul over both folds.  Both reach the same dgemm,
+        # so every fit stops at the same sweep in the same state, whether the
+        # stack keeps the fold's rows (n = 18 < 1 + p + r + q) or compresses
+        # them to the R of a QR, whose intercept column is nonzero in its
+        # first row only
+        fold = make_data(np.random.default_rng(43), M=1, n=n, p=p, q=2, r=r)[0]
+        lambdas, gammas = [0.3, 0.05, 0.01], [0.2, 0.02]
+        (it1, conv1), finals1, _ = run_recording(stack([[fold]], chains=2), lambdas, gammas)
+        (it2, conv2), finals2, _ = run_recording(stack([[fold, fold]], chains=2), lambdas, gammas)
+        for k in range(2):
+            assert np.array_equal(it2[k], it1[0]) and np.array_equal(conv2[k], conv1[0])
+            for j in range(2):
+                for got, want in zip(finals2[2 * k + j], finals1[j]):
+                    assert got.tobytes() == want.tobytes()
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

@@ -234,6 +234,20 @@ class TestRuntimeErrors:
         assert code == 1
         assert json.loads(err)["error"] == "RaggedRowsError"
 
+    def test_non_finite_cell_names_its_file(self, tmp_path, capsys):
+        # it used to reach the solver's check as "ValueError: Y contains
+        # non-finite entries", which named no file
+        y = tmp_path / "y.csv"
+        y.write_text("a,b\n1,2\n3,1e400\n")
+        x = tmp_path / "x.csv"
+        x.write_text("x1\n1.0\n2.0\n")
+        cfg = write_config(tmp_path, blocks=[{"y": str(y), "x": str(x)}])
+        code, out, err = run(capsys, "fit", "--config", cfg)
+        assert code == 1
+        doc = json.loads(err)
+        assert doc["error"] == "NonNumericCellError"
+        assert doc["message"] == "%s: line 3, column 'b': '1e400' is not a finite number" % y
+
 
 class TestFit:
     def test_unpenalized_matches_committed_solution(self, tmp_path, capsys):

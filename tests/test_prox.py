@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from intmr.prox import _group_shrink, soft_threshold, group_soft_threshold
+from intmr.prox import _group_shrink, _shrink, soft_threshold, group_soft_threshold
 from helpers import scalar_prox_oracle, vector_prox_oracle
 
 finite = st.floats(
@@ -63,6 +63,40 @@ class TestSoftThreshold:
             assert val <= scalar_prox_oracle(a, b) + 1e-8
 
 
+entries = arrays(float, array_shapes(max_dims=2, max_side=6), elements=finite)
+
+
+class TestMoreauForm:
+    # the loop's one-dataset step: for the threshold input a and a threshold
+    # t, _shrink writes the new scaled dual u = clip(a, -t, t) and the
+    # consensus copy z = a - u
+    @staticmethod
+    def step(a, t):
+        z, u = np.empty_like(a), np.empty_like(a)
+        _shrink(a, -t, t, out=z, clipped=u)
+        return z, u
+
+    @given(a=entries, t=nonneg)
+    @settings(max_examples=200, deadline=None)
+    def test_consensus_copy_is_the_soft_threshold(self, a, t):
+        z, _ = self.step(a, t)
+        assert bits(z) == bits(soft_threshold(a, t))
+        # sign(a) (|a| - t)+, up to the sign of a zero
+        assert np.array_equal(z, np.sign(a) * np.maximum(np.abs(a) - t, 0.0))
+
+    @given(a=entries, t=nonneg)
+    @settings(max_examples=200, deadline=None)
+    def test_dual_is_the_clip(self, a, t):
+        _, u = self.step(a, t)
+        assert np.array_equal(u, np.clip(a, -t, t))
+
+    @given(a=entries, t=nonneg)
+    @settings(max_examples=200, deadline=None)
+    def test_parts_add_up_to_the_input(self, a, t):
+        z, u = self.step(a, t)
+        assert (np.abs((z + u) - a) <= np.spacing(np.abs(a))).all()
+
+
 class TestGroupSoftThreshold:
     def test_kills_group_within_threshold(self):
         out = group_soft_threshold(np.array([3.0, 4.0]), 5.0)
@@ -109,14 +143,15 @@ class TestGroupSoftThreshold:
     @settings(max_examples=200, deadline=None)
     def test_one_dataset_groups_threshold_entrywise(self, c, d):
         # groups of one entry: the threshold is soft_threshold bit for bit,
-        # and the magnitudes _group_shrink returns are (|c| - d)+
+        # and the magnitudes _group_shrink returns are (|c| - d)+; the
+        # values are sign(c) (|c| - d)+ except for the sign of a zero
         out = group_soft_threshold(c, d)
         assert out.shape == c.shape
         assert bits(out[0]) == bits(soft_threshold(c[0], d))
         values, magnitudes = _group_shrink(c, d)
         expected = np.maximum(np.abs(c[0]) - d, 0.0)
         assert bits(magnitudes) == bits(expected)
-        assert bits(values[0]) == bits(np.copysign(expected, c[0]))
+        assert np.array_equal(values[0], np.copysign(expected, c[0]))
 
     def test_minimizes_group_prox_objective(self):
         rng = np.random.default_rng(13)
