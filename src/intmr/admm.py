@@ -10,17 +10,27 @@ scaled sign (Boyd et al. 2011, sec. 3.1.1): for a primal x, its consensus
 copy z and its scaled dual u, the dual step is u += x - z, the ridge target
 z - u and the threshold input x + u.  One iteration sweeps:
 
-  (a) intercepts from the residual, alpha + u'R / n,
+  (a) intercepts from the residual, alpha + (u'/n) R,
   (b) ridge update of B toward B_bar - B_dual,
   (c) ridge update of C toward C_bar - C_dual,
-  (d) entrywise soft threshold of C + C_dual onto C_bar,
+  (d) entrywise soft threshold of a = C + C_dual onto C_bar, as
+      a - clip(a, -gamma/rho, gamma/rho),
   (e) groupwise soft threshold of B + B_dual onto B_bar,
   (f/g) dual ascent on both consensus residuals, u += x - z.
 
+With one dataset every group of B is one entry, so (e) is entrywise too, and
+(d)-(g) take Moreau's form (Boyd et al. 2011, sec. 6; Parikh & Boyd,
+Proximal Algorithms, 2014, sec. 2.5): a - prox(a) is the projection of a
+onto the dual-norm ball, so for the threshold input a = x + u and threshold
+t the new dual is clip(a, -t, t) and the consensus copy a minus it.  That
+equals u + x - z up to rounding and leaves no separate dual step.
+
 Each step is one function, the one the loop calls, separable by response
 column: update_intercept for (a), ridge_step for (b) and (c), prox._shrink
-and prox._group_shrink for (d) and (e), and update_duals for (f/g).  The two
-thresholds are the bodies of prox.soft_threshold and
+for (d), and for (e) with one dataset, where it also writes the clip as the
+new dual in place of (f/g); prox._group_shrink for (e) otherwise, and
+update_duals for (f/g).
+The two thresholds are the bodies of prox.soft_threshold and
 prox.group_soft_threshold without their checks, since run_chains checks its
 penalty paths once per run.  Data and iterates are stacked with the dataset
 on the leading axis, then a fold axis for a cross-validation grid, and a
@@ -45,23 +55,28 @@ out [C | B]: one for the primal x, one for the consensus z and one for the
 scaled dual u, and the state's C, B, C_bar, B_bar, C_dual and B_dual are
 contiguous views into them.  The target, the threshold input, the dual
 step and its increment each run once over both blocks, and with one
-dataset so do the two thresholds, against a flat [gamma / rho | lambda / rho]
-array.  The buffers, the views and every
-workspace are built once per working set, at the start of a run and after
-each narrowing, so a sweep writes with out= and allocates no array.
+dataset so do the two thresholds with the dual step, against flat
+[gamma / rho | lambda / rho] arrays of t and -t.  The buffers, the views and
+every workspace are built once per working set, at the start of a run and
+after each narrowing, so a sweep writes with out= and allocates no array.
+The intercept row u'/n is built there too, cut to the leading rows where
+some u is nonzero (row 0 alone for a compressed dataset), and the intercept
+step and Y - u alpha' run over those rows only.  A working set of one
+matrix, one dataset and at most one fold, is held as 2-D views, which the
+steps multiply with np.dot: the same dgemm as np.matmul at less cost per
+call.
 
 The loop keeps what the steps share: Y - u alpha' once per sweep, X B and
 Z C as the ridge steps return them, the residual R = Y - u alpha' - X B - Z C
 as the C step's residual minus Z C, |C_bar| and the group norms of B_bar
 from the thresholds, and G = x - z + u, that is C - C_bar + C_dual and
-B - B_bar + B_dual, from the dual increment.  R gives the next sweep's
+B - B_bar + B_dual, built after the dual step.  R gives the next sweep's
 intercept step.  The sweep writes
 R^2, the squares of the last two and the thresholds' magnitudes into one
 buffer (_merit_buffers), and the augmented Lagrangian is its weighted column
 sum, the body that augmented_lagrangian runs too; it is taken at every
 iteration, and a fit stops when it changes by less than tol between two
-iterations.  With one dataset every group of B is one entry, thresholded
-entrywise.  Reported coefficients are the consensus copies, so zeros are
+iterations.  Reported coefficients are the consensus copies, so zeros are
 exact and the nonzero pattern of B is identical across datasets; the
 penalized objective is evaluated once, at the returned fit.
 """
@@ -237,8 +252,7 @@ def ridge_step(factor, E, T, out=None):
     than a contiguous V.  out, if
     given, is (x, A x, t, g, h): the two results and three workspaces
     shaped (..., k, q).  Single matrices multiply through np.dot, which
-    reaches the same dgemm as np.matmul at less cost per call; so do the
-    intercept step and the stopping value's column sum."""
+    reaches the same dgemm as np.matmul at less cost per call."""
     x, Ax, t, g, h = (None,) * 5 if out is None else out
     mm = np.dot if factor.Vt.ndim == T.ndim == E.ndim == 2 else np.matmul
     t = mm(factor.Vt, T, out=t)
@@ -489,10 +503,9 @@ def _sweeper(block, factors, state, rho, tol, gamma, lam, prev):
     sq = merit.views
     single = M == 1
     if single:
-        # the group norms' rows of a dataset's one-entry groups
         B_bar1 = B_bar[0]
     else:
-        norms, squares = np.empty(B_bar.shape[1:]), np.empty(B_bar.shape)
+        norms, squares = np.empty(B.shape[1:]), np.empty(B.shape)
     if math.prod(Y.shape[:-2]) == 1:
         # one dataset and at most one fold: every array of the sweep is a
         # single matrix, held as a 2-D view

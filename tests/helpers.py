@@ -104,9 +104,8 @@ def reference_sweep(data, state, hp):
     z - u and every threshold input x + u.  The thresholds are the checked
     prox operators at gamma / rho and lam / rho.  With one dataset the dual
     step is, as in the loop, its Moreau form: the new dual is the
-    projection clip(x + u, -t, t) of the threshold input, with t the
-    block's threshold, which the threshold step left unchanged.  A dataset
-    without specific covariates skips the C step."""
+    projection clip(x + u, -t, t) of the threshold input at the block's
+    threshold t.  A dataset without specific covariates skips the C step."""
     C = [tuple(a[m, : b.r] for a in (state.C, state.C_bar, state.C_dual))
          for m, b in enumerate(data)]
     XB = [b.X @ state.B[m] for m, b in enumerate(data)]

@@ -619,9 +619,9 @@ class TestRunChains:
         # multiply 2-D views through np.dot; twice in one stack, its steps
         # run through np.matmul over both folds.  Both reach the same dgemm,
         # so every fit stops at the same sweep in the same state, whether the
-        # stack keeps the fold's rows (n = 18 < 1 + p + r + q) or compresses
-        # them to the R of a QR, whose intercept column is nonzero in its
-        # first row only
+        # stack keeps the fold's rows (the first case, n < 1 + p + r + q) or
+        # compresses them to the R of a QR, whose intercept column is nonzero
+        # in its first row only
         fold = make_data(np.random.default_rng(43), M=1, n=n, p=p, q=2, r=r)[0]
         lambdas, gammas = [0.3, 0.05, 0.01], [0.2, 0.02]
         (it1, conv1), finals1, _ = run_recording(stack([[fold]], chains=2), lambdas, gammas)
