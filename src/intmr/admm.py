@@ -7,30 +7,26 @@ solver splits both penalties off with consensus copies: B_bar carries the
 group-thresholded copy of B, C_bar the entrywise-thresholded copy of C, and
 scaled dual variables tie each pair together.  Both duals take the one
 scaled sign (Boyd et al. 2011, sec. 3.1.1): for a primal x, its consensus
-copy z and its scaled dual u, the dual step is u += x - z, the ridge target
-z - u and the threshold input x + u.  One iteration sweeps:
+copy z and its scaled dual u, the ridge target is z - u and the threshold
+input a = x + u.  One iteration sweeps:
 
   (a) intercepts from the residual, alpha + (u'/n) R,
   (b) ridge update of B toward B_bar - B_dual,
   (c) ridge update of C toward C_bar - C_dual,
-  (d) entrywise soft threshold of a = C + C_dual onto C_bar, as
-      a - clip(a, -gamma/rho, gamma/rho),
-  (e) groupwise soft threshold of B + B_dual onto B_bar,
-  (f/g) dual ascent on both consensus residuals, u += x - z.
-
-With one dataset every group of B is one entry, so (e) is entrywise too, and
-(d)-(g) take Moreau's form (Boyd et al. 2011, sec. 6; Parikh & Boyd,
-Proximal Algorithms, 2014, sec. 2.5): a - prox(a) is the projection of a
-onto the dual-norm ball, so for the threshold input a = x + u and threshold
-t the new dual is clip(a, -t, t) and the consensus copy a minus it.  That
-equals u + x - z up to rounding and leaves no separate dual step.
+  (d) the consensus step, in Moreau's form (Boyd et al. 2011, sec. 6;
+      Parikh & Boyd, Proximal Algorithms, 2014, secs. 2.5 and 6.5): the new
+      dual is the projection of a onto the dual-norm ball of radius t,
+      clip(a, -t, t) on C at t = gamma/rho and a min(1, t/||a||) on each
+      group of B at t = lambda/rho, and the consensus copy is a minus it,
+      the soft threshold of a.  The new dual equals the dual ascent
+      u + x - z up to rounding, so there is no separate dual step.
 
 Each step is one function, the one the loop calls, separable by response
-column: update_intercept for (a), ridge_step for (b) and (c), prox._shrink
-for (d), and for (e) with one dataset, where it also writes the clip as the
-new dual in place of (f/g); prox._group_shrink for (e) otherwise, and
-update_duals for (f/g).
-The two thresholds are the bodies of prox.soft_threshold and
+column: update_intercept for (a), ridge_step for (b) and (c), and for (d)
+prox._consensus_shrink, which runs prox._shrink on C and prox._group_shrink
+on B and writes the projection and the remainder both.  With one dataset
+every group of B is one entry, and it clips the flat [C | B] buffer in one
+pass.  _shrink and _group_shrink are the bodies of prox.soft_threshold and
 prox.group_soft_threshold without their checks, since run_chains checks its
 penalty paths once per run.  Data and iterates are stacked with the dataset
 on the leading axis, then a fold axis for a cross-validation grid, and a
@@ -53,25 +49,23 @@ rounding.
 Within run_chains each ADMM variable is one flat, contiguous buffer laid
 out [C | B]: one for the primal x, one for the consensus z and one for the
 scaled dual u, and the state's C, B, C_bar, B_bar, C_dual and B_dual are
-contiguous views into them.  The target, the threshold input, the dual
-step and its increment each run once over both blocks, and with one
-dataset so do the two thresholds with the dual step, against flat
-[gamma / rho | lambda / rho] arrays of t and -t.  The buffers, the views and
-every workspace are built once per working set, at the start of a run and
-after each narrowing, so a sweep writes with out= and allocates no array.
+contiguous views into them.  The target, the threshold input and the
+increment x - z + u each run once over both blocks, and the thresholds are
+held as flat [gamma / rho | lambda / rho] arrays of t and -t shaped like one
+dataset's [C | B], with which one dataset's buffer is clipped at once.  The
+buffers, the views and every workspace are built once per working set, at
+the start of a run and after each narrowing, so a sweep writes with out= and
+allocates no array.
 The intercept row u'/n is built there too, cut to the leading rows where
 some u is nonzero (row 0 alone for a compressed dataset), and the intercept
-step and Y - u alpha' run over those rows only.  A working set of one
-matrix, one dataset and at most one fold, is held as 2-D views, which the
-steps multiply with np.dot: the same dgemm as np.matmul at less cost per
-call.
+step and Y - u alpha' run over those rows only.
 
 The loop keeps what the steps share: Y - u alpha' once per sweep, X B and
 Z C as the ridge steps return them, the residual R = Y - u alpha' - X B - Z C
 as the C step's residual minus Z C, |C_bar| and the group norms of B_bar
 from the thresholds, and G = x - z + u, that is C - C_bar + C_dual and
-B - B_bar + B_dual, built after the dual step.  R gives the next sweep's
-intercept step.  The sweep writes
+B - B_bar + B_dual, built after the consensus step.  R gives the next
+sweep's intercept step.  The sweep writes
 R^2, the squares of the last two and the thresholds' magnitudes into one
 buffer (_merit_buffers), and the augmented Lagrangian is its weighted column
 sum, the body that augmented_lagrangian runs too; it is taken at every
@@ -97,7 +91,7 @@ from .model import (
     stack,
     stack_fit,
 )
-from .prox import _group_shrink, _shrink
+from .prox import _consensus_shrink
 
 __all__ = [
     "SolverOptions",
@@ -113,7 +107,6 @@ __all__ = [
     "ridge_factors",
     "update_intercept",
     "ridge_step",
-    "update_duals",
     "augmented_lagrangian",
     "consensus_gap",
     "kkt_residual",
@@ -148,7 +141,9 @@ class AdmmState:
     B_bar and B_dual (M, *folds, p, G q), and C, C_bar and C_dual
     (M, *folds, r_max, G q), whose rows past dataset m's r_m stay zero.  A
     single fit has no fold axis and one chain, G = 1.  Both duals are
-    scaled with one sign: B_dual += B - B_bar and C_dual += C - C_bar.
+    scaled with one sign, the sums of their consensus residuals B - B_bar
+    and C - C_bar, which the loop takes as projections (see the module
+    docstring).
     """
 
     alpha: np.ndarray
@@ -203,8 +198,7 @@ def update_intercept(ut, alpha, R, work=None):
     the column means of Y - X B - Z C, since u'u = n.  alpha is a row
     (..., 1, q); work is a buffer shaped like it.  ut and R may be cut to
     the leading rows where u is nonzero.  Returns alpha."""
-    mm = np.dot if ut.ndim == R.ndim == 2 else np.matmul
-    alpha += mm(ut, R, out=work)
+    alpha += np.matmul(ut, R, out=work)
     return alpha
 
 
@@ -251,25 +245,15 @@ def ridge_step(factor, E, T, out=None):
     transposed view of V', which OpenBLAS multiplies faster at these sizes
     than a contiguous V.  out, if
     given, is (x, A x, t, g, h): the two results and three workspaces
-    shaped (..., k, q).  Single matrices multiply through np.dot, which
-    reaches the same dgemm as np.matmul at less cost per call."""
+    shaped (..., k, q)."""
     x, Ax, t, g, h = (None,) * 5 if out is None else out
-    mm = np.dot if factor.Vt.ndim == T.ndim == E.ndim == 2 else np.matmul
-    t = mm(factor.Vt, T, out=t)
+    t = np.matmul(factor.Vt, T, out=t)
     g = np.multiply(factor.w, t, out=g)
-    g += mm(factor.Ua_t, E, out=h)
+    g += np.matmul(factor.Ua_t, E, out=h)
     t += g
-    x = mm(factor.V, g, out=x)
+    x = np.matmul(factor.V, g, out=x)
     x += T
-    return x, mm(factor.Us, t, out=Ax)
-
-
-def update_duals(x, z, u, out=None):
-    """Scaled dual ascent, in place: u += x - z.  Returns the increment
-    x - z, written to `out` when given."""
-    d = np.subtract(x, z, out=out)
-    u += d
-    return d
+    return x, np.matmul(factor.Us, t, out=Ax)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +283,6 @@ def _merit_buffers(block, rho, gamma, lam):
     (*folds, M k + p, G q), the weights, views of the five pieces shaped
     like R, C, B, C and the group norms, the view of the lambda weights, the
     column sums (*folds, 1, G q) and their view per chain (*folds, G, q).
-    With at most one fold, the buffer, the weights and the sums are held as
-    2-D views.
     """
     M, rows, r, p = len(block.Y), block.Y.shape[-2], block.Z.shape[-1], block.p
     folds, cols = block.Y.shape[1:-2], block.Y.shape[-1]
@@ -320,9 +302,6 @@ def _merit_buffers(block, rho, gamma, lam):
     w[4][...] = lam
     sums = np.empty(folds + (1, cols))
     chains, pieces_of = sums.reshape(folds + (-1, block.q)), views(pieces)
-    if math.prod(folds) == 1:
-        # the column sum of one fold multiplies single matrices
-        pieces, weights, sums = (a.reshape(a.shape[-2:]) for a in (pieces, weights, sums))
     return _Merit(pieces, weights, pieces_of, w[4], sums, chains)
 
 
@@ -332,8 +311,7 @@ def _lagrangian(merit, out=None):
     Overwrites the pieces and the column sums."""
     pieces = merit.pieces
     pieces *= merit.weights
-    mm = np.dot if pieces.ndim == 2 else np.matmul
-    mm(_ones_row(pieces.shape[-2]), pieces, out=merit.sums)
+    np.matmul(_ones_row(pieces.shape[-2]), pieces, out=merit.sums)
     return np.add.reduce(merit.chains, axis=-1, out=out)
 
 
@@ -458,10 +436,9 @@ def _sweeper(block, factors, state, rho, tol, gamma, lam, prev):
     [C | B] buffers; see the module docstring), and builds every product,
     residual, threshold, transposed factor, widened ridge weight and
     workspace, so that a sweep writes with out= into them and builds no
-    array or view.  A working set of one matrix (one dataset and at most one
-    fold) hands the steps 2-D views, which they multiply with np.dot.  gamma,
-    lam and prev are each working chain's gamma, lambda and last stopping
-    value (..., G); prev becomes the working set's own.
+    array or view.  gamma, lam and prev are each working chain's gamma,
+    lambda and last stopping value (..., G); prev becomes the working set's
+    own.
 
     sweep() returns the sweep's stopping values and the mask of the chains
     whose value changed by less than tol.  The values are what the next
@@ -469,19 +446,20 @@ def _sweeper(block, factors, state, rho, tol, gamma, lam, prev):
     the sweep after next overwrites them.  set_lambdas(lam) sets the lambda
     weights and thresholds.
     """
-    M, q = len(block.Y), block.q
+    q = block.q
     Y, ucol = block.Y, block.u
     alpha = _own(state, ("alpha",)).reshape(state.alpha.shape[:-1] + (1, -1))
     x, z, u = (_own(state, names) for names in
                (("C", "B"), ("C_bar", "B_bar"), ("C_dual", "B_dual")))
     C, B, C_bar, B_bar = state.C, state.B, state.C_bar, state.B_bar
-    # the per-entry thresholds t and -t, each shaped like one dataset's [C | B]
-    neg, thr = np.empty((2, x.size // M))
-    (gam_lo, lam_lo), (gam_t, lam_t) = (_split(a, (C.shape[1:], B.shape[1:])) for a in (neg, thr))
+    # the per-entry thresholds t and -t, each shaped like one dataset's [C | B]:
+    # C's keep the dataset axis, B's are one per group
+    neg, thr = np.empty((2, x.size // len(Y)))
+    (gam_lo, lam_lo), (gam_t, lam_t) = (_split(a, (C[:1].shape, B.shape[1:])) for a in (neg, thr))
     _refill(gam_t, gamma / rho, q)
     np.negative(gam_t, out=gam_lo)
     # one workspace holds in turn the target z - u, the threshold input
-    # x + u and the increment x - z + u
+    # a = x + u and the increment x - z + u
     work = np.empty(x.size)
     wC, wB = _split(work, (C.shape, B.shape))
     XB, ZC = block.X @ B, block.Z @ C
@@ -501,21 +479,12 @@ def _sweeper(block, factors, state, rho, tol, gamma, lam, prev):
               for f in factors)
     merit = _merit_buffers(block, rho, _per_entry(gamma, q, 1), 0.0)
     sq = merit.views
-    single = M == 1
-    if single:
-        B_bar1 = B_bar[0]
-    else:
-        norms, squares = np.empty(B.shape[1:]), np.empty(B.shape)
-    if math.prod(Y.shape[:-2]) == 1:
-        # one dataset and at most one fold: every array of the sweep is a
-        # single matrix, held as a 2-D view
-        def matrix(a):
-            return a[(0,) * (a.ndim - 2)]
-
-        (alpha, step, ut, Y, ucol, YU, R, E, XB, ZC, B, C, wB, wC, C_bar, B_bar1) = map(
-            matrix, (alpha, step, ut, Y, ucol, YU, R, E, XB, ZC, B, C, wB, wC, C_bar, B_bar1))
-        sq = tuple(map(matrix, sq))
-        fx, fz = (None if f is None else RidgeFactor(*map(matrix, f)) for f in (fx, fz))
+    # the consensus step's (a, -t, t, z, u), whole and for each block, and
+    # its magnitudes |C_bar| and group norms, shaped like C and like B[:1]
+    whole, parts_c, parts_b = ((work, neg, thr, z, u), (wC, gam_lo, gam_t, C_bar, state.C_dual),
+                               (wB, lam_lo, lam_t, B_bar, state.B_dual))
+    magnitudes = sq[3], sq[4][None]
+    norms, squares = np.empty(B.shape[1:]), np.empty(B.shape)
     Yh, uh, YUh, Rh = (a[..., :h, :] for a in (Y, ucol, YU, R))
     # each ridge step's outputs and workspaces
     out_b, out_c = (None if f is None else (a, Aa) + tuple(np.empty_like(f.w) for _ in range(3))
@@ -539,17 +508,10 @@ def _sweeper(block, factors, state, rho, tol, gamma, lam, prev):
             ridge_step(fz, R, wC, out_c)
             np.subtract(R, ZC, out=R)
         np.add(x, u, out=work)
-        if single:
-            # by Moreau's decomposition the new dual is the clip of the
-            # threshold input a = x + u, and z is a minus it
-            _shrink(work, neg, thr, z, u)
-            np.abs(C_bar, out=sq[3])
-            np.abs(B_bar1, out=sq[4])
-            np.subtract(x, z, out=work)
-        else:
-            np.abs(_shrink(wC, gam_lo, gam_t, C_bar, C_bar), out=sq[3])
-            _group_shrink(wB, lam_t, B_bar, sq[4], norms, squares)
-            update_duals(x, z, u, work)
+        # the consensus step: the new dual is the projection of a, and z is
+        # a minus it
+        _consensus_shrink(whole, parts_c, parts_b, magnitudes, norms, squares)
+        np.subtract(x, z, out=work)
         np.add(work, u, out=work)
         # the squares go to the stopping value's buffer block by block: its
         # per-fold row order fixes the order of its sums

@@ -19,12 +19,11 @@ from intmr.admm import (
     ridge_factor,
     ridge_step,
     run_chains,
-    update_duals,
     update_intercept,
     zero_state,
 )
 from intmr.model import DatasetBlock, IntegratedDataset, ModelFit, PaddedBlock, _pad
-from intmr.prox import group_soft_threshold, soft_threshold
+from intmr.prox import _group_shrink, group_soft_threshold, soft_threshold
 
 
 def make_data(
@@ -100,12 +99,13 @@ def reference_sweep(data, state, hp):
 
     Each dataset's residual is taken from the state once, and the ridge
     steps hand on the products X B and Z C they return, as the loop does.
-    Both duals are scaled the same way, u += x - z, so every target is
-    z - u and every threshold input x + u.  The thresholds are the checked
-    prox operators at gamma / rho and lam / rho.  With one dataset the dual
-    step is, as in the loop, its Moreau form: the new dual is the
-    projection clip(x + u, -t, t) of the threshold input at the block's
-    threshold t.  A dataset without specific covariates skips the C step."""
+    Both duals are scaled the same way, so every target is z - u and every
+    threshold input a = x + u.  The thresholds are the checked prox
+    operators at t = gamma / rho and lam / rho, and the dual step takes, as
+    the loop does, Moreau's form: the new dual is the projection of a onto
+    the dual-norm ball of radius t, clip(a, -t, t) for C and
+    a min(1, t / ||a||) for each group of B, with which the loop's z is a
+    minus it.  A dataset without specific covariates skips the C step."""
     C = [tuple(a[m, : b.r] for a in (state.C, state.C_bar, state.C_dual))
          for m, b in enumerate(data)]
     XB = [b.X @ state.B[m] for m, b in enumerate(data)]
@@ -131,12 +131,11 @@ def reference_sweep(data, state, hp):
     yield "C_bar"
     state.B_bar = group_soft_threshold(state.B + state.B_dual, hp.lam / hp.rho)
     yield "B_bar"
-    for x, z, u, t in ((state.C, state.C_bar, state.C_dual, hp.gamma / hp.rho),
-                       (state.B, state.B_bar, state.B_dual, hp.lam / hp.rho)):
-        if data.M == 1:
-            u[...] = np.clip(x + u, -t, t)
-        else:
-            update_duals(x, z, u)
+    for c, _, c_dual in C:
+        t = hp.gamma / hp.rho
+        c_dual[...] = np.clip(c + c_dual, -t, t)
+    t = hp.lam / hp.rho
+    _group_shrink(state.B + state.B_dual, -t, t, projected=state.B_dual)
     yield "duals"
 
 

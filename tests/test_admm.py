@@ -23,14 +23,13 @@ from intmr.admm import (
     zero_state,
     update_intercept,
     ridge_step,
-    update_duals,
     augmented_lagrangian,
     ridge_factor,
     ridge_factors,
     run_chains,
     kkt_residual,
 )
-from intmr.prox import group_soft_threshold
+from intmr.prox import _group_shrink, _shrink, group_soft_threshold
 from helpers import (
     draw_blocks,
     make_data,
@@ -325,20 +324,38 @@ class TestSteps:
                 # the stacked threshold is the vector prox, group by group
                 assert np.array_equal(x, group_soft_threshold(c, thresh))
 
-    def test_dual_update_formula_and_fixed_point(self):
+    @pytest.mark.parametrize("M", [1, 3])
+    def test_consensus_step_parts_and_fixed_point(self, M):
+        # the loop's consensus step in Moreau's form: for the threshold
+        # input a = x + u the new dual u is the projection of a,
+        # clip(a, -t, t) on C and a min(1, t / ||a||) on each group of B,
+        # and z = a - u
         rng = np.random.default_rng(11)
-        data = make_data(rng, M=2, n=5, p=2, q=2, r=1)
+        data = make_data(rng, M=M, n=5, p=4, q=2, r=3)
         st = random_state(rng, stack(data))
-        # both duals take the one scaled sign, u += x - z
-        for x, z, u in ((st.B, st.B_bar, st.B_dual), (st.C, st.C_bar, st.C_dual)):
-            before = u.copy()
-            d = update_duals(x, z, u)
-            assert np.array_equal(d, x - z)
-            assert np.allclose(u, before + x - z, atol=1e-15)
-            # at consensus the dual stays put
-            frozen = u.copy()
-            update_duals(x, x.copy(), u)
-            assert np.array_equal(u, frozen)
+
+        def step():
+            """The step on both blocks: each block's a, z, u and a few ulps
+            of each entry of a, or of its group's norm for B."""
+            parts = []
+            for body, t, x, z, u in ((_shrink, 0.7, st.C, st.C_bar, st.C_dual),
+                                     (_group_shrink, 1.5, st.B, st.B_bar, st.B_dual)):
+                a = x + u
+                body(a, -t, t, z, u)
+                scale = np.sqrt((a * a).sum(axis=0)) if body is _group_shrink else np.abs(a)
+                parts.append((a, z, u, 4 * np.spacing(scale)))
+            return parts
+
+        for a, z, u, ulps in step():
+            assert (np.abs(z + u - a) <= ulps).all()
+        # an ADMM fixed point, x = z = prox(x + u): the step leaves z and u
+        # as they were, up to rounding, and a zero z exactly
+        st.C[...], st.B[...] = st.C_bar, st.B_bar
+        assert (st.B_bar == 0).any() and (st.B_bar != 0).any()
+        kept = [(z.copy(), u.copy()) for z, u in ((st.C_bar, st.C_dual), (st.B_bar, st.B_dual))]
+        for (a, z, u, ulps), (z0, u0) in zip(step(), kept):
+            assert (np.abs(z - z0) <= ulps).all() and (np.abs(u - u0) <= ulps).all()
+            assert (z[z0 == 0] == 0).all()
 
 
 class TestFit:
@@ -527,8 +544,8 @@ class TestFit:
         # the reference steps each unpadded DatasetBlock on its own.  With
         # equal n_m, no partly padded C and no dataset of more rows than its
         # own 1 + p + r_m + q (6 for dataset 1), so that the stack compresses
-        # none, it must match exactly; one dataset takes the loop's Moreau
-        # form of the dual step, and 2-D views multiplied by np.dot.  With
+        # none, it must match exactly, with one dataset, whose consensus step
+        # clips the whole buffer in one pass, and with more.  With
         # more rows the solver steps the
         # R of a QR of the data (see model.stack), and with unequal n_m and
         # r_m the stack also routes a dataset's products through other BLAS
@@ -615,10 +632,9 @@ class TestRunChains:
 
     @pytest.mark.parametrize("n, p, r", [(18, 20, 10), (40, 5, 3)])
     def test_one_fold_runs_bit_for_bit_as_in_a_two_fold_stack(self, n, p, r):
-        # alone, a fold of one dataset is a single matrix, whose steps
-        # multiply 2-D views through np.dot; twice in one stack, its steps
-        # run through np.matmul over both folds.  Both reach the same dgemm,
-        # so every fit stops at the same sweep in the same state, whether the
+        # alone, a fold of one dataset is a stack of one matrix; twice in one
+        # stack, its steps run through np.matmul over both folds.  Both reach
+        # the same dgemm per matrix, so every fit stops at the same sweep in the same state, whether the
         # stack keeps the fold's rows (the first case, n < 1 + p + r + q) or
         # compresses them to the R of a QR, whose intercept column is nonzero
         # in its first row only

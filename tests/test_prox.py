@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from intmr.prox import _group_shrink, _shrink, soft_threshold, group_soft_threshold
+from intmr.prox import (
+    _consensus_shrink,
+    _group_shrink,
+    _shrink,
+    group_soft_threshold,
+    soft_threshold,
+)
 from helpers import scalar_prox_oracle, vector_prox_oracle
 
 finite = st.floats(
@@ -64,16 +70,27 @@ class TestSoftThreshold:
 
 
 entries = arrays(float, array_shapes(max_dims=2, max_side=6), elements=finite)
+# groups of M = 2..4 entries along axis 0, none of whose nonzero entries
+# square below the smallest normal float: an underflowed square leaves the
+# group norm itself inexact, whichever form then thresholds it
+groups = st.integers(2, 4).flatmap(lambda M: arrays(
+    float, st.tuples(st.just(M), array_shapes(min_dims=0, max_dims=2, max_side=5)).map(
+        lambda s: (s[0],) + s[1]),
+    elements=finite.filter(lambda v: v == 0 or abs(v) >= 1e-150)))
+# thresholds whose ratio to such a group's norm stays a normal float: a
+# subnormal ratio keeps too few bits to bound the projection's norm in eps
+group_thresholds = nonneg.filter(lambda t: t == 0 or t >= 1e-290)
 
 
 class TestMoreauForm:
-    # the loop's one-dataset step: for the threshold input a and a threshold
+    # the loop's consensus step: for the threshold input a and a threshold
     # t, _shrink writes the new scaled dual u = clip(a, -t, t) and the
-    # consensus copy z = a - u
+    # consensus copy z = a - u, and _group_shrink, over groups along axis 0,
+    # u = a min(1, t / ||a||) and z = a - u
     @staticmethod
-    def step(a, t):
+    def step(a, t, body=_shrink):
         z, u = np.empty_like(a), np.empty_like(a)
-        _shrink(a, -t, t, out=z, clipped=u)
+        body(a, -t, t, z, u)
         return z, u
 
     @given(a=entries, t=nonneg)
@@ -95,6 +112,56 @@ class TestMoreauForm:
     def test_parts_add_up_to_the_input(self, a, t):
         z, u = self.step(a, t)
         assert (np.abs((z + u) - a) <= np.spacing(np.abs(a))).all()
+
+    @given(a=groups, t=group_thresholds)
+    @settings(max_examples=200, deadline=None)
+    def test_group_step(self, a, t):
+        z, u = self.step(a, t, _group_shrink)
+        assert bits(z) == bits(group_soft_threshold(a, t))
+        # (1 - t / ||a||)+ a to a few ulps of the group's norm, whose
+        # largest entry bounds its ulp from below
+        norm = np.sqrt((a * a).sum(axis=0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.where(norm > 0, np.maximum(1.0 - t / norm, 0.0), 0.0) * a
+        assert (np.abs(z - want) <= 4 * np.spacing(np.abs(a).max(axis=0))).all()
+        # the dual lies in the ball of radius t (hypot: t may be so small
+        # that the squares of u underflow)
+        eps = np.finfo(float).eps
+        assert (np.hypot.reduce(u, axis=0) <= t * (1 + 8 * eps)).all()
+        assert (np.abs((z + u) - a) <= 2 * np.spacing(np.abs(a))).all()
+
+    @given(a=entries, t=nonneg)
+    @settings(max_examples=200, deadline=None)
+    def test_one_entry_groups_step_is_the_clip(self, a, t):
+        # one dataset: the group step is the entrywise one, bit for bit
+        z, u = self.step(a[None], t, _group_shrink)
+        assert bits((z[0], u[0])) == bits(self.step(a, t))
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_flat_step_is_the_blockwise_step(self, data):
+        # _consensus_shrink on a flat [C | B] buffer, with the thresholds of
+        # one dataset's [C | B], is _shrink on C and _group_shrink on B bit
+        # for bit, also where one dataset has it clip the whole buffer
+        M, r, p, q = (data.draw(st.integers(lo, 3)) for lo in (1, 0, 0, 1))
+        a = data.draw(arrays(float, M * (r + p) * q, elements=finite))
+        t = data.draw(arrays(float, (r + p) * q, elements=nonneg))
+
+        def blocks(v, c_shape, b_shape):
+            return v[: r * q * c_shape[0]].reshape(c_shape), v[r * q * c_shape[0]:].reshape(b_shape)
+
+        z, u = np.empty_like(a), np.empty_like(a)
+        on_c, on_b = zip(*(blocks(v, (M, r, q), (M, p, q)) for v in (a, z, u)))
+        t_c, t_b = blocks(t, (1, r, q), (p, q))
+        magnitudes = np.empty((M, r, q)), np.empty((1, p, q))
+        _consensus_shrink((a, -t, t, z, u), (on_c[0], -t_c, t_c) + on_c[1:],
+                          (on_b[0], -t_b, t_b) + on_b[1:], magnitudes,
+                          np.empty((p, q)), np.empty((M, p, q)))
+        z_c, u_c = self.step(on_c[0], t_c)
+        z_b, u_b = self.step(on_b[0], t_b, _group_shrink)
+        norms = _group_shrink(on_b[0], -t_b, t_b)[1]
+        assert bits(z) == bits(z_c) + bits(z_b) and bits(u) == bits(u_c) + bits(u_b)
+        assert bits(magnitudes[0]) + bits(magnitudes[1]) == bits(np.abs(z_c)) + bits(norms)
 
 
 class TestGroupSoftThreshold:
@@ -148,7 +215,7 @@ class TestGroupSoftThreshold:
         out = group_soft_threshold(c, d)
         assert out.shape == c.shape
         assert bits(out[0]) == bits(soft_threshold(c[0], d))
-        values, magnitudes = _group_shrink(c, d)
+        values, magnitudes = _group_shrink(c, -d, d)
         expected = np.maximum(np.abs(c[0]) - d, 0.0)
         assert bits(magnitudes) == bits(expected)
         assert np.array_equal(values[0], np.copysign(expected, c[0]))
