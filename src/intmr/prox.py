@@ -71,8 +71,8 @@ def _consensus_shrink(whole, entries, groups, magnitudes, norms, squares):
     of the entries and the groups' (||g|| - upper)+ are written to the two
     `magnitudes`, shaped like the entries and like the groups' first entry
     (groups[0][:1]); `norms` and `squares` are _group_shrink's workspaces.
-    A group axis of length 1 makes every group one entry, and the whole
-    buffer is then clipped in one pass."""
+    A group axis of length 1 makes every group one entry; the whole buffer
+    is then clipped in one pass, and only then is `whole` read."""
     if len(groups[0]) == 1:
         _shrink(*whole)
         np.abs(entries[3], out=magnitudes[0])

@@ -131,8 +131,8 @@ def reference_sweep(data, state, hp):
     yield "C_bar"
     state.B_bar = group_soft_threshold(state.B + state.B_dual, hp.lam / hp.rho)
     yield "B_bar"
+    t = hp.gamma / hp.rho
     for c, _, c_dual in C:
-        t = hp.gamma / hp.rho
         c_dual[...] = np.clip(c + c_dual, -t, t)
     t = hp.lam / hp.rho
     _group_shrink(state.B + state.B_dual, -t, t, projected=state.B_dual)
