@@ -37,7 +37,7 @@ lambda and gamma paths.  run_chains advances such a grid through the steps
 in one loop, narrowed to the chains still running; AdmmSolver.fit is its
 one-chain case.  The ridge steps run in the thin-SVD coordinates
 A = U diag(s) V' of X and of Z, one batched SVD each, computed once per run
-(rho stays fixed): with c = n rho, a = s / (s^2 + c) and
+(opts.rho stays fixed): with c = n rho, a = s / (s^2 + c) and
 w = -s^2 / (s^2 + c), the step from residual E toward target T is T + V g
 with g = (U diag(a))'E + w * V'T, and A times it is U diag(s) (V'T + g), so
 the loop never multiplies by X or Z.  The intercept enters as u alpha', with
@@ -116,16 +116,23 @@ __all__ = [
 @dataclass(frozen=True)
 class SolverOptions:
     """A fit stops when its augmented Lagrangian changes by less than tol
-    between two iterations, or after max_iter iterations."""
+    between two iterations, or after max_iter iterations.  rho is the ADMM
+    step parameter, the one every solver entry point reads: it moves the
+    iterates, not the solution."""
 
     tol: float = 1e-7
     max_iter: int = 10000
+    rho: float = 1.0
 
     def __post_init__(self):
         if not (self.tol > 0 and np.isfinite(self.tol)):
             raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        rho = float(self.rho)
+        if not (rho > 0 and np.isfinite(rho)):
+            raise ValueError("rho must be positive and finite")
+        object.__setattr__(self, "rho", rho)
 
 
 def chain_sums(a, q):
@@ -315,9 +322,9 @@ def _lagrangian(merit, out=None):
     return np.add.reduce(merit.chains, axis=-1, out=out)
 
 
-def augmented_lagrangian(block, state, hp):
+def augmented_lagrangian(block, state, hp, rho):
     """Scaled augmented Lagrangian of the consensus splitting on a stacked
-    block.
+    block at step parameter rho.
 
     Loss at the primal variables, penalties at the consensus copies, plus
     (rho/2) ||B - B_bar + B_dual||_F^2 and (rho/2) ||C - C_bar + C_dual||_F^2
@@ -329,7 +336,7 @@ def augmented_lagrangian(block, state, hp):
     """
     R = block.Y - block.u * state.alpha[..., None, :] - block.X @ state.B
     R -= block.Z @ state.C
-    merit = _merit_buffers(block, hp.rho, hp.gamma, hp.lam)
+    merit = _merit_buffers(block, rho, hp.gamma, hp.lam)
     views = merit.views
     Gc = state.C - state.C_bar + state.C_dual
     Gb = state.B - state.B_bar + state.B_dual
@@ -398,9 +405,7 @@ def _take_columns(a, folds, cols):
     return np.take_along_axis(a, cols.reshape(shape), axis=-1)
 
 
-def _check_paths(rho, lambdas, gammas):
-    if not (rho > 0 and np.isfinite(rho)):
-        raise ValueError("rho must be positive and finite")
+def _check_paths(lambdas, gammas):
     for name, path in (("lambdas", lambdas), ("gammas", gammas)):
         if not (np.isfinite(path).all() and (path >= 0).all()):
             raise ValueError("%s must be finite and nonnegative" % name)
@@ -484,7 +489,9 @@ def _sweeper(block, factors, state, rho, tol, gamma, lam, prev):
     whole, parts_c, parts_b = ((work, neg, thr, z, u), (wC, gam_lo, gam_t, C_bar, state.C_dual),
                                (wB, lam_lo, lam_t, B_bar, state.B_dual))
     magnitudes = sq[3], sq[4][None]
-    norms, squares = np.empty(B.shape[1:]), np.empty(B.shape)
+    # the group threshold's workspaces; one dataset's groups are clipped
+    # entrywise and need none
+    norms, squares = (np.empty(B.shape[1:]), np.empty(B.shape)) if len(Y) > 1 else (None, None)
     Yh, uh, YUh, Rh = (a[..., :h, :] for a in (Y, ucol, YU, R))
     # each ridge step's outputs and workspaces
     out_b, out_c = (None if f is None else (a, Aa) + tuple(np.empty_like(f.w) for _ in range(3))
@@ -527,7 +534,7 @@ def _sweeper(block, factors, state, rho, tol, gamma, lam, prev):
     return sweep, set_lambdas
 
 
-def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None):
+def run_chains(block, lambdas, gammas, opts=None, state=None, on_stop=None):
     """Advance a grid of warm-start chains through one ADMM loop.
 
     Chain g of a fold is the g-th group of q columns of block.Y and of the
@@ -536,7 +543,8 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None)
     the block's ridge factors itself.  The penalty paths, lambdas (L,) and
     gammas (G,), are shared by every fold, or given per fold as (*folds, L) and
     (*folds, G), so that folds of independent problems can share one run.
-    They are checked once, before the first iteration.
+    They are checked once, before the first iteration.  The step parameter
+    is opts.rho, read once per run.
 
     Every chain fits its fold's lambdas[0], lambdas[1], ... in turn at its
     own gamma, each fit warm-started from the state the previous one
@@ -580,9 +588,10 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None)
     (*folds, G, L).
     """
     opts = opts or SolverOptions()
+    rho = opts.rho
     lambdas = np.asarray(lambdas, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
-    _check_paths(rho, lambdas, gammas)
+    _check_paths(lambdas, gammas)
     q, n_fits = block.q, lambdas.shape[-1]
     grid = block.n.shape[1:-2] + gammas.shape[-1:]
     # each cell's gamma and lambda path, by flat cell
@@ -671,21 +680,16 @@ def run_chains(block, rho, lambdas, gammas, opts=None, state=None, on_stop=None)
 
 class AdmmSolver:
     """Caches the stacked data for repeated fits on one dataset collection
-    with a fixed rho (warm starts, refits)."""
+    (warm starts, refits); each fit takes rho from its opts."""
 
-    def __init__(self, data, rho=1.0):
+    def __init__(self, data):
         if not isinstance(data, IntegratedDataset):
             data = IntegratedDataset(tuple(data))
-        if not (rho > 0 and np.isfinite(rho)):
-            raise ValueError("rho must be positive and finite")
         self.block = stack(data)
-        self.rho = float(rho)
 
     def fit(self, hp, opts=None, init=None):
         if not isinstance(hp, HyperParams):
             raise TypeError("hp must be HyperParams")
-        if hp.rho != self.rho:
-            raise ValueError("hp.rho=%g does not match solver rho=%g" % (hp.rho, self.rho))
         block = self.block
         if init is None:
             state = zero_state(block)
@@ -694,8 +698,7 @@ class AdmmSolver:
             # run_chains copies the arrays into buffers of its own, so a
             # shallow copy leaves init as it was
             state = replace(init)
-        iterations, converged = run_chains(block, self.rho, [hp.lam], [hp.gamma], opts,
-                                           state=state)
+        iterations, converged = run_chains(block, [hp.lam], [hp.gamma], opts, state=state)
         result = ModelFit(
             alpha=tuple(state.alpha.copy()),
             B=tuple(state.B_bar.copy()),
@@ -721,6 +724,7 @@ def fit(data, hp, opts=None, init=None):
     data : IntegratedDataset
     hp : HyperParams
     opts : SolverOptions, optional
+        Stopping rule and the step parameter rho.
     init : AdmmState, optional
         Warm start; must match the data dimensions.  The default is the
         all-zero state.
@@ -732,4 +736,4 @@ def fit(data, hp, opts=None, init=None):
         penalized objective at those coefficients, the stationarity
         residual, the final consensus gap and the final state.
     """
-    return AdmmSolver(data, rho=hp.rho).fit(hp, opts=opts, init=init)
+    return AdmmSolver(data).fit(hp, opts=opts, init=init)

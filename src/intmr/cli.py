@@ -17,6 +17,7 @@ import re
 import sys
 
 from . import admm, io, selection, sim
+from .admm import SolverOptions
 from .model import HyperParams, objective
 
 __all__ = ["main", "cli", "UsageError"]
@@ -42,8 +43,8 @@ _FLAGS = {
     "out": dict(help="output directory (default: current directory)"),
     "seed": dict(type=int, help="fold and simulation seed (default 0)"),
     "k": dict(type=int, help="number of CV folds (default 5)"),
-    "tol": dict(type=float, help="solver convergence tolerance (default 1e-7)"),
-    "max-iter": dict(type=int, help="solver iteration cap (default 10000)"),
+    "tol": dict(type=float, help="solver convergence tolerance (default %g)" % SolverOptions.tol),
+    "max-iter": dict(type=int, help="solver iteration cap (default %d)" % SolverOptions.max_iter),
     "standardize": dict(choices=_STANDARDIZE, help="center and scale covariate columns "
                         "before fitting (default false)"),
     "keep-standardized": dict(action="store_true", default=None, help="report coefficients "
@@ -94,8 +95,8 @@ _DEFAULTS = {
     "out": ".",
     "seed": 0,
     "k": 5,
-    "tol": 1e-7,
-    "max_iter": 10000,
+    "tol": SolverOptions.tol,
+    "max_iter": SolverOptions.max_iter,
     "standardize": "false",
     "keep_standardized": False,
     "metric_mode": "paper",
@@ -108,7 +109,7 @@ _DEFAULTS = {
     "scenario": None,
     "model": None,
     "blocks": None,
-    "rho": 1.0,
+    "rho": SolverOptions.rho,
 }
 
 # Types a config value may take where its default does not tell.
@@ -244,11 +245,15 @@ def _load_blocks(cfg):
     return loaded, data, record
 
 
-def _meta(hp, rep, standardized, extra=None):
-    meta = {
+def _options(cfg):
+    return SolverOptions(tol=cfg["tol"], max_iter=cfg["max_iter"], rho=cfg["rho"])
+
+
+def _meta(hp, opts, rep, standardized):
+    return {
         "lambda": hp.lam,
         "gamma": hp.gamma,
-        "rho": hp.rho,
+        "rho": opts.rho,
         "iterations": rep.iterations,
         "converged": rep.converged,
         "kkt_residual": rep.kkt_residual,
@@ -256,9 +261,6 @@ def _meta(hp, rep, standardized, extra=None):
         "objective": rep.objective,
         "standardized_fit": standardized,
     }
-    if extra:
-        meta.update(extra)
-    return meta
 
 
 def _final_fit(rep, record, keep_standardized):
@@ -269,12 +271,12 @@ def _final_fit(rep, record, keep_standardized):
 
 def _cmd_fit(cfg):
     loaded, data, record = _load_blocks(cfg)
-    hp = HyperParams(lam=cfg["lam"], gamma=cfg["gamma"], rho=cfg["rho"])
-    opts = admm.SolverOptions(tol=cfg["tol"], max_iter=cfg["max_iter"])
+    hp = HyperParams(lam=cfg["lam"], gamma=cfg["gamma"])
+    opts = _options(cfg)
     rep = admm.fit(data, hp, opts=opts)
     out_fit = _final_fit(rep, record, cfg["keep_standardized"])
     path = os.path.join(cfg["out"], "model.json")
-    io.save_fit(out_fit, path, meta=_meta(hp, rep, record is not None))
+    io.save_fit(out_fit, path, meta=_meta(hp, opts, rep, record is not None))
     return {"model": path, "iterations": rep.iterations, "converged": rep.converged}
 
 
@@ -284,19 +286,12 @@ def _cmd_cv(cfg):
     if cfg["k"] > n_min:
         raise UsageError("--k %d exceeds the %d rows of the smallest dataset" % (cfg["k"], n_min))
     grid = _parse_grid_spec(cfg["grid"], data)
-    opts = admm.SolverOptions(tol=cfg["tol"], max_iter=cfg["max_iter"])
-    result = selection.select(
-        data,
-        grid,
-        K=cfg["k"],
-        seed=cfg["seed"],
-        opts=opts,
-        rho=cfg["rho"],
-    )
+    opts = _options(cfg)
+    result = selection.select(data, grid, K=cfg["k"], seed=cfg["seed"], opts=opts)
     out = cfg["out"]
     io.write_cv_matrix_csv(result, os.path.join(out, "cv_matrix.csv"))
     io.write_cv_diagnostics_csv(result, os.path.join(out, "cv_diagnostics.csv"))
-    hp = HyperParams(lam=result.best_lambda, gamma=result.best_gamma, rho=cfg["rho"])
+    hp = HyperParams(lam=result.best_lambda, gamma=result.best_gamma)
     io.dump_json(
         {
             "best_lambda": result.best_lambda,
@@ -313,7 +308,7 @@ def _cmd_cv(cfg):
     io.save_fit(
         out_fit,
         os.path.join(out, "model.json"),
-        meta=_meta(hp, result.refit, record is not None),
+        meta=_meta(hp, opts, result.refit, record is not None),
     )
     return {
         "best_lambda": result.best_lambda,
@@ -350,7 +345,7 @@ def _cmd_simulate(cfg):
                 "--k %d exceeds the %d rows per dataset of scenario %s"
                 % (cfg["k"], config.n, sim.scenario_name(config))
             )
-    opts = admm.SolverOptions(tol=cfg["tol"], max_iter=cfg["max_iter"])
+    opts = _options(cfg)
     metrics = sim.run_study(
         configs,
         methods=methods,
@@ -401,9 +396,8 @@ def _cmd_report(cfg):
         loaded = io.load_dataset(cfg["blocks"])
         x_header, z_headers = loaded.x_header, loaded.z_headers
         if "lambda" in meta and not meta.get("standardized_fit"):
-            hp = HyperParams(
-                lam=meta["lambda"], gamma=meta["gamma"], rho=meta.get("rho", 1.0)
-            )
+            # neither value depends on the solver's step parameter rho
+            hp = HyperParams(lam=meta["lambda"], gamma=meta["gamma"])
             recomputed = {
                 "kkt_residual_recomputed": admm.kkt_residual(loaded.data, fit, hp),
                 "objective_recomputed": objective(loaded.data, fit, hp),

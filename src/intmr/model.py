@@ -163,23 +163,21 @@ class IntegratedDataset:
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Penalty levels: lam on shared-coefficient groups, gamma on specific
-    coefficients, rho the ADMM step parameter."""
+    """Penalty levels, which define the estimator: lam on shared-coefficient
+    groups, gamma on specific coefficients.  The solver's step parameter is
+    not one of them; it is admm.SolverOptions.rho."""
 
     lam: float
     gamma: float
-    rho: float = 1.0
 
     def __post_init__(self):
-        for name in ("lam", "gamma", "rho"):
+        for name in ("lam", "gamma"):
             v = float(getattr(self, name))
             if not np.isfinite(v):
                 raise ValueError("%s must be finite" % name)
             object.__setattr__(self, name, v)
         if self.lam < 0 or self.gamma < 0:
             raise ValueError("penalties must be nonnegative")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
 
 
 def _as_coef(a, name, shape):

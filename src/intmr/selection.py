@@ -167,17 +167,19 @@ class CvResult:
     converged: np.ndarray = None
 
 
-def select(data, grid, K=5, seed=0, opts=None, rho=1.0):
+def select(data, grid, K=5, seed=0, opts=None):
     """Evaluate the CV criterion over the grid and refit at the winner.
 
     Ties within 1e-12 of the minimum, relative to it, resolve to the
     largest lambda, then the largest gamma.  Each (fold, gamma) pair forms
-    an independent warm-start chain.  The one-problem case of select_many.
+    an independent warm-start chain.  The grid fits and the refit all run
+    at opts, whose rho is their step parameter.  The one-problem case of
+    select_many.
     """
-    return select_many((data,), (grid,), K=K, seed=seed, opts=opts, rho=rho)[0]
+    return select_many((data,), (grid,), K=K, seed=seed, opts=opts)[0]
 
 
-def select_many(problems, grids, K=5, seed=0, opts=None, rho=1.0):
+def select_many(problems, grids, K=5, seed=0, opts=None):
     """select for each problem at its own grid, the grids' chains run as one
     stacked ADMM; returns one CvResult per problem.
 
@@ -206,14 +208,14 @@ def select_many(problems, grids, K=5, seed=0, opts=None, rho=1.0):
         runs.setdefault((len(g.lambdas), len(g.gammas)), []).append(i)
     for run in runs.values():
         cv = _cv_matrices([problems[i] for i in run], [grids[i] for i in run],
-                          [folds[i] for i in run], opts, rho)
+                          [folds[i] for i in run], opts)
         for i, (cv_matrix, iterations, converged) in zip(run, cv):
             results[i] = _result(problems[i], grids[i], folds[i], cv_matrix,
-                                 iterations, converged, opts, rho)
+                                 iterations, converged, opts)
     return tuple(results)
 
 
-def _cv_matrices(problems, grids, folds, opts, rho):
+def _cv_matrices(problems, grids, folds, opts):
     """(cv_matrix, iterations, converged) of each problem, from one
     run_chains over the stacked folds of all of them; the grids share one
     size."""
@@ -240,7 +242,7 @@ def _cv_matrices(problems, grids, folds, opts, rho):
         per_fold[k[stopped], position[stopped], j[stopped]] = s[stopped]
 
     iterations, converged = run_chains(
-        sides.pop(), float(rho), np.repeat([g.lambdas for g in grids], K, axis=0),
+        sides.pop(), np.repeat([g.lambdas for g in grids], K, axis=0),
         np.repeat([g.gammas for g in grids], K, axis=0), opts, on_stop=score,
     )
     return [
@@ -251,7 +253,7 @@ def _cv_matrices(problems, grids, folds, opts, rho):
     ]
 
 
-def _result(data, grid, folds, cv_matrix, iterations, converged, opts, rho):
+def _result(data, grid, folds, cv_matrix, iterations, converged, opts):
     """The CvResult of one problem: its best cell and the refit there."""
     # a cell ties when within 1e-12 of the minimum, relative to it, so that
     # the rule holds in any response units.  Paths are descending, so the
@@ -261,9 +263,7 @@ def _result(data, grid, folds, cv_matrix, iterations, converged, opts, rho):
     best_i, best_j = np.argwhere(cv_matrix <= lo + 1e-12 * abs(lo))[0]
     best_lambda = grid.lambdas[best_i]
     best_gamma = grid.gammas[best_j]
-    refit = AdmmSolver(data, rho=rho).fit(
-        HyperParams(lam=best_lambda, gamma=best_gamma, rho=rho), opts=opts
-    )
+    refit = AdmmSolver(data).fit(HyperParams(lam=best_lambda, gamma=best_gamma), opts=opts)
     return CvResult(
         grid=grid,
         cv_matrix=cv_matrix,

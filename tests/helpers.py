@@ -85,13 +85,15 @@ def random_fit(rng, data, density=0.7):
 def run_sweeps(block, rho, lam, gammas, sweeps):
     """The state after exactly `sweeps` ADMM sweeps of run_chains from zero,
     whatever the stopping rule would say: a lambda path of `sweeps` copies
-    of lam, each fit stopped after its one sweep by max_iter=1."""
+    of lam, each fit stopped after its one sweep by max_iter=1, at step
+    parameter rho."""
     state = zero_state(block)
-    run_chains(block, rho, np.full(sweeps, lam), gammas, SolverOptions(max_iter=1), state=state)
+    run_chains(block, np.full(sweeps, lam), gammas, SolverOptions(max_iter=1, rho=rho),
+               state=state)
     return state
 
 
-def reference_sweep(data, state, hp):
+def reference_sweep(data, state, hp, rho):
     """One ADMM sweep of the step functions, run on each unstacked
     DatasetBlock of `data` in turn and in the order run_chains runs them;
     updates the stacked `state` in place.  Yields each step's name after
@@ -116,25 +118,25 @@ def reference_sweep(data, state, hp):
         update_intercept(b.u.T / b.n, state.alpha[m, None], R)
     yield "intercept"
     for m, b in enumerate(data):
-        state.B[m], XB[m] = ridge_step(ridge_factor(b.X, b.n, hp.rho),
+        state.B[m], XB[m] = ridge_step(ridge_factor(b.X, b.n, rho),
                                        b.Y - b.u * state.alpha[m] - ZC[m],
                                        state.B_bar[m] - state.B_dual[m])
     yield "B"
     for m, b in enumerate(data):
         if b.r:
             c, c_bar, c_dual = C[m]
-            c[...], ZC[m] = ridge_step(ridge_factor(b.Z, b.n, hp.rho),
+            c[...], ZC[m] = ridge_step(ridge_factor(b.Z, b.n, rho),
                                        b.Y - b.u * state.alpha[m] - XB[m], c_bar - c_dual)
     yield "C"
     for c, c_bar, c_dual in C:
-        c_bar[...] = soft_threshold(c + c_dual, hp.gamma / hp.rho)
+        c_bar[...] = soft_threshold(c + c_dual, hp.gamma / rho)
     yield "C_bar"
-    state.B_bar = group_soft_threshold(state.B + state.B_dual, hp.lam / hp.rho)
+    state.B_bar = group_soft_threshold(state.B + state.B_dual, hp.lam / rho)
     yield "B_bar"
-    t = hp.gamma / hp.rho
+    t = hp.gamma / rho
     for c, _, c_dual in C:
         c_dual[...] = np.clip(c + c_dual, -t, t)
-    t = hp.lam / hp.rho
+    t = hp.lam / rho
     _group_shrink(state.B + state.B_dual, -t, t, projected=state.B_dual)
     yield "duals"
 

@@ -163,6 +163,7 @@ def test_criterion_5_huge_penalties_give_intercept_only_fit(optimality_runs):
 def test_criterion_6_primal_steps_never_increase_merit_function():
     rng = np.random.default_rng(6001)
     hp = HyperParams(lam=0.4, gamma=0.3)
+    rho = SolverOptions().rho
     checked = 0
     for _ in range(1000):
         data = make_data(rng, M=2, n=8, p=3, q=2, r=2)
@@ -175,10 +176,10 @@ def test_criterion_6_primal_steps_never_increase_merit_function():
         st.C = rng.standard_normal(st.C.shape)
         st.C_bar = rng.standard_normal(st.C.shape)
         st.C_dual = rng.standard_normal(st.C.shape)
-        L = augmented_lagrangian(block, st, hp)
+        L = augmented_lagrangian(block, st, hp, rho)
         # the five steps before the dual ascent
-        for step in islice(reference_sweep(data, st, hp), 5):
-            after = augmented_lagrangian(block, st, hp)
+        for step in islice(reference_sweep(data, st, hp, rho), 5):
+            after = augmented_lagrangian(block, st, hp, rho)
             assert after <= L + 1e-10, step
             L = after
         checked += 1

@@ -53,7 +53,7 @@ def random_state(rng, block):
     return st
 
 
-def lagrangian_reference(data, st, hp):
+def lagrangian_reference(data, st, hp, rho):
     """Literal recomputation of the merit function, kept independent of the
     implementation."""
     total = 0.0
@@ -62,12 +62,12 @@ def lagrangian_reference(data, st, hp):
         R = block.Y - st.alpha[m] - block.X @ st.B[m] - block.Z @ C
         total += (R * R).sum() / (2 * block.n)
         diff = C - C_bar + C_dual
-        total += hp.rho / 2 * (diff * diff).sum()
+        total += rho / 2 * (diff * diff).sum()
         total += hp.gamma * np.abs(C_bar).sum()
     stacked = st.B_bar
     total += hp.lam * np.sqrt((stacked**2).sum(axis=0)).sum()
     diff = st.B - st.B_bar + st.B_dual
-    total += hp.rho / 2 * (diff * diff).sum()
+    total += rho / 2 * (diff * diff).sum()
     return float(total)
 
 
@@ -79,8 +79,8 @@ class TestLagrangian:
             block = stack(data)
             st = random_state(rng, block)
             hp = HyperParams(*rng.uniform(0.1, 1.0, 2))
-            assert augmented_lagrangian(block, st, hp) == pytest.approx(
-                lagrangian_reference(data, st, hp), rel=1e-12
+            assert augmented_lagrangian(block, st, hp, 1.0) == pytest.approx(
+                lagrangian_reference(data, st, hp, 1.0), rel=1e-12
             )
 
     def test_consensus_state_reduces_to_objective(self):
@@ -99,7 +99,7 @@ class TestLagrangian:
             B=tuple(st.B),
             C=tuple(st.C),
         )
-        assert augmented_lagrangian(block, st, hp) == pytest.approx(
+        assert augmented_lagrangian(block, st, hp, 1.0) == pytest.approx(
             objective(data, mf, hp), rel=1e-12
         )
 
@@ -114,9 +114,8 @@ class TestLagrangian:
         per_column = SimpleNamespace(
             lam=np.repeat(lam, 2, axis=-1)[:, None, :],
             gamma=np.repeat(gamma, 2, axis=-1)[:, None, :],
-            rho=1.3,
         )
-        got = augmented_lagrangian(block, st, per_column)
+        got = augmented_lagrangian(block, st, per_column, 1.3)
         assert got.shape == (2, 3)
         for k, data in enumerate(folds):
             for j in range(3):
@@ -124,15 +123,16 @@ class TestLagrangian:
                 chain = zero_state(stack(data))
                 for name in ("alpha", "B", "C", "B_bar", "B_dual", "C_bar", "C_dual"):
                     setattr(chain, name, getattr(st, name)[:, k, ..., c])
-                hp = HyperParams(lam[k, j], gamma[k, j], rho=1.3)
-                assert got[k, j] == pytest.approx(lagrangian_reference(data, chain, hp), rel=1e-12)
+                hp = HyperParams(lam[k, j], gamma[k, j])
+                assert got[k, j] == pytest.approx(lagrangian_reference(data, chain, hp, 1.3),
+                                                  rel=1e-12)
 
     def test_zero_state_zero_data(self):
         data = IntegratedDataset(
             (DatasetBlock(Y=np.zeros((3, 2)), X=np.zeros((3, 2))),)
         )
         block = stack(data)
-        assert augmented_lagrangian(block, zero_state(block), HyperParams(1, 1)) == 0.0
+        assert augmented_lagrangian(block, zero_state(block), HyperParams(1, 1), 1.0) == 0.0
 
 
 class TestSteps:
@@ -413,7 +413,7 @@ class TestFit:
         k = rep.iterations
         states = [fit(data, hp, SolverOptions(tol=opts.tol, max_iter=j)).state
                   for j in (k - 2, k - 1)] + [rep.state]
-        L = [augmented_lagrangian(stack(data), s, hp).item() for s in states]
+        L = [augmented_lagrangian(stack(data), s, hp, opts.rho).item() for s in states]
         assert abs(L[2] - L[1]) < opts.tol <= abs(L[1] - L[0])
 
     def test_warm_start_leaves_init_unchanged(self):
@@ -469,9 +469,9 @@ class TestFit:
     def test_solution_insensitive_to_rho(self):
         rng = np.random.default_rng(19)
         data = make_data(rng, M=2, n=30, p=4, q=2, r=2)
-        opts = SolverOptions(tol=1e-12, max_iter=50000)
-        rep1 = fit(data, HyperParams(0.3, 0.3, rho=1.0), opts)
-        rep2 = fit(data, HyperParams(0.3, 0.3, rho=2.5), opts)
+        hp = HyperParams(0.3, 0.3)
+        rep1, rep2 = (fit(data, hp, SolverOptions(tol=1e-12, max_iter=50000, rho=rho))
+                      for rho in (1.0, 2.5))
         assert rep1.objective == pytest.approx(rep2.objective, rel=1e-7)
 
     def test_dataset_permutation_equivariance(self):
@@ -527,13 +527,6 @@ class TestFit:
             with pytest.raises(ValueError):
                 solver.fit(HyperParams(0.1, 0.1), init=st)
 
-    def test_mismatched_rho_rejected(self):
-        rng = np.random.default_rng(24)
-        data = make_data(rng, M=1, n=10, p=2, q=1, r=0)
-        solver = AdmmSolver(data, rho=1.0)
-        with pytest.raises(ValueError):
-            solver.fit(HyperParams(0.1, 0.1, rho=2.0))
-
     @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
     def test_ridge_factors_reject_bad_rho(self, rho):
         data = make_data(np.random.default_rng(36), M=2, n=10, p=2, q=1, r=1)
@@ -555,12 +548,12 @@ class TestFit:
                           (12, [2], 1e-14), ([12, 15, 10], [2, 0, 1], 1e-14)):
             rng = np.random.default_rng(31)
             data = make_data(rng, M=len(r), n=n, p=3, q=2, r=r)
-            hp = HyperParams(0.3, 0.2, rho=1.7)
-            solver = AdmmSolver(data, rho=hp.rho)
+            hp, opts = HyperParams(0.3, 0.2), SolverOptions(max_iter=1, rho=1.7)
+            solver = AdmmSolver(data)
             start = random_state(rng, solver.block)
-            rep = solver.fit(hp, SolverOptions(max_iter=1), init=start)
+            rep = solver.fit(hp, opts, init=start)
             st = start.copy()
-            for _ in reference_sweep(data, st, hp):
+            for _ in reference_sweep(data, st, hp, opts.rho):
                 pass
             got = rep.state
             assert rep.iterations == 1 and got.iteration == start.iteration + 1
@@ -601,7 +594,7 @@ def run_recording(block, lambdas, gammas):
             finals[cell[k, j]] = tuple(a[:, k, ..., cols].copy()
                                        for a in (state.alpha, state.B_bar, state.C_bar))
 
-    out = run_chains(block, 1.0, lambdas, gammas, on_stop=record)
+    out = run_chains(block, lambdas, gammas, on_stop=record)
     return out, finals, shapes
 
 
@@ -674,28 +667,26 @@ class TestRunChains:
             return value
 
         with mock.patch.object(admm, "_lagrangian", checked):
-            run_chains(block, rho, lambdas, gammas, SolverOptions(tol=1e-300, max_iter=25),
+            run_chains(block, lambdas, gammas, SolverOptions(tol=1e-300, max_iter=25, rho=rho),
                        state=state)
         per_column = SimpleNamespace(
             lam=np.repeat(np.broadcast_to(lambdas, grid), q, axis=-1)[..., None, :],
             gamma=np.repeat(gammas, q, axis=-1)[..., None, :],
-            rho=rho,
         )
         full = [(value, checked) for value, checked in seen if value.shape == grid]
         assert full
         for value, checked in full:
-            want = augmented_lagrangian(block, checked, per_column)
+            want = augmented_lagrangian(block, checked, per_column, rho)
             assert (np.abs(value - want) <= 1e-13 * np.maximum(np.abs(want), 1)).all()
 
-    @pytest.mark.parametrize("lambdas, gammas, rho", [
-        ([0.1, -0.1], [0.1], 1.0), ([0.1], [np.nan], 1.0), ([np.inf], [0.1], 1.0),
-        ([0.1], [0.1], 0.0),
+    @pytest.mark.parametrize("lambdas, gammas", [
+        ([0.1, -0.1], [0.1]), ([0.1], [np.nan]), ([np.inf], [0.1]),
     ])
-    def test_bad_paths_rejected_before_the_first_iteration(self, lambdas, gammas, rho):
+    def test_bad_paths_rejected_before_the_first_iteration(self, lambdas, gammas):
         block = stack(make_data(np.random.default_rng(39), M=2, n=10, p=2, q=1, r=1))
         state = zero_state(block)
         with pytest.raises(ValueError):
-            run_chains(block, rho, lambdas, gammas, state=state)
+            run_chains(block, lambdas, gammas, state=state)
         assert state.iteration == 0
 
 
@@ -703,7 +694,7 @@ class TestSolverOptions:
     @pytest.mark.parametrize(
         "kw",
         [{"tol": 0.0}, {"tol": -1.0}, {"tol": np.inf}, {"tol": np.nan},
-         {"max_iter": 0}],
+         {"max_iter": 0}, {"rho": 0.0}, {"rho": -1.0}, {"rho": np.nan}, {"rho": np.inf}],
     )
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -759,16 +750,16 @@ class TestBlockwiseDescent:
         # criterion 6 at rho = 1.7 and 0.3: the ridge steps solve at rho and
         # the thresholds are lam / rho and gamma / rho
         rng = np.random.default_rng(29)
+        hp = HyperParams(0.4, 0.3)
         for rho in (0.3, 1.7):
-            hp = HyperParams(0.4, 0.3, rho=rho)
             for _ in range(300):
                 data = make_data(rng, M=2, n=8, p=3, q=2, r=2)
                 block = stack(data)
                 st = random_state(rng, block)
-                L = augmented_lagrangian(block, st, hp)
+                L = augmented_lagrangian(block, st, hp, rho)
                 # every step before the dual ascent
-                for step in islice(reference_sweep(data, st, hp), 5):
-                    after = augmented_lagrangian(block, st, hp)
+                for step in islice(reference_sweep(data, st, hp, rho), 5):
+                    after = augmented_lagrangian(block, st, hp, rho)
                     assert after <= L + 1e-10, (rho, step, after - L)
                     L = after
 
@@ -783,7 +774,7 @@ class TestBlockwiseMinimum:
         # scaling: thresholds at lam and gamma in place of lam / rho and
         # gamma / rho, or a dual entering a target with the wrong sign, fail
         rng = np.random.default_rng(40)
-        hp = HyperParams(0.4, 0.3, rho=rho)
+        hp = HyperParams(0.4, 0.3)
         updated = {"intercept": "alpha", "B": "B", "C": "C", "C_bar": "C_bar", "B_bar": "B_bar"}
         # C's rows past r_m are padding, not part of the block
         live = np.arange(max(r))[:, None] < np.array(r)[:, None, None]
@@ -791,13 +782,13 @@ class TestBlockwiseMinimum:
             data = make_data(rng, M=M, n=8, p=3, q=2, r=r)
             block = stack(data)
             st = random_state(rng, block)
-            for step in islice(reference_sweep(data, st, hp), 5):
+            for step in islice(reference_sweep(data, st, hp, rho), 5):
                 a = getattr(st, updated[step])
-                kept, L = a.copy(), augmented_lagrangian(block, st, hp).item()
+                kept, L = a.copy(), augmented_lagrangian(block, st, hp, rho).item()
                 mask = live if step.startswith("C") else 1.0
                 for _ in range(10):
                     a += 1e-4 * rng.standard_normal(a.shape) * mask
-                    after = augmented_lagrangian(block, st, hp).item()
+                    after = augmented_lagrangian(block, st, hp, rho).item()
                     a[...] = kept
                     assert after >= L - 1e-12 * abs(L), (step, after - L)
 

@@ -370,6 +370,38 @@ class TestCv:
         assert fa == fc
 
 
+class TestRho:
+    """The rho config key reaches the solver as SolverOptions.rho."""
+
+    def expected(self, lam, gamma, tol):
+        data = intmr.io.load_dataset(toy_blocks()).data
+        return intmr.admm.fit(data, intmr.HyperParams(lam, gamma),
+                              intmr.SolverOptions(tol=tol, rho=2.0))
+
+    def assert_model_is(self, model, rep):
+        # an integer in the config is written as the float the solver ran at
+        assert type(model["meta"]["rho"]) is float and model["meta"]["rho"] == 2.0
+        assert model["meta"]["iterations"] == rep.iterations
+        for field in ("alpha", "B", "C"):
+            for got, want in zip(model[field], getattr(rep.fit, field)):
+                assert np.array_equal(np.asarray(got, dtype=float).reshape(want.shape), want)
+
+    def test_fit(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, out=str(tmp_path), rho=2, lam=0.3, gamma=0.2)
+        code, _, err = run(capsys, "fit", "--config", cfg, "--tol", "1e-9")
+        assert code == 0, err
+        self.assert_model_is(read_json(tmp_path / "model.json"), self.expected(0.3, 0.2, 1e-9))
+
+    def test_cv(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, out=str(tmp_path), rho=2)
+        code, out, err = run(capsys, "cv", "--config", cfg, "--grid", TestCv.GRID, "--k", "3",
+                             "--tol", "1e-9")
+        assert code == 0, err
+        best = json.loads(out)
+        self.assert_model_is(read_json(tmp_path / "model.json"),
+                             self.expected(best["best_lambda"], best["best_gamma"], 1e-9))
+
+
 class TestSimulate:
     ARGS = (
         "--scenario",

@@ -12,6 +12,7 @@ compresses them.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from intmr.admm import SolverOptions
 from intmr.model import DatasetBlock, IntegratedDataset, HyperParams, ModelFit, stack
 from helpers import make_data, run_sweeps
 
@@ -21,18 +22,20 @@ SWEEPS = 60
 
 def draw_problem(data):
     """A random dataset collection with unequal n_m, some r_m = 0, and
-    penalties that leave part of B and C nonzero; rng for the transform."""
+    penalties that leave part of B and C nonzero, with SolverOptions at a
+    random rho; rng for the transform."""
     M, p, q = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (1, 3), (1, 3)))
     r = data.draw(st.lists(st.integers(0, 2), min_size=M, max_size=M))
     n = data.draw(st.lists(st.integers(4, 24), min_size=M, max_size=M))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    hp = HyperParams(*rng.uniform(0.01, 0.2, 2), rho=rng.uniform(0.5, 2.0))
-    return rng, make_data(rng, M=M, n=n, p=p, q=q, r=r), hp
+    params = HyperParams(*rng.uniform(0.01, 0.2, 2)), SolverOptions(rho=rng.uniform(0.5, 2.0))
+    return rng, make_data(rng, M=M, n=n, p=p, q=q, r=r), params
 
 
-def solve(blocks, hp):
+def solve(blocks, params):
+    hp, opts = params
     block = stack(IntegratedDataset(tuple(blocks)))
-    state = run_sweeps(block, hp.rho, hp.lam, [hp.gamma], SWEEPS)
+    state = run_sweeps(block, opts.rho, hp.lam, [hp.gamma], SWEEPS)
     return ModelFit(alpha=tuple(state.alpha), B=tuple(state.B_bar),
                     C=tuple(c[:r] for c, r in zip(state.C_bar, block.r)))
 
@@ -48,22 +51,22 @@ def assert_same(got, want):
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_row_permutation_within_a_dataset(data):
-    rng, problem, hp = draw_problem(data)
-    want = solve(problem, hp)
+    rng, problem, params = draw_problem(data)
+    want = solve(problem, params)
     moved = []
     for b in problem:
         order = rng.permutation(b.n)
         moved.append(DatasetBlock(Y=b.Y[order], X=b.X[order], Z=b.Z[order]))
-    assert_same(solve(moved, hp), want)
+    assert_same(solve(moved, params), want)
 
 
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_shared_column_permutation_moves_the_rows_of_B(data):
-    rng, problem, hp = draw_problem(data)
-    want = solve(problem, hp)
+    rng, problem, params = draw_problem(data)
+    want = solve(problem, params)
     order = rng.permutation(problem.p)
-    got = solve([DatasetBlock(Y=b.Y, X=b.X[:, order], Z=b.Z) for b in problem], hp)
+    got = solve([DatasetBlock(Y=b.Y, X=b.X[:, order], Z=b.Z) for b in problem], params)
     got = ModelFit(alpha=got.alpha, B=tuple(B[np.argsort(order)] for B in got.B), C=got.C)
     assert_same(got, want)
 
@@ -71,13 +74,13 @@ def test_shared_column_permutation_moves_the_rows_of_B(data):
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_specific_column_permutation_moves_the_rows_of_one_C(data):
-    rng, problem, hp = draw_problem(data)
-    want = solve(problem, hp)
+    rng, problem, params = draw_problem(data)
+    want = solve(problem, params)
     m = int(rng.integers(problem.M))
     order = rng.permutation(problem[m].r)
     blocks = list(problem)
     blocks[m] = DatasetBlock(Y=blocks[m].Y, X=blocks[m].X, Z=blocks[m].Z[:, order])
-    got = solve(blocks, hp)
+    got = solve(blocks, params)
     C = list(got.C)
     C[m] = C[m][np.argsort(order)]
     assert_same(ModelFit(alpha=got.alpha, B=got.B, C=tuple(C)), want)
@@ -86,10 +89,10 @@ def test_specific_column_permutation_moves_the_rows_of_one_C(data):
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_response_permutation_moves_the_columns_of_every_coefficient(data):
-    rng, problem, hp = draw_problem(data)
-    want = solve(problem, hp)
+    rng, problem, params = draw_problem(data)
+    want = solve(problem, params)
     order = rng.permutation(problem.q)
-    got = solve([DatasetBlock(Y=b.Y[:, order], X=b.X, Z=b.Z) for b in problem], hp)
+    got = solve([DatasetBlock(Y=b.Y[:, order], X=b.X, Z=b.Z) for b in problem], params)
     back = np.argsort(order)
     assert_same(ModelFit(alpha=tuple(a[back] for a in got.alpha),
                          B=tuple(B[:, back] for B in got.B),
@@ -99,15 +102,15 @@ def test_response_permutation_moves_the_columns_of_every_coefficient(data):
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_constant_added_to_a_response_moves_only_that_intercept(data):
-    rng, problem, hp = draw_problem(data)
-    want = solve(problem, hp)
+    rng, problem, params = draw_problem(data)
+    want = solve(problem, params)
     m, j = int(rng.integers(problem.M)), int(rng.integers(problem.q))
     shift = rng.uniform(-3.0, 3.0)
     blocks = list(problem)
     Y = blocks[m].Y.copy()
     Y[:, j] += shift
     blocks[m] = DatasetBlock(Y=Y, X=blocks[m].X, Z=blocks[m].Z)
-    got = solve(blocks, hp)
+    got = solve(blocks, params)
     alpha = [a.copy() for a in got.alpha]
     alpha[m][j] -= shift
     assert_same(ModelFit(alpha=tuple(alpha), B=got.B, C=got.C), want)

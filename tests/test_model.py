@@ -109,8 +109,6 @@ class TestContainers:
             HyperParams(-1.0, 0.0)
         with pytest.raises(ValueError):
             HyperParams(0.0, -0.5)
-        with pytest.raises(ValueError):
-            HyperParams(0.1, 0.1, rho=0.0)
 
     def test_fit_supports_reflect_exact_zeros(self):
         B1 = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -400,12 +398,12 @@ class TestCompress:
         data = self.tall()
         hp = HyperParams(0.02, 0.02)
         opts = SolverOptions(tol=1e-300, max_iter=20)
-        solver = AdmmSolver(data, rho=hp.rho)
+        solver = AdmmSolver(data)
         assert solver.block.Y.shape[-2] == 53
         rep = solver.fit(hp, opts)
         block = padded_stack(data)
         state = zero_state(block)
-        run_chains(block, hp.rho, [hp.lam], [hp.gamma], opts, state=state)
+        run_chains(block, [hp.lam], [hp.gamma], opts, state=state)
         got = rep.state
         assert rep.iterations == state.iteration == 20
         for name in ("alpha", "B", "C", "B_bar", "C_bar"):

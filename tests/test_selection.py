@@ -36,7 +36,7 @@ def cv_score(data, folds, hp, opts=None):
     scores = []
     for k in range(1, folds.K + 1):
         train, held = _split(data, folds, k)
-        rep = AdmmSolver(train, rho=hp.rho).fit(hp, opts=opts)
+        rep = AdmmSolver(train).fit(hp, opts=opts)
         scores.append(held_out_score(rep.fit, held))
     return float(np.mean(scores))
 
@@ -214,8 +214,8 @@ class TestCvScore:
         perm = [2, 0, 1]
         moved = IntegratedDataset(tuple(data[m] for m in perm))
         moved_folds = FoldAssignment(tuple(folds.labels[m] for m in perm), K=4, seed=5)
-        (base, it, conv), = selection._cv_matrices([data], [grid], [folds], None, 1.0)
-        (got, it_p, conv_p), = selection._cv_matrices([moved], [grid], [moved_folds], None, 1.0)
+        (base, it, conv), = selection._cv_matrices([data], [grid], [folds], None)
+        (got, it_p, conv_p), = selection._cv_matrices([moved], [grid], [moved_folds], None)
         assert np.array_equal(it_p, it) and np.array_equal(conv_p, conv)
         assert np.abs(got - base).max() <= 1e-12 * np.abs(base).max()
         drawn = make_folds(moved, 4, seed=5).labels
@@ -286,7 +286,7 @@ class TestSelect:
         # gamma.  The 5e-13 gap is that bound exactly at a minimum of 0.5
         cv_matrix = np.array([[2.0, 0.5 + gap], [0.5, 3.0]])
 
-        def crafted(problems, grids, folds, opts, rho):
+        def crafted(problems, grids, folds, opts):
             return [(cv_matrix, None, None) for _ in problems]
 
         monkeypatch.setattr(selection, "_cv_matrices", crafted)
@@ -302,7 +302,7 @@ class TestSelect:
         # tie with the larger-penalty cells
         cv_matrix = 1e-14 * np.array([[2.0, 1.5], [1.2, 1.0]])
 
-        def crafted(problems, grids, folds, opts, rho):
+        def crafted(problems, grids, folds, opts):
             return [(cv_matrix, None, None) for _ in problems]
 
         monkeypatch.setattr(selection, "_cv_matrices", crafted)
@@ -366,7 +366,7 @@ class TestSelectMany:
             select_many(problems, [grid, grid], K=3, seed=0)
 
 
-def sequential_chains(data, grid, folds, opts=None, rho=1.0):
+def sequential_chains(data, grid, folds, opts=None):
     """Per-fold scores, iteration counts and convergence flags from one
     warm-started AdmmSolver.fit chain per (fold, gamma): the unstacked
     reference for select."""
@@ -374,11 +374,11 @@ def sequential_chains(data, grid, folds, opts=None, rho=1.0):
     scores, iters, conv = np.zeros(shape), np.zeros(shape, int), np.zeros(shape, bool)
     for k in range(folds.K):
         train, held = _split(data, folds, k + 1)
-        solver = AdmmSolver(train, rho=rho)
+        solver = AdmmSolver(train)
         for j, gam in enumerate(grid.gammas):
             init = None
             for i, lam in enumerate(grid.lambdas):
-                rep = solver.fit(HyperParams(lam, gam, rho), opts=opts, init=init)
+                rep = solver.fit(HyperParams(lam, gam), opts=opts, init=init)
                 init = rep.state
                 scores[k, i, j] = held_out_score(rep.fit, held)
                 iters[k, i, j] = rep.iterations
@@ -392,12 +392,12 @@ def working_shapes(monkeypatch):
     grid loop of select."""
     shapes = []
 
-    def spy(block, rho, lambdas, gammas, opts=None, on_stop=None):
+    def spy(block, lambdas, gammas, opts=None, on_stop=None):
         def record(state, *rest):
             shapes.append(state.alpha.shape[1:])
             on_stop(state, *rest)
 
-        return run_chains(block, rho, lambdas, gammas, opts, on_stop=record)
+        return run_chains(block, lambdas, gammas, opts, on_stop=record)
 
     monkeypatch.setattr(selection, "run_chains", spy)
     return shapes
@@ -516,7 +516,7 @@ class TestStackedGrid:
         lambdas, gammas = (0.3, 0.02), np.array([0.5, 0.05, 0.005])
 
         def run(on_stop=None):
-            return run_chains(block, 1.0, lambdas, gammas, on_stop=on_stop)
+            return run_chains(block, lambdas, gammas, on_stop=on_stop)
 
         iters, _ = run()
         totals = iters.sum(axis=-1).ravel()
@@ -553,7 +553,7 @@ class TestStackedGrid:
                 state.C_dual[:, k, :, 2 * j] = np.nan
 
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
-            run_chains(block, 1.0, lambdas, gammas, on_stop=poison)
+            run_chains(block, lambdas, gammas, on_stop=poison)
         assert seen[-1] != seen[0]
 
     @pytest.mark.parametrize("p, r, name", [(3, 0, "B_dual"), (0, 2, "C_dual")])
@@ -574,7 +574,7 @@ class TestStackedGrid:
                 poisoned.append(cell[k, j])
 
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
-            run_chains(block, 1.0, lambdas, gammas, on_stop=poison)
+            run_chains(block, lambdas, gammas, on_stop=poison)
         assert poisoned
 
     def test_state_narrows_to_the_running_chains(self):
@@ -591,6 +591,6 @@ class TestStackedGrid:
             assert state.B.shape[1:] == (cell.shape[0], 3, 2 * cell.shape[1])
             seen.append(cell.shape)
 
-        run_chains(block, 1.0, lambdas, gammas, on_stop=record)
+        run_chains(block, lambdas, gammas, on_stop=record)
         assert seen[0] == (2, 3) and seen[-1] == (1, 1)
         assert all(a >= b for prev, now in zip(seen, seen[1:]) for a, b in zip(prev, now))
