@@ -18,7 +18,7 @@ import sys
 
 from . import admm, io, selection, sim
 from .admm import SolverOptions
-from .model import HyperParams, objective
+from .model import HyperParams, _check_fit_matches, objective
 
 __all__ = ["main", "cli", "UsageError"]
 
@@ -392,8 +392,10 @@ def _cmd_report(cfg):
     x_header = z_headers = None
     recomputed = {}
     if cfg.get("blocks"):
-        # report reads only the raw data and headers, so it never standardizes
+        # report reads only the raw data and headers, so it never standardizes;
+        # data that do not match the model stop it before it writes a file
         loaded = io.load_dataset(cfg["blocks"])
+        _check_fit_matches(loaded.data, fit)
         x_header, z_headers = loaded.x_header, loaded.z_headers
         if "lambda" in meta and not meta.get("standardized_fit"):
             # neither value depends on the solver's step parameter rho

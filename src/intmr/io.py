@@ -4,7 +4,8 @@ model serialization and study-result files.
 All writers go through an atomic write-temp-then-rename so a crash never
 leaves a half-written file, and all emitted files are deterministic
 functions of their inputs (no timestamps, sorted keys, shortest
-round-tripping float representation).
+round-tripping float representation).  Every CSV table goes through one
+writer, _write_csv.
 """
 
 import csv
@@ -12,6 +13,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -281,44 +283,37 @@ def _fmt(v):
     return repr(float(v))
 
 
+def _write_csv(path, header, rows):
+    """Write a headed table: comma-separated, one "\n" per row, float cells
+    by _fmt and other cells by str, and a cell quoted only where it holds a
+    comma, a double quote or a line break, so that csv.reader reads every
+    cell back."""
+    lines = []
+    # csv.writer quotes a cell that holds a character of its terminator, so
+    # "\r\n" quotes a lone "\r" too; it writes each row once, terminator last
+    writer = csv.writer(SimpleNamespace(write=lambda row: lines.append(row[:-2])),
+                        lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(c) if isinstance(c, float) else c for c in row] for row in rows)
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
 def write_boxplot_csv(metrics, path):
     """Long-format per-replicate table: one row per (scenario, method,
     dataset, response, replicate) with that cell's MSE and the replicate's
     selection rates."""
-    lines = ["scenario,method,dataset,response,replicate,mse,fpr,fnr"]
-    records = sorted(
-        metrics.records, key=lambda r: (r.scenario, r.method, r.replicate)
-    )
-    for rec in records:
-        M, q = rec.mse.shape
-        for m in range(M):
-            for k in range(q):
-                lines.append(
-                    "%s,%s,%d,%d,%d,%s,%s,%s"
-                    % (
-                        rec.scenario,
-                        rec.method,
-                        m + 1,
-                        k + 1,
-                        rec.replicate,
-                        _fmt(rec.mse[m, k]),
-                        _fmt(rec.fpr),
-                        _fmt(rec.fnr),
-                    )
-                )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    records = sorted(metrics.records, key=lambda r: (r.scenario, r.method, r.replicate))
+    _write_csv(path, "scenario,method,dataset,response,replicate,mse,fpr,fnr".split(","),
+               ((rec.scenario, rec.method, m + 1, k + 1, rec.replicate, rec.mse[m, k], rec.fpr,
+                 rec.fnr)
+                for rec in records for m, k in np.ndindex(rec.mse.shape)))
 
 
 def write_cv_matrix_csv(result, path):
     """CV score per grid cell; rows follow the lambda path, columns the
     gamma path (both descending)."""
-    header = "lambda," + ",".join(_fmt(g) for g in result.grid.gammas)
-    lines = [header]
-    for i, lam in enumerate(result.grid.lambdas):
-        lines.append(
-            _fmt(lam) + "," + ",".join(_fmt(v) for v in result.cv_matrix[i])
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, ("lambda",) + result.grid.gammas,
+               ((lam, *row) for lam, row in zip(result.grid.lambdas, result.cv_matrix)))
 
 
 def write_cv_diagnostics_csv(result, path):
@@ -326,48 +321,22 @@ def write_cv_diagnostics_csv(result, path):
     lambda index, gamma index), folds numbered 1..K and indices from 0 along
     the paths, with the cell's lambda and gamma, the fit's iteration count
     and whether it met the stopping rule (1) or hit the cap (0)."""
-    lines = ["fold,lambda_index,gamma_index,lambda,gamma,iterations,converged"]
-    for (k, i, j), its in np.ndenumerate(result.iterations):
-        lines.append("%d,%d,%d,%s,%s,%d,%d" % (
-            k + 1, i, j, _fmt(result.grid.lambdas[i]), _fmt(result.grid.gammas[j]), its,
-            result.converged[k, i, j]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    lambdas, gammas = result.grid.lambdas, result.grid.gammas
+    _write_csv(path, "fold,lambda_index,gamma_index,lambda,gamma,iterations,converged".split(","),
+               ((k + 1, i, j, lambdas[i], gammas[j], int(its), int(result.converged[k, i, j]))
+                for (k, i, j), its in np.ndenumerate(result.iterations)))
 
 
 def write_coefficient_csv(fit, path, x_header=None, z_headers=None):
     """Tidy coefficient table: dataset, block, covariate, response, estimate,
-    selected flag."""
-    lines = ["dataset,block,covariate,response,estimate,selected"]
+    selected flag.  Covariates take the names in x_header and z_headers[m],
+    else x1, x2, ... and z1, z2, ..."""
+    rows = []
     for m in range(fit.M):
-        names_x = x_header or ["x%d" % (j + 1) for j in range(fit.p)]
-        for j in range(fit.p):
-            for k in range(fit.q):
-                lines.append(
-                    "%d,shared,%s,%d,%s,%d"
-                    % (
-                        m + 1,
-                        names_x[j],
-                        k + 1,
-                        _fmt(fit.B[m][j, k]),
-                        int(fit.B[m][j, k] != 0),
-                    )
-                )
-        r = fit.C[m].shape[0]
-        names_z = (
-            z_headers[m]
-            if z_headers and m < len(z_headers) and z_headers[m]
-            else ["z%d" % (j + 1) for j in range(r)]
-        )
-        for j in range(r):
-            for k in range(fit.q):
-                lines.append(
-                    "%d,specific,%s,%d,%s,%d"
-                    % (
-                        m + 1,
-                        names_z[j],
-                        k + 1,
-                        _fmt(fit.C[m][j, k]),
-                        int(fit.C[m][j, k] != 0),
-                    )
-                )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        names_z = z_headers[m] if z_headers and m < len(z_headers) else None
+        for block, coef, names, prefix in (("shared", fit.B[m], x_header, "x"),
+                                           ("specific", fit.C[m], names_z, "z")):
+            names = names or ["%s%d" % (prefix, j + 1) for j in range(coef.shape[0])]
+            rows += [(m + 1, block, names[j], k, v, int(v != 0))
+                     for j, row in enumerate(coef.tolist()) for k, v in enumerate(row, 1)]
+    _write_csv(path, "dataset,block,covariate,response,estimate,selected".split(","), rows)

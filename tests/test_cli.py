@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -497,6 +498,55 @@ class TestReport:
                            "--config", cfg)
         assert code == 0, err
         assert "kkt_residual_recomputed" in read_json(tmp_path / "summary.json")
+
+    def test_report_rejects_data_that_do_not_match_the_model(self, tmp_path, capsys):
+        # a standardized fit skips the recomputed diagnostics, so report must
+        # check the data's dimensions against the model on its own
+        rng = np.random.default_rng(6)
+        tables = {"y": ("resp1", 1), "x2": ("a,b", 2), "x3": ("a,b,c", 3)}
+        for name, (header, cols) in tables.items():
+            np.savetxt(tmp_path / (name + ".csv"), rng.standard_normal((12, cols)),
+                       delimiter=",", header=header, comments="")
+        y = str(tmp_path / "y.csv")
+        cfg = write_config(tmp_path, "fit.json", blocks=[{"y": y, "x": str(tmp_path / "x2.csv")}],
+                           out=str(tmp_path))
+        code, _, err = run(capsys, "fit", "--config", cfg, "--standardize", "true",
+                           "--lambda", "0.1")
+        assert code == 0, err
+        cfg = write_config(tmp_path, "report.json",
+                           blocks=[{"y": y, "x": str(tmp_path / "x3.csv")}])
+        out = tmp_path / "rep"
+        code, _, err = run(capsys, "report", "--model", str(tmp_path / "model.json"),
+                           "--config", cfg, "--out", str(out))
+        assert code == 1
+        assert json.loads(err)["message"] == (
+            "fit dimensions (p=2, q=1) do not match data (p=3, q=1)")
+        assert os.listdir(out) == []
+
+    def test_covariate_names_round_trip(self, tmp_path, capsys):
+        # covariate names are the x and z headers; one holding a comma, a
+        # double quote or a line break must keep the other cells of its row
+        # in their columns
+        rng = np.random.default_rng(5)
+        headers = {"y": "r1,r2", "x": '"Nitrospira, sp.",plain',
+                   "z": '"say ""hi""","two\nlines","carriage\rreturn"'}
+        for name, header in headers.items():
+            cols = len(next(csv.reader([header])))
+            np.savetxt(tmp_path / (name + ".csv"), rng.standard_normal((15, cols)),
+                       delimiter=",", header=header, comments="")
+        blocks = [{name: str(tmp_path / (name + ".csv")) for name in headers}]
+        cfg = write_config(tmp_path, blocks=blocks, out=str(tmp_path))
+        code, _, err = run(capsys, "fit", "--config", cfg, "--lambda", "0.05", "--gamma", "0.05")
+        assert code == 0, err
+        code, _, err = run(capsys, "report", "--model", str(tmp_path / "model.json"),
+                           "--config", cfg)
+        assert code == 0, err
+        with open(tmp_path / "coefficients.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 6 for row in rows)
+        names = ["Nitrospira, sp.", "plain", 'say "hi"', "two\nlines", "carriage\rreturn"]
+        # each covariate has one row per response
+        assert [row[2] for row in rows[1:]] == [name for name in names for _ in range(2)]
 
     def test_report_without_data(self, tmp_path, capsys):
         cfg = write_config(tmp_path, out=str(tmp_path))

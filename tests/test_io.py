@@ -26,6 +26,7 @@ from intmr.io import (
     atomic_write_text,
     write_boxplot_csv,
     write_cv_matrix_csv,
+    write_cv_diagnostics_csv,
     write_coefficient_csv,
 )
 from helpers import make_data, random_fit
@@ -303,6 +304,32 @@ class TestStudyFiles:
         assert lines[0] == "lambda,2.0,0.2,0.02"
         assert lines[1] == "1.0,0.0,1.0,2.0"
         assert lines[2] == "0.1,3.0,4.0,5.0"
+
+    def test_cv_diagnostics_layout(self, tmp_path):
+        grid = CvGrid(lambdas=(1.0, 0.1), gammas=(2.0, 0.2))
+        res = CvResult(
+            grid=grid,
+            cv_matrix=np.zeros((2, 2)),
+            best_lambda=1.0,
+            best_gamma=2.0,
+            refit=None,
+            folds=None,
+            iterations=np.array([[[3, 40], [5, 4000]], [[7, 8], [9, 4000]]]),
+            converged=np.array([[[True, True], [True, False]], [[True, True], [True, False]]]),
+        )
+        p = tmp_path / "diag.csv"
+        write_cv_diagnostics_csv(res, p)
+        assert p.read_text() == (
+            "fold,lambda_index,gamma_index,lambda,gamma,iterations,converged\n"
+            "1,0,0,1.0,2.0,3,1\n"
+            "1,0,1,1.0,0.2,40,1\n"
+            "1,1,0,0.1,2.0,5,1\n"
+            "1,1,1,0.1,0.2,4000,0\n"
+            "2,0,0,1.0,2.0,7,1\n"
+            "2,0,1,1.0,0.2,8,1\n"
+            "2,1,0,0.1,2.0,9,1\n"
+            "2,1,1,0.1,0.2,4000,0\n"
+        )
 
     def test_coefficient_table(self, tmp_path):
         rng = np.random.default_rng(9)

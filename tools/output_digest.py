@@ -4,18 +4,23 @@ Run from the repository root, with the package to check importable:
 
     PYTHONPATH=src python3 tools/output_digest.py [--cv-seeds S ...] [--study-seeds S ...]
 
-Two sets of outputs are digested (standard library and numpy only):
+Three sets of outputs are digested (standard library and numpy only):
 
 * cv:    every file that ``intmr cv --grid 3x2 --k 5`` followed by
          ``intmr report`` writes on tests/data/highdim, one run per fold seed;
 * study: the records of ``sim.run_study`` with all four methods on scenario
          M2_n75_s5_rx01_ry01 (replicate 0, 10x8 grid, K=5, tol 1e-6,
          max_iter 4000, n_test 1000), one run per simulation seed: each
-         record's method, MSE bytes, FPR and FNR, and the failures.
+         record's method, MSE bytes, FPR and FNR, and the failures;
+* simulate: boxplot.csv and study.json as ``intmr simulate`` writes them for
+         scenario M2_n15_s5_rx01_ry01 with all four methods (2 replicates,
+         3x2 grid, K=3, n_test 40, tol 1e-5, max_iter 1500, seed 5: the
+         arguments of acceptance criterion 8), one run.
 
-The defaults are the benchmark's inputs.  Each line is "<set> seed <s>
-<output> <digest>", so two trees compare with diff: point PYTHONPATH at the
-other tree's src to digest its outputs against the same inputs.
+The cv and study defaults are the benchmark's inputs.  Each line is
+"<set> seed <s> <output> <digest>", so two trees compare with diff: point
+PYTHONPATH at the other tree's src to digest its outputs against the same
+inputs.
 
 After the digests come the lines that rounding cannot move, so that equal
 lines show a solver change kept the iterates when it moves every digest in
@@ -59,6 +64,14 @@ def _run(argv):
         raise SystemExit("intmr %s exited %d: %s" % (argv[0], code, out.getvalue().strip()))
 
 
+def _file_digests(directory):
+    digests = []
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            digests.append((name, _sha(fh.read())))
+    return digests
+
+
 @contextlib.contextmanager
 def _selections(*targets):
     """The results of every call made in the block to the functions
@@ -94,13 +107,20 @@ def cv_digests(seed, grid="3x2"):
               "--out", out])
         _run(["report", "--model", os.path.join(out, "model.json"), "--config", config,
               "--out", out])
-        digests = []
-        for name in sorted(os.listdir(out)):
-            with open(os.path.join(out, name), "rb") as fh:
-                digests.append((name, _sha(fh.read())))
+        digests = _file_digests(out)
     (res,) = results
     cell = res.grid.lambdas.index(res.best_lambda), res.grid.gammas.index(res.best_gamma)
     return digests, "%d %d %d,%d" % ((int(res.iterations.sum()), res.refit.iterations) + cell)
+
+
+def simulate_digests(seed):
+    """(file name, digest) of every file that intmr simulate writes with
+    acceptance criterion 8's arguments and all four methods."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _run(["simulate", "--scenario", "M2_n15_s5_rx01_ry01", "--replicates", "2",
+              "--methods", ",".join(METHODS), "--grid", "3x2", "--k", "3", "--n-test", "40",
+              "--tol", "1e-5", "--max-iter", "1500", "--seed", str(seed), "--out", tmp])
+        return _file_digests(tmp)
 
 
 def study_digests(seed):
@@ -143,6 +163,8 @@ def main(argv=None):
         iterates += ["study seed %d iterates %s" % (seed, line) for line in lines]
         for name, digest in digests:
             print("study seed %d %s %s" % (seed, name, digest))
+    for name, digest in simulate_digests(5):
+        print("simulate seed 5 %s %s" % (name, digest))
     print("\n".join(iterates))
 
 
