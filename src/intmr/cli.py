@@ -145,6 +145,8 @@ def _check_config_value(config, key, val):
     if isinstance(val, want) and (bool in want or not isinstance(val, bool)):
         if key == "blocks":
             _check_blocks(config, val)
+        if key == "scenario" and isinstance(val, list):
+            _check_scenarios(config, val)
         return
     raise UsageError(
         "config file %s: %r must be %s, got %s"
@@ -160,6 +162,14 @@ def _check_blocks(config, blocks):
                 and isinstance(b.get("x"), str) and isinstance(b.get("z"), (str, type(None)))):
             raise UsageError('config file %s: blocks[%d] must be {"y": path, "x": path[, "z": '
                              'path]}, got %s' % (config, i, json.dumps(b)))
+
+
+def _check_scenarios(config, scenarios):
+    """Each entry of a scenario list is a scenario name."""
+    for i, s in enumerate(scenarios):
+        if not isinstance(s, str):
+            raise UsageError("config file %s: scenario[%d] must be a scenario name, got %s"
+                             % (config, i, json.dumps(s)))
 
 
 def _settings(args):

@@ -17,11 +17,13 @@ model.stack, whose row compression leaves a held-out loss unchanged.
 select_many stacks the folds of several independent problems on the same
 fold axis, each fold with its own problem's lambda and gamma paths, so one
 loop serves, say, every response or every dataset of a per-response or
-per-dataset baseline.  The scorer narrows the held-out block only when the
-working set changes.
+per-dataset baseline.  When fits stop, the loop only copies each one's
+consensus fit (alpha, B_bar, C_bar) into a store by (fold, lambda, gamma);
+after the run, every held-out loss is computed in one pass over the whole
+held-out block.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -223,34 +225,46 @@ def _cv_matrices(problems, grids, folds, opts):
     splits = (_split(d, f, k) for d, f in zip(problems, folds) for k in range(1, K + 1))
     # each side's (fold, dataset) blocks stack as (dataset, fold); the
     # unstacked copies are freed once both are built.  The training side is
-    # popped into run_chains, its one holder, so narrowing frees it
+    # popped into run_chains, its one holder, so the first fold to leave the
+    # working set frees it
     sides = [stack(np.array(side, dtype=object).T, G) for side in zip(*splits)]
     held = sides.pop()
-    shape = (len(problems) * K, G)
-    per_fold = np.zeros((len(problems) * K, L, G))
-    working = None
+    q = held.q
+    # each fit's consensus copies alpha, B_bar and C_bar, by (dataset, fold,
+    # lambda, ..., gamma, response)
+    fits = [np.empty(held.n.shape[:2] + (L,) + rows + (G, q))
+            for rows in ((), (held.p,), (held.Z.shape[-1],))]
 
-    def score(state, stopped, cell, position):
-        nonlocal working
-        # the held-out block narrows with the working set, not per stop
-        if working is None or working[0] is not cell:
-            k, j = np.unravel_index(cell, shape)
-            working = cell, k, j, held.narrow((k[:, 0],), k.shape[1])
-        _, k, j, h = working
-        R = h.Y - predict(h, state.alpha, state.B_bar, state.C_bar)
-        s = chain_sums(block_loss(h, R).sum(axis=0)[..., 0, :], h.q)
-        per_fold[k[stopped], position[stopped], j[stopped]] = s[stopped]
+    def copy_fits(state, stopped, cell, position):
+        chains = [a.reshape(a.shape[:-1] + (a.shape[-1] // q, q))
+                  for a in (state.alpha, state.B_bar, state.C_bar)]
+        for k, j in zip(*np.nonzero(stopped)):
+            fold, gamma = divmod(int(cell[k, j]), G)
+            for store, a in zip(fits, chains):
+                store[:, fold, position[k, j], ..., gamma, :] = a[:, k, ..., j, :]
 
     iterations, converged = run_chains(
         sides.pop(), np.repeat([g.lambdas for g in grids], K, axis=0),
-        np.repeat([g.gammas for g in grids], K, axis=0), opts, on_stop=score,
+        np.repeat([g.gammas for g in grids], K, axis=0), opts, on_stop=copy_fits,
     )
+    per_fold = _held_out_losses(held, *fits)
     return [
         (per_fold[i * K:(i + 1) * K].mean(axis=0),
          iterations[i * K:(i + 1) * K].transpose(0, 2, 1),
          converged[i * K:(i + 1) * K].transpose(0, 2, 1))
         for i in range(len(problems))
     ]
+
+
+def _held_out_losses(held, alpha, B, C):
+    """The held-out loss of every fit, (fold, lambda, gamma), in one pass
+    over the held-out block: alpha, B and C hold each fit's consensus
+    copies, shaped (dataset, fold, lambda, ..., gamma, response)."""
+    lifted = replace(held, **{name: getattr(held, name)[:, :, None]
+                              for name in ("Y", "X", "Z", "u", "n")})
+    alpha, B, C = (a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],)) for a in (alpha, B, C))
+    R = lifted.Y - predict(lifted, alpha, B, C)
+    return chain_sums(block_loss(lifted, R).sum(axis=0)[..., 0, :], held.q)
 
 
 def _result(data, grid, folds, cv_matrix, iterations, converged, opts):

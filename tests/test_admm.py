@@ -679,6 +679,46 @@ class TestRunChains:
             want = augmented_lagrangian(block, checked, per_column, rho)
             assert (np.abs(value - want) <= 1e-13 * np.maximum(np.abs(want), 1)).all()
 
+    def test_state_stays_in_the_runs_buffers_across_narrowings(self):
+        # the working set narrows in place: at every stop event each of the
+        # state's coefficient fields is a contiguous view that lies within
+        # the memory the fields viewed at the first event and shares memory
+        # with one of them, and no two fields overlap, through narrowings of
+        # the chains alone and of whole folds.  Arrays allocated per
+        # narrowing would lie outside, since the first ones stay referenced
+        rng = np.random.default_rng(52)
+        folds = [make_data(rng, M=2, n=n, p=3, q=2, r=2) for n in (20, 60)]
+        block = stack([[f[m] for f in folds] for m in range(2)], chains=3)
+        lambdas, gammas = (0.3, 0.1, 0.02), np.array([0.5, 0.05, 0.005])
+        names = [f.name for f in fields(admm.AdmmState) if f.name != "iteration"]
+        first, shapes = [], []
+
+        def span(a):
+            start = a.__array_interface__["data"][0]
+            return start, start + a.nbytes
+
+        def record(state, stopped, cell, position):
+            shapes.append(cell.shape)
+            arrays = [getattr(state, name) for name in names]
+            if not first:
+                first.extend(arrays)
+            low = min(span(a)[0] for a in first)
+            high = max(span(a)[1] for a in first)
+            for name, a in zip(names, arrays):
+                assert a.flags.c_contiguous, name
+                assert low <= span(a)[0] and span(a)[1] <= high, name
+                assert any(np.shares_memory(a, b) for b in first), name
+            for i, a in enumerate(arrays):
+                for b in arrays[i + 1:]:
+                    assert not np.shares_memory(a, b)
+
+        run_chains(block, lambdas, gammas, on_stop=record)
+        # both kinds of narrowing happened: a fold left, and a fold kept
+        # fewer chains
+        steps = list(zip(shapes, shapes[1:]))
+        assert any(b[0] < a[0] for a, b in steps)
+        assert any(b[0] == a[0] and b[1] < a[1] for a, b in steps)
+
     @pytest.mark.parametrize("lambdas, gammas", [
         ([0.1, -0.1], [0.1]), ([0.1], [np.nan]), ([np.inf], [0.1]),
     ])
@@ -694,11 +734,21 @@ class TestSolverOptions:
     @pytest.mark.parametrize(
         "kw",
         [{"tol": 0.0}, {"tol": -1.0}, {"tol": np.inf}, {"tol": np.nan},
-         {"max_iter": 0}, {"rho": 0.0}, {"rho": -1.0}, {"rho": np.nan}, {"rho": np.inf}],
+         {"max_iter": 0}, {"rho": 0.0}, {"rho": -1.0}, {"rho": np.nan}, {"rho": np.inf},
+         {"max_iter": 2.5}, {"max_iter": 3.0}, {"max_iter": True}, {"max_iter": False},
+         {"max_iter": "3"}],
     )
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
             SolverOptions(**kw)
+
+    def test_integer_max_iter_stored_as_int(self):
+        # max_iter=2.5 used to run 3 sweeps and True 1
+        opts = SolverOptions(max_iter=np.int64(3))
+        assert type(opts.max_iter) is int and opts.max_iter == 3
+        data = make_data(np.random.default_rng(37), M=2, n=12, p=3, q=2, r=1)
+        rep = fit(data, HyperParams(0.1, 0.1), SolverOptions(tol=1e-300, max_iter=np.int64(3)))
+        assert rep.iterations == 3 and not rep.converged
 
 
 class TestDiagnostics:

@@ -122,6 +122,15 @@ class TestUsageErrors:
         doc = self.check(capsys, "fit", "--config", cfg)
         assert "blocks[%d]" % index in doc["message"]
 
+    # a non-string scenario used to exit 1 with a TypeError from the name's
+    # regular expression
+    @pytest.mark.parametrize("scenarios, index", [([1], 0), (["M2_n15_s5_rx01_ry01", None], 1),
+                                                  ([["M2_n15_s5_rx01_ry01"]], 0)])
+    def test_malformed_scenario_entry(self, tmp_path, capsys, scenarios, index):
+        cfg = write_config(tmp_path, scenario=scenarios)
+        doc = self.check(capsys, "simulate", "--config", cfg, "--out", str(tmp_path))
+        assert "scenario[%d]" % index in doc["message"]
+
     def test_bad_grid_spec(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         self.check(capsys, "cv", "--config", cfg, "--grid", "banana")

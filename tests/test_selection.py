@@ -354,6 +354,22 @@ class TestSelectMany:
                 assert all(np.array_equal(x, y) for x, y in zip(a, b))
             assert all(np.array_equal(x, y) for x, y in zip(got.folds.labels, want.folds.labels))
 
+    def test_unequal_row_counts_match_sequential_chains(self):
+        # problems of unequal row counts pad each other's folds in one run,
+        # on both sides: the training rows are raw (at most 1 + p + r_m + q,
+        # 11 and 10 here) or compressed, and the held-out rows number 4 to 8.
+        # Each problem's scores still match its own unstacked chains
+        rng = np.random.default_rng(18)
+        problems = [make_data(rng, M=2, n=n, p=6, q=2, r=[2, 1])
+                    for n in ([12, 15], [20, 24], [14, 13])]
+        grids = [default_grid(d, 3, 2) for d in problems]
+        for data, grid, got in zip(problems, grids, select_many(problems, grids, K=3, seed=2)):
+            scores, iters, conv = sequential_chains(data, grid, got.folds)
+            ref = scores.mean(axis=0)
+            assert np.abs(got.cv_matrix - ref).max() <= 1e-9 * np.abs(ref).max()
+            assert np.array_equal(got.iterations, iters)
+            assert np.array_equal(got.converged, conv)
+
     @pytest.mark.parametrize("other", [
         dict(M=3, p=3, q=2, r=1), dict(M=2, p=4, q=2, r=1), dict(M=2, p=3, q=1, r=1),
         dict(M=2, p=3, q=2, r=2),
@@ -487,6 +503,31 @@ class TestStackedGrid:
         )
         assert res.converged.any() and not res.converged.all()
         assert (res.iterations[~res.converged] == cap).all()
+
+    def test_scores_after_the_run_match_sequential_chains(self, monkeypatch):
+        # the held-out losses are taken after the run from each fit's stored
+        # consensus copies; they must match the unstacked reference in a run
+        # where chains of different folds stop on one sweep, fits stop at
+        # max_iter, and a whole fold leaves the working set
+        events = []
+
+        def spy(block, lambdas, gammas, opts=None, on_stop=None):
+            def record(state, stopped, cell, position):
+                events.append((stopped.any(axis=-1).sum(), cell.shape[0]))
+                on_stop(state, stopped, cell, position)
+
+            return run_chains(block, lambdas, gammas, opts, on_stop=record)
+
+        monkeypatch.setattr(selection, "run_chains", spy)
+        rng = np.random.default_rng(61)
+        data = make_data(rng, M=2, n=[19, 26], p=3, q=2, r=2)
+        grid = default_grid(data, 3, 2)
+        cap = int(np.percentile(select(data, grid, K=4, seed=1).iterations, 80))
+        events.clear()
+        res = assert_matches_sequential(data, grid, K=4, seed=1, opts=SolverOptions(max_iter=cap))
+        assert not res.converged.all() and (res.iterations[~res.converged] == cap).all()
+        assert any(folds >= 2 for folds, _ in events)
+        assert any(b < a for (_, a), (_, b) in zip(events, events[1:]))
 
     def test_tiny_max_iter_marks_capped_cells(self):
         rng = np.random.default_rng(45)

@@ -33,7 +33,15 @@ the last bits:
   --seed 0`` on tests/data/highdim;
 * "study seed <s> iterates <method> <grid iterations> <refit iterations>"
   per study seed and method: the sum of CvResult.iterations over every
-  selection the method ran and the refit iteration counts, comma-joined.
+  selection the method ran and the refit iteration counts, comma-joined;
+* "cv seed <s> loop <sweeps> <stop events> <working-set changes>" per cv
+  run, "cv15 seed 0 loop ..." likewise, and "study seed <s> loop <method>
+  ..." per study seed and method: what the CV grid's loops did, summed over
+  the method's selections.  They are counted through run_chains's public
+  contract alone, so that they read the same on any tree that keeps it:
+  sweeps as the state's iteration at the run's last stop event, stop
+  events as on_stop calls, and working-set changes as the times on_stop
+  got a new cell array.
 """
 
 import argparse
@@ -75,27 +83,48 @@ def _file_digests(directory):
 @contextlib.contextmanager
 def _selections(*targets):
     """The results of every call made in the block to the functions
-    (module, name) in targets, in call order."""
+    (module, name) in targets, in call order, each with the loop counts
+    (sweeps, stop events, working-set changes) of the grid runs it made."""
     results, saved = [], [(module, name, getattr(module, name)) for module, name in targets]
+    counts = [0, 0, 0]
+    run_chains = selection.run_chains
+
+    def counted(block, lambdas, gammas, opts=None, state=None, on_stop=None):
+        last = {}
+
+        def stop(state, stopped, cell, position):
+            counts[1] += 1
+            counts[2] += "cell" in last and last["cell"] is not cell
+            last.update(cell=cell, sweeps=state.iteration)
+            if on_stop is not None:
+                on_stop(state, stopped, cell, position)
+
+        out = run_chains(block, lambdas, gammas, opts, state=state, on_stop=stop)
+        counts[0] += last.get("sweeps", 0)
+        return out
 
     def recorder(call):
         def record(*args, **kwargs):
-            results.append(call(*args, **kwargs))
-            return results[-1]
+            result = call(*args, **kwargs)
+            results.append((result, tuple(counts)))
+            counts[:] = [0, 0, 0]
+            return result
         return record
 
     for module, name, call in saved:
         setattr(module, name, recorder(call))
+    selection.run_chains = counted
     try:
         yield results
     finally:
+        selection.run_chains = run_chains
         for module, name, call in saved:
             setattr(module, name, call)
 
 
 def cv_digests(seed, grid="3x2"):
     """(file name, digest) of every file that cv and report write, and the
-    iterates line of the cv run."""
+    iterates and loop lines of the cv run."""
     with tempfile.TemporaryDirectory() as tmp, _selections((selection, "select")) as results:
         config = os.path.join(tmp, "config.json")
         blocks = {part: os.path.join(HIGHDIM, part + ".csv") for part in ("y", "x", "z")}
@@ -108,9 +137,10 @@ def cv_digests(seed, grid="3x2"):
         _run(["report", "--model", os.path.join(out, "model.json"), "--config", config,
               "--out", out])
         digests = _file_digests(out)
-    (res,) = results
+    ((res, loop),) = results
     cell = res.grid.lambdas.index(res.best_lambda), res.grid.gammas.index(res.best_gamma)
-    return digests, "%d %d %d,%d" % ((int(res.iterations.sum()), res.refit.iterations) + cell)
+    return digests, "%d %d %d,%d" % ((int(res.iterations.sum()), res.refit.iterations) + cell), \
+        "%d %d %d" % loop
 
 
 def simulate_digests(seed):
@@ -125,7 +155,7 @@ def simulate_digests(seed):
 
 def study_digests(seed):
     """(method, digest) of every record of one replicate and of its
-    failures, and the iterates line of each method."""
+    failures, and the iterates and loop lines of each method."""
     config = sim.parse_scenario(SCENARIO, seed=seed, n_test=1000)
     # sim imports select and select_many by name; each method makes one call
     with _selections((sim, "select"), (sim, "select_many")) as results:
@@ -136,14 +166,15 @@ def study_digests(seed):
         (r.method, _sha(r.method.encode() + r.mse.tobytes() + repr((r.fpr, r.fnr)).encode()))
         for r in metrics.records
     ]
-    iterates = []
-    for method, res in zip(METHODS, results):
+    iterates, loops = [], []
+    for method, (res, loop) in zip(METHODS, results):
         res = res if isinstance(res, tuple) else (res,)
         iterates.append("%s %d %s" % (method, sum(int(r.iterations.sum()) for r in res),
                                       ",".join(str(r.refit.iterations) for r in res)))
+        loops.append("%s %d %d %d" % ((method,) + loop))
     if len(results) != len(METHODS):
         iterates.append("selections %d, expected %d" % (len(results), len(METHODS)))
-    return digests + [("failures", _sha(repr(metrics.failures).encode()))], iterates
+    return digests + [("failures", _sha(repr(metrics.failures).encode()))], iterates, loops
 
 
 def main(argv=None):
@@ -153,14 +184,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     iterates = []
     for seed in args.cv_seeds:
-        digests, line = cv_digests(seed)
-        iterates.append("cv seed %d iterates %s" % (seed, line))
+        digests, line, loop = cv_digests(seed)
+        iterates += ["cv seed %d iterates %s" % (seed, line), "cv seed %d loop %s" % (seed, loop)]
         for name, digest in digests:
             print("cv seed %d %s %s" % (seed, name, digest))
-    iterates.append("cv15 seed 0 iterates %s" % cv_digests(0, "15x15")[1])
+    _, line, loop = cv_digests(0, "15x15")
+    iterates += ["cv15 seed 0 iterates %s" % line, "cv15 seed 0 loop %s" % loop]
     for seed in args.study_seeds:
-        digests, lines = study_digests(seed)
+        digests, lines, loops = study_digests(seed)
         iterates += ["study seed %d iterates %s" % (seed, line) for line in lines]
+        iterates += ["study seed %d loop %s" % (seed, line) for line in loops]
         for name, digest in digests:
             print("study seed %d %s %s" % (seed, name, digest))
     for name, digest in simulate_digests(5):
