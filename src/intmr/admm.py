@@ -53,15 +53,12 @@ contiguous views into them.  The target, the threshold input and the
 increment x - z + u each run once over both blocks, and the thresholds are
 held as flat [gamma / rho | lambda / rho] arrays of t and -t shaped like one
 dataset's [C | B], with which one dataset's buffer is clipped at once.  The
-buffers and every workspace are allocated once per run, at the size of its
-first working set, and each working set's arrays are contiguous views of
-their leading parts (_WorkingSet), so a sweep writes with out= and
-allocates no array.  When the loop narrows to the chains still running,
-the state is gathered in place into the leading part of its buffer, and the
-products, thresholds and weights are refilled from it.  The intercept row
-u'/n is cut to the leading rows where some u is nonzero (row 0 alone for a
-compressed dataset), and the intercept step and Y - u alpha' run over
-those rows only.
+buffers, the views and every workspace are built afresh for each working
+set (_sweeper), at the start of a run and after each narrowing, once the
+old working set is freed, so a sweep writes with out= and allocates no
+array.  The intercept row u'/n is built there too, cut to the leading rows
+where some u is nonzero (row 0 alone for a compressed dataset), and the
+intercept step and Y - u alpha' run over those rows only.
 
 The loop keeps what the steps share: Y - u alpha' once per sweep, X B and
 Z C as the ridge steps return them, the residual R = Y - u alpha' - X B - Z C
@@ -285,30 +282,24 @@ class _Merit(NamedTuple):
     chains: np.ndarray
 
 
-def _merit_buffers(block, rho, gamma, lam, cols=None, buffers=None):
-    """A buffer for the pieces of the augmented Lagrangian, its per-entry
-    weights and the buffer of their column sums.
+def _merit_buffers(block, rho, gamma, lam):
+    """A zeroed buffer for the pieces of the augmented Lagrangian, its
+    per-entry weights and the buffer of their column sums.
 
     Each dataset has the rows [R^2 | G_C^2 | G_B^2 | |C_bar|], with
     G_C = C - C_bar + C_dual and G_B = B - B_bar + B_dual, weighted
     [1/(2n) | rho/2 | rho/2 | gamma]; after every dataset's rows come the
     group norms of B_bar, weighted lambda.  gamma broadcasts against one
     dataset's C and lam against the group norms.  Holds the buffer
-    (*folds, M k + p, cols), the weights, views of the five pieces shaped
+    (*folds, M k + p, G q), the weights, views of the five pieces shaped
     like R, C, B, C and the group norms, the view of the lambda weights, the
-    column sums (*folds, 1, cols) and their view per chain (*folds, G, q).
-    cols is block.Y's column count unless given.  The pieces are zeroed,
-    or, given two flat buffers (pieces, weights), laid out in their leading
-    parts as they are.
+    column sums (*folds, 1, G q) and their view per chain (*folds, G, q).
     """
     M, rows, r, p = len(block.Y), block.Y.shape[-2], block.Z.shape[-1], block.p
-    folds, cols = block.Y.shape[1:-2], cols or block.Y.shape[-1]
+    folds, cols = block.Y.shape[1:-2], block.Y.shape[-1]
     k = rows + 2 * r + p
-    shape = folds + (M * k + p, cols)
-    if buffers is None:
-        pieces, weights = np.zeros(shape), np.empty(shape)
-    else:
-        pieces, weights = (b[:math.prod(shape)].reshape(shape) for b in buffers)
+    pieces = np.zeros(folds + (M * k + p, cols))
+    weights = np.empty_like(pieces)
 
     axes = (len(folds),) + tuple(range(len(folds))) + (len(folds) + 1, len(folds) + 2)
 
@@ -423,226 +414,134 @@ def _split(flat, shapes):
     return views
 
 
-def _narrowed(M, K, rows, W, folds, cols):
-    """Flat indices into a C-ordered (M, K, rows, W) array of its entries at
-    the folds `folds` (K',), each fold's last axis taken at its row of
-    `cols` (K', W'); shaped (M, K', rows, W')."""
-    i = (np.arange(M)[:, None] * K + folds) * rows
-    i = (i[..., None] + np.arange(rows)) * W
-    return i[..., None] + cols[:, None, :]
+def _take_columns(a, folds, cols):
+    """a[:, *folds] with its last axis taken per fold at cols: one np.take
+    at each row's flat offset plus its fold's columns, which costs less
+    than np.take_along_axis's index over every axis."""
+    a = a[(slice(None),) + folds]
+    cols = cols.reshape(cols.shape[:-1] + (1,) * (a.ndim - cols.ndim - 1) + cols.shape[-1:])
+    rows = np.arange(0, a.size, a.shape[-1]).reshape(a.shape[:-1] + (1,))
+    return np.take(a, rows + cols)
 
 
-# the state's fields in x, z and u, each laid out [C | B]
-_FLAT = (("C", "B"), ("C_bar", "B_bar"), ("C_dual", "B_dual"))
+def _own(state, names):
+    """Copy the state's arrays `names` into one new flat buffer, in that
+    order, and point those fields at contiguous views of it; returns the
+    buffer.  The arrays the fields held are not written."""
+    arrays = [getattr(state, name) for name in names]
+    flat = np.empty(sum(a.size for a in arrays))
+    for name, a, view in zip(names, arrays, _split(flat, [a.shape for a in arrays])):
+        view[...] = a
+        setattr(state, name, view)
+    return flat
 
 
-class _WorkingSet:
-    """The buffers of one run_chains call, and the sweep of its working set.
+def _sweeper(block, factors, state, rho, tol, gamma, lam, prev):
+    """One working set's sweep, and the setter of its chains' lambdas.
 
-    Every buffer is flat, allocated once per run at the size of the first,
-    widest working set, and a working set's arrays are contiguous views of
-    their leading parts.  One buffer, `iterate`, holds the state: alpha
-    (M, *folds, G q), then x, z and u (see the module docstring).  narrow
-    gathers the running folds and chains into its leading part with one
-    np.take, and takes the data and the ridge factors at the running folds
-    when a fold leaves.  sweeper points the state's fields at the working
-    set's views and refills the rest of what a sweep reads from the state
-    and the data, as the run's start fills it: X B, Z C, the residual, Y per
-    chain, the widened ridge weights, the stopping value's weights and the
-    thresholds.
+    Copies the state into new buffers of the working set and points its
+    fields at views of them (alpha as rows (..., 1, G q), and x, z and u as
+    flat [C | B] buffers; see the module docstring), and builds every
+    product, residual, threshold, transposed factor, widened ridge weight
+    and workspace, so that a sweep writes with out= into them and builds no
+    array or view.  gamma, lam and prev are each working chain's gamma,
+    lambda and last stopping value (*folds, G); prev becomes the working
+    set's own.
+
+    sweep() returns the sweep's stopping values and the mask of the chains
+    whose value changed by less than tol.  The values are what the next
+    sweep compares against, so a NaN entry restarts that chain's test, and
+    the sweep after next overwrites them.  set_lambda(k, j, lam) sets the
+    lambda weights and thresholds of chain j of working fold k.
     """
+    q = block.q
+    Y, ucol = block.Y, block.u
+    alpha = _own(state, ("alpha",)).reshape(state.alpha.shape[:-1] + (1, -1))
+    x, z, u = (_own(state, names) for names in
+               (("C", "B"), ("C_bar", "B_bar"), ("C_dual", "B_dual")))
+    C, B, C_bar, B_bar = state.C, state.B, state.C_bar, state.B_bar
+    # the per-entry thresholds t and -t, each shaped like one dataset's [C | B]:
+    # C's keep the dataset axis, B's are one per group
+    neg, thr = np.empty((2, x.size // len(Y)))
+    (gam_lo, lam_lo), (gam_t, lam_t) = (_split(a, (C[:1].shape, B.shape[1:])) for a in (neg, thr))
+    _refill(gam_t, gamma / rho, q)
+    np.negative(gam_t, out=gam_lo)
+    # one workspace holds in turn the target z - u, the threshold input
+    # a = x + u and the increment x - z + u
+    work = np.empty(x.size)
+    wC, wB = _split(work, (C.shape, B.shape))
+    XB, ZC = block.X @ B, block.Z @ C
+    R = Y - ucol * alpha - XB
+    R -= ZC
+    # u' / n over the leading rows h where some u is nonzero (a compressed
+    # dataset's u is nonzero in its first row only): below them the
+    # intercept step adds nothing and Y - u alpha' is Y
+    h = np.flatnonzero(ucol.reshape(-1, ucol.shape[-2]).any(axis=0))[-1] + 1
+    ut = np.swapaxes(ucol[..., :h, :], -1, -2) / block.n
+    YU, E, step = Y.copy(), np.empty_like(R), np.empty_like(alpha)
+    # each factor with V as the transposed view of V' and w widened to the
+    # columns
+    fx, fz = (None if f is None else
+              f._replace(V=np.swapaxes(f.Vt, -1, -2),
+                         w=np.broadcast_to(f.w, f.w.shape[:-1] + R.shape[-1:]).copy())
+              for f in factors)
+    merit = _merit_buffers(block, rho, _refill(np.empty(gamma.shape[:-1] + (1, Y.shape[-1])),
+                                               gamma, q), 0.0)
+    sq = merit.views
+    # the consensus step's (a, -t, t, z, u), whole and for each block, and
+    # its magnitudes |C_bar| and group norms, shaped like C and like B[:1]
+    whole, parts_c, parts_b = ((work, neg, thr, z, u), (wC, gam_lo, gam_t, C_bar, state.C_dual),
+                               (wB, lam_lo, lam_t, B_bar, state.B_dual))
+    magnitudes = sq[3], sq[4][None]
+    # the group threshold's workspaces; one dataset's groups are clipped
+    # entrywise and need none
+    norms, squares = (np.empty(B.shape[1:]), np.empty(B.shape)) if len(Y) > 1 else (None, None)
+    Yh, uh, YUh, Rh = (a[..., :h, :] for a in (Y, ucol, YU, R))
+    # each ridge step's outputs and workspaces
+    out_b, out_c = (None if f is None else (a, Aa) + tuple(np.empty_like(f.w) for _ in range(3))
+                    for f, a, Aa in ((fx, B, XB), (fz, C, ZC)))
+    cur, change, met = np.empty_like(prev), np.empty_like(prev), np.empty(prev.shape, dtype=bool)
 
-    def __init__(self, block, factors, state):
-        self.state, self.q, self.M = state, block.q, len(block.Y)
-        self.r, self.p = block.Z.shape[-1], block.p
-        # the data, and the factors without V, which each working set takes
-        # afresh from V'
-        self.block, self.factors = block, tuple(None if f is None else f._replace(V=None)
-                                                for f in factors)
-        self._intercept_rows()
-        lead, rows, cols = block.n.shape[:-2], block.Y.shape[-2], block.Y.shape[-1]
-        n, r, p = math.prod(lead) * cols, self.r, self.p
-        stacked = n // self.M * (self.M * (rows + 2 * r + p) + p)
-        # the state's arrays move into the iterate's buffer, and its fields
-        # to views of it, before the workspaces are allocated
-        self.iterate = np.empty(n * (1 + 3 * (r + p)))
-        alpha, flats = self._views(lead, cols)
-        alpha[...], state.alpha = state.alpha, alpha
-        for names, flat in zip(_FLAT, flats):
-            for name, view in zip(names, self._blocks(flat, lead, cols)):
-                view[...] = getattr(state, name)
-                setattr(state, name, view)
-        # workspaces: the threshold input, the thresholds -t and t, X B, Z C,
-        # the residual, Y - u alpha' and the B step's residual, alpha's step,
-        # the widened weights and three workspaces of each ridge step, the
-        # stopping value's pieces and weights, and the group threshold's
-        # norms and squares
-        self.work = np.empty(n * (r + p))
-        self.neg, self.thr = np.empty((2, n * (r + p) // self.M))
-        self.products = np.empty((5, n * rows))
-        self.step = np.empty(n)
-        self.ridge = tuple(None if f is None else np.empty((4, n * f.Vt.shape[-2]))
-                           for f in factors)
-        self.pieces, self.weights = np.empty((2, stacked))
-        self.norms, self.squares = np.empty(n // self.M * p), np.empty(n * p)
+    _refill(merit.lam_weights, lam, q)
+    _refill(lam_t, lam / rho, q)
+    np.negative(lam_t, out=lam_lo)
+    # the lambda weights and thresholds by (working fold, chain)
+    by_chain = tuple(a.reshape((math.prod(lam.shape[:-1]), B.shape[-2], lam.shape[-1], q))
+                     for a in (merit.lam_weights, lam_t, lam_lo))
 
-    def _intercept_rows(self):
-        """u' / n over the leading rows h where some u is nonzero (a
-        compressed dataset's u is nonzero in its first row only): below them
-        the intercept step adds nothing and Y - u alpha' is Y."""
-        u = self.block.u
-        self.h = h = np.flatnonzero(u.reshape(-1, u.shape[-2]).any(axis=0))[-1] + 1
-        self.ut = np.swapaxes(u[..., :h, :], -1, -2) / self.block.n
+    def set_lambda(k, j, lam):
+        t = lam / rho
+        for a, v in zip(by_chain, (lam, t, -t)):
+            a[k, :, j] = v
 
-    def _views(self, lead, cols):
-        """alpha and the flat x, z and u of a working set of (*lead, cols)."""
-        n = math.prod(lead) * cols
-        alpha, *flats = _split(self.iterate, ((n,),) + 3 * ((n * (self.r + self.p),),))
-        return alpha.reshape(lead + (cols,)), flats
+    def sweep():
+        nonlocal prev, cur
+        update_intercept(ut, alpha, Rh, step)
+        np.subtract(Yh, np.multiply(uh, alpha, out=YUh), out=YUh)
+        np.subtract(z, u, out=work)
+        if fx is not None:
+            ridge_step(fx, np.subtract(YU, ZC, out=E), wB, out_b)
+        np.subtract(YU, XB, out=R)
+        if fz is not None:
+            ridge_step(fz, R, wC, out_c)
+            np.subtract(R, ZC, out=R)
+        np.add(x, u, out=work)
+        # the consensus step: the new dual is the projection of a, and z is
+        # a minus it
+        _consensus_shrink(whole, parts_c, parts_b, magnitudes, norms, squares)
+        np.subtract(x, z, out=work)
+        np.add(work, u, out=work)
+        # the squares go to the stopping value's buffer block by block: its
+        # per-fold row order fixes the order of its sums
+        np.multiply(R, R, out=sq[0])
+        np.multiply(wC, wC, out=sq[1])
+        np.multiply(wB, wB, out=sq[2])
+        L = _lagrangian(merit, cur)
+        np.less(np.abs(np.subtract(L, prev, out=change), out=change), tol, out=met)
+        prev, cur = L, prev
+        return L, met
 
-    def _blocks(self, flat, lead, cols):
-        """The C and B views of a flat [C | B] buffer."""
-        return _split(flat, (lead + (self.r, cols), lead + (self.p, cols)))
-
-    def narrow(self, folds, cols):
-        """Gather the iterate of the running folds and chains into the
-        leading part of its buffer: the folds at index array `folds`, or
-        every fold when None, and per fold its columns at `cols` (*folds,
-        W').  Call sweeper next."""
-        M, r, p = self.M, self.r, self.p
-        K = math.prod(self.block.n.shape[1:-2])
-        W = self.state.alpha.shape[-1]
-        at = np.arange(K) if folds is None else folds
-        cols = cols.reshape(len(at), -1)
-        x = np.concatenate((_narrowed(M, K, r, W, at, cols).ravel(),
-                            _narrowed(M, K, p, W, at, cols).ravel() + M * K * r * W))
-        # alpha, x, z and u in turn, each from its old place to its new one,
-        # which lies below the next one's old place; take buffers its output,
-        # so a gather may overlap its own source
-        old = new = 0
-        for size, index in (((M * K * W, _narrowed(M, K, 1, W, at, cols).ravel()),)
-                            + 3 * ((M * K * (r + p) * W, x),)):
-            np.take(self.iterate[old:old + size], index, out=self.iterate[new:new + index.size])
-            old, new = old + size, new + index.size
-        if folds is not None:
-            self.block = self.block.narrow((folds,), cols.shape[-1] // self.q)
-            self.factors = tuple(None if f is None else RidgeFactor(
-                *(None if a is None else a[:, folds] for a in f)) for f in self.factors)
-            self._intercept_rows()
-
-    def sweeper(self, rho, tol, gamma, lam, prev):
-        """The working set's sweep, and the setter of its chains' lambdas.
-
-        gamma, lam and prev are each working chain's gamma, lambda and last
-        stopping value (*folds, G); prev becomes the working set's own.
-        Points the state's fields at the working set's views (alpha as rows
-        (..., 1, G q) for the sweep) and fills every product, residual,
-        threshold, transposed factor and widened ridge weight, so that a
-        sweep writes with out= into them and builds no array or view.
-
-        sweep() returns the sweep's stopping values and the mask of the
-        chains whose value changed by less than tol.  The values are what
-        the next sweep compares against, so a NaN entry restarts that
-        chain's test, and the sweep after next overwrites them.
-        set_lambda(k, j, lam) sets the lambda weights and thresholds of
-        chain j of working fold k.
-        """
-        q, block, state, h, ut = self.q, self.block, self.state, self.h, self.ut
-        lead, rows, cols = block.n.shape[:-2], block.Y.shape[-2], gamma.shape[-1] * q
-        Y, ucol = block.Y[..., :cols], block.u
-        lead_of = lambda flat, *shape: flat[:math.prod(lead + shape)].reshape(lead + shape)
-        state.alpha, (x, z, u) = self._views(lead, cols)
-        for names, flat in zip(_FLAT, (x, z, u)):
-            for name, view in zip(names, self._blocks(flat, lead, cols)):
-                setattr(state, name, view)
-        alpha = state.alpha.reshape(lead + (1, cols))
-        C, B, C_bar, B_bar = state.C, state.B, state.C_bar, state.B_bar
-        # the per-entry thresholds t and -t, each shaped like one dataset's [C | B]:
-        # C's keep the dataset axis, B's are one per group
-        neg, thr = (a[:x.size // len(Y)] for a in (self.neg, self.thr))
-        (gam_lo, lam_lo), (gam_t, lam_t) = (_split(a, (C[:1].shape, B.shape[1:])) for a in (neg, thr))
-        _refill(gam_t, gamma / rho, q)
-        np.negative(gam_t, out=gam_lo)
-        # one workspace holds in turn the target z - u, the threshold input
-        # a = x + u and the increment x - z + u
-        work = self.work[:x.size]
-        wC, wB = self._blocks(work, lead, cols)
-        XB, ZC, R, YU, E = (lead_of(a, rows, cols) for a in self.products)
-        np.matmul(block.X, B, out=XB)
-        np.matmul(block.Z, C, out=ZC)
-        np.copyto(YU, Y)
-        np.subtract(YU, np.multiply(ucol, alpha, out=R), out=R)
-        R -= XB
-        R -= ZC
-        step = lead_of(self.step, 1, cols)
-        # each factor with V as the transposed view of V' and w widened to
-        # the columns, and each ridge step's outputs and workspaces
-        fx, fz = (None if f is None else
-                  RidgeFactor(f.Vt, f.Vt.swapaxes(-1, -2), lead_of(b[0], f.Vt.shape[-2], cols),
-                              f.Ua_t, f.Us)
-                  for f, b in zip(self.factors, self.ridge))
-        for f, widened in zip(self.factors, (fx, fz)):
-            if f is not None:
-                widened.w[...] = f.w
-        out_b, out_c = (None if f is None else
-                        (a, Aa) + tuple(lead_of(w, f.Vt.shape[-2], cols) for w in b[1:])
-                        for f, b, a, Aa in ((fx, self.ridge[0], B, XB), (fz, self.ridge[1], C, ZC)))
-        merit = _merit_buffers(block, rho, _refill(np.empty(lead[1:] + (1, cols)), gamma, q),
-                               0.0, cols, (self.pieces, self.weights))
-        sq = merit.views
-        # the consensus step's (a, -t, t, z, u), whole and for each block, and
-        # its magnitudes |C_bar| and group norms, shaped like C and like B[:1]
-        whole, parts_c, parts_b = ((work, neg, thr, z, u), (wC, gam_lo, gam_t, C_bar, state.C_dual),
-                                   (wB, lam_lo, lam_t, B_bar, state.B_dual))
-        magnitudes = sq[3], sq[4][None]
-        # the group threshold's workspaces; one dataset's groups are clipped
-        # entrywise and need none
-        norms, squares = ((self.norms[:B[0].size].reshape(B.shape[1:]),
-                           self.squares[:B.size].reshape(B.shape)) if len(Y) > 1 else (None, None))
-        Yh, uh, YUh, Rh = (a[..., :h, :] for a in (Y, ucol, YU, R))
-        cur, change, met = np.empty_like(prev), np.empty_like(prev), np.empty(prev.shape, dtype=bool)
-
-        _refill(merit.lam_weights, lam, q)
-        _refill(lam_t, lam / rho, q)
-        np.negative(lam_t, out=lam_lo)
-        # the lambda weights and thresholds by (working fold, chain)
-        by_chain = tuple(a.reshape((math.prod(lead[1:]), self.p, cols // q, q))
-                         for a in (merit.lam_weights, lam_t, lam_lo))
-
-        def set_lambda(k, j, lam):
-            t = lam / rho
-            for a, v in zip(by_chain, (lam, t, -t)):
-                a[k, :, j] = v
-
-        def sweep():
-            nonlocal prev, cur
-            update_intercept(ut, alpha, Rh, step)
-            np.subtract(Yh, np.multiply(uh, alpha, out=YUh), out=YUh)
-            np.subtract(z, u, out=work)
-            if fx is not None:
-                ridge_step(fx, np.subtract(YU, ZC, out=E), wB, out_b)
-            np.subtract(YU, XB, out=R)
-            if fz is not None:
-                ridge_step(fz, R, wC, out_c)
-                np.subtract(R, ZC, out=R)
-            np.add(x, u, out=work)
-            # the consensus step: the new dual is the projection of a, and z is
-            # a minus it
-            _consensus_shrink(whole, parts_c, parts_b, magnitudes, norms, squares)
-            np.subtract(x, z, out=work)
-            np.add(work, u, out=work)
-            # the squares go to the stopping value's buffer block by block: its
-            # per-fold row order fixes the order of its sums
-            np.multiply(R, R, out=sq[0])
-            np.multiply(wC, wC, out=sq[1])
-            np.multiply(wB, wB, out=sq[2])
-            L = _lagrangian(merit, cur)
-            np.less(np.abs(np.subtract(L, prev, out=change), out=change), tol, out=met)
-            prev, cur = L, prev
-            return L, met
-
-        self.set_lambda = set_lambda
-        return sweep
+    return sweep, set_lambda
 
 
 def run_chains(block, lambdas, gammas, opts=None, state=None, on_stop=None):
@@ -678,26 +577,25 @@ def run_chains(block, lambdas, gammas, opts=None, state=None, on_stop=None):
 
     When a chain ends its path, the working set narrows to the folds with a
     running chain and, per fold, its running chains, padded with its
-    finished ones to the largest running count.  The state is gathered in
-    place into the leading part of the run's buffers, X B, Z C and the
-    residual are recomputed from it, and the thresholds and the stopping
-    value's weights are refilled (see _WorkingSet); the data and the ridge
-    factors narrow only when a fold leaves.  A padded chain is swept along
-    but can no longer stop the loop or raise FloatingPointError.  When fits
-    stop, on_stop(state, stopped, cell, position) may read the working
-    state and gets the mask of the working chains that stopped, every
-    working chain's cell (its flat index into the grid, a new array exactly
-    when the working set changed) and its index into its lambda path, which
-    the loop updates in place after the call.  The
-    caller need keep no reference to block: the first fold to leave then
-    frees the full-size data.
+    finished ones to the largest running count.  The old working set is
+    freed first; then block, factors and state are taken at the running
+    folds and chains, and a new working set is built on them (see
+    _sweeper).  A padded chain is swept along but can no longer stop the
+    loop or raise FloatingPointError.  When fits stop, on_stop(state,
+    stopped, cell, position) may read the working state and gets the mask
+    of the working chains that stopped, every working chain's cell (its
+    flat index into the grid, a new array exactly when the working set
+    changed) and its index into its lambda path, which the loop updates in
+    place after the call.  The caller need keep no reference to block: the
+    first fold to leave then frees the full-size data (on Python 3.10 the
+    call itself holds block until it returns).
 
-    The iterate lives in buffers of the run: a given `state` has its arrays
-    copied into them, which leaves those arrays as they were, and its
-    fields pointed at views of them, which every sweep writes in place.  So
-    the state is updated in place and ends holding the last working set,
-    its fields views of the run's buffers, and on_stop reads live views: it
-    must copy whatever it keeps.
+    The iterate lives in buffers of the working set: a given `state` has
+    its arrays copied into them, which leaves those arrays as they were,
+    and its fields pointed at views of them, which every sweep writes in
+    place.  So the state is updated in place and ends holding the last
+    working set, and on_stop reads live views: it must copy whatever it
+    keeps.
 
     Returns the iteration count and convergence flag of every fit, shaped
     (*folds, G, L).
@@ -731,10 +629,8 @@ def run_chains(block, lambdas, gammas, opts=None, state=None, on_stop=None):
     # `first`, and no running fit reaches max_iter before sweep `cap`
     first = np.full(grid, state.iteration)
     cap = state.iteration + opts.max_iter
-    working = _WorkingSet(block, factors, state)
-    block = factors = None
-    run_sweep = working.sweeper(rho, opts.tol, cell_gamma[cell], current_lambdas(),
-                                np.full(grid, np.nan))
+    run_sweep, set_lambda = _sweeper(block, factors, state, rho, opts.tol, cell_gamma[cell],
+                                     current_lambdas(), np.full(grid, np.nan))
     while True:
         L, met = run_sweep()
         state.iteration += 1
@@ -767,7 +663,7 @@ def run_chains(block, lambdas, gammas, opts=None, state=None, on_stop=None):
                 # its next fit compares its first value with nothing
                 L.flat[i] = np.nan
                 if k + 1 < n_fits:
-                    working.set_lambda(*divmod(i, cell.shape[-1]), cell_lambdas[c, k + 1])
+                    set_lambda(*divmod(i, cell.shape[-1]), cell_lambdas[c, k + 1])
                 else:
                     active.flat[i], ended = False, True
             narrowing = None
@@ -778,15 +674,22 @@ def run_chains(block, lambdas, gammas, opts=None, state=None, on_stop=None):
             if narrowing is not None:
                 folds, order = narrowing
                 at = () if folds is None else (folds,)
-                # the old sweep holds the old data and factors: free them first
-                run_sweep = None
-                working.narrow(folds, (order[..., None] * q + np.arange(q)).reshape(
-                    order.shape[:-1] + (-1,)))
+                # the old sweep holds the old working set: free it first
+                run_sweep = set_lambda = None
+                cols = (order[..., None] * q + np.arange(q)).reshape(order.shape[:-1] + (-1,))
+                block = block.narrow(at, order.shape[-1])
+                # V is not narrowed: each working set takes it afresh from V'
+                factors = tuple(None if f is None else RidgeFactor(
+                    *(None if a is f.V else a[(slice(None),) + at] for a in f))
+                    for f in factors)
+                for f in fields(state):
+                    if f.name != "iteration":
+                        setattr(state, f.name, _take_columns(getattr(state, f.name), at, cols))
                 cell, position, first, prev, active = (
                     np.take_along_axis(a[at], order, axis=-1)
                     for a in (cell, position, first, L, active))
-                run_sweep = working.sweeper(rho, opts.tol, cell_gamma[cell], current_lambdas(),
-                                            prev)
+                run_sweep, set_lambda = _sweeper(block, factors, state, rho, opts.tol,
+                                                 cell_gamma[cell], current_lambdas(), prev)
         if capped:
             cap = first[active].min() + opts.max_iter
 

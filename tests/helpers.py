@@ -22,7 +22,7 @@ from intmr.admm import (
     update_intercept,
     zero_state,
 )
-from intmr.model import DatasetBlock, IntegratedDataset, ModelFit, PaddedBlock, _pad
+from intmr.model import DatasetBlock, IntegratedDataset, ModelFit, PaddedBlock, _pad, stack
 from intmr.prox import _group_shrink, group_soft_threshold, soft_threshold
 
 
@@ -65,6 +65,13 @@ def make_data(
         Y = a + X @ (B_true * scale) + Z @ Cm + noise * rng.standard_normal((n[m], q))
         blocks.append(DatasetBlock(Y=Y, X=X, Z=Z))
     return IntegratedDataset(tuple(blocks))
+
+
+def two_fold_stack(rng, chains, n=(20, 26)):
+    """One dataset pair per fold, stacked (dataset, fold) with `chains`
+    chains per fold."""
+    folds = [make_data(rng, M=2, n=nk, p=3, q=2, r=2) for nk in n]
+    return stack([[f[m] for f in folds] for m in range(2)], chains=chains)
 
 
 def random_fit(rng, data, density=0.7):

@@ -1,3 +1,5 @@
+import sys
+import weakref
 from dataclasses import fields
 from itertools import islice
 from types import SimpleNamespace
@@ -35,6 +37,7 @@ from helpers import (
     make_data,
     prox_gradient_reference,
     reference_sweep,
+    two_fold_stack,
     vector_prox_oracle,
 )
 
@@ -679,45 +682,46 @@ class TestRunChains:
             want = augmented_lagrangian(block, checked, per_column, rho)
             assert (np.abs(value - want) <= 1e-13 * np.maximum(np.abs(want), 1)).all()
 
-    def test_state_stays_in_the_runs_buffers_across_narrowings(self):
-        # the working set narrows in place: at every stop event each of the
-        # state's coefficient fields is a contiguous view that lies within
-        # the memory the fields viewed at the first event and shares memory
-        # with one of them, and no two fields overlap, through narrowings of
-        # the chains alone and of whole folds.  Arrays allocated per
-        # narrowing would lie outside, since the first ones stay referenced
-        rng = np.random.default_rng(52)
-        folds = [make_data(rng, M=2, n=n, p=3, q=2, r=2) for n in (20, 60)]
-        block = stack([[f[m] for f in folds] for m in range(2)], chains=3)
+    def test_narrowing_frees_the_previous_working_set(self):
+        # each narrowing builds a new working set once the old one is freed:
+        # the buffer that the state's B viewed at a shape's first stop event
+        # is gone at every later shape's events, through narrowings of the
+        # chains alone and of whole folds
+        block = two_fold_stack(np.random.default_rng(50), chains=3, n=(20, 60))
         lambdas, gammas = (0.3, 0.1, 0.02), np.array([0.5, 0.05, 0.005])
-        names = [f.name for f in fields(admm.AdmmState) if f.name != "iteration"]
-        first, shapes = [], []
-
-        def span(a):
-            start = a.__array_interface__["data"][0]
-            return start, start + a.nbytes
+        buffers, shapes = {}, []
 
         def record(state, stopped, cell, position):
             shapes.append(cell.shape)
-            arrays = [getattr(state, name) for name in names]
-            if not first:
-                first.extend(arrays)
-            low = min(span(a)[0] for a in first)
-            high = max(span(a)[1] for a in first)
-            for name, a in zip(names, arrays):
-                assert a.flags.c_contiguous, name
-                assert low <= span(a)[0] and span(a)[1] <= high, name
-                assert any(np.shares_memory(a, b) for b in first), name
-            for i, a in enumerate(arrays):
-                for b in arrays[i + 1:]:
-                    assert not np.shares_memory(a, b)
+            buffers.setdefault(cell.shape, weakref.ref(state.B.base))
+            assert all(ref() is None for shape, ref in buffers.items() if shape != cell.shape)
 
         run_chains(block, lambdas, gammas, on_stop=record)
+        assert len(buffers) > 2
         # both kinds of narrowing happened: a fold left, and a fold kept
         # fewer chains
         steps = list(zip(shapes, shapes[1:]))
         assert any(b[0] < a[0] for a, b in steps)
         assert any(b[0] == a[0] and b[1] < a[1] for a, b in steps)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="before 3.11 a call holds its arguments until it returns")
+    def test_first_fold_to_leave_frees_the_full_size_data(self):
+        # a caller that hands run_chains its only reference to the block, as
+        # selection does with list.pop(), gets the full-size X and Y freed
+        # once a fold leaves.  X is a view, so the arrays that own the
+        # memory are the ones watched
+        blocks = [two_fold_stack(np.random.default_rng(50), chains=3, n=(20, 60))]
+        owners = [weakref.ref(a if a.base is None else a.base) for a in (blocks[0].X, blocks[0].Y)]
+        folds, freed = [], []
+
+        def record(state, stopped, cell, position):
+            if folds and cell.shape[0] < folds[-1] and not freed:
+                freed.append([ref() is None for ref in owners])
+            folds.append(cell.shape[0])
+
+        run_chains(blocks.pop(), (0.3, 0.1, 0.02), np.array([0.5, 0.05, 0.005]), on_stop=record)
+        assert freed == [[True, True]]
 
     @pytest.mark.parametrize("lambdas, gammas", [
         ([0.1, -0.1], [0.1]), ([0.1], [np.nan]), ([np.inf], [0.1]),

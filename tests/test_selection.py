@@ -17,7 +17,7 @@ from intmr.selection import (
     _split,
 )
 from intmr.sim import generate, SimConfig, mse
-from helpers import make_data
+from helpers import make_data, two_fold_stack
 
 
 def held_out_score(fit, held):
@@ -432,13 +432,6 @@ def assert_matches_sequential(data, grid, K, seed, opts=None, shapes=None):
         assert shapes[0] == (K, len(grid.gammas) * data.q)
         assert len(set(shapes)) > 1, "the grid never narrowed before a stop"
     return res
-
-
-def two_fold_stack(rng, chains, n=(20, 26)):
-    """One dataset pair per fold, stacked (dataset, fold) with `chains`
-    chains per fold."""
-    folds = [make_data(rng, M=2, n=nk, p=3, q=2, r=2) for nk in n]
-    return stack([[f[m] for f in folds] for m in range(2)], chains=chains)
 
 
 class TestStackedGrid:

@@ -23,7 +23,8 @@ The parts are timed by wrapping the functions named in PARTS; a name that a
 source tree lacks is skipped, so the same script measures the trees before
 and after a change to the loop.  Wall time on a shared machine moves from
 run to run: compare two trees by alternating runs, not from one run each.
-Not part of any test or CI step.
+CI runs one op of each workload to check that the script still runs, and
+discards its output.
 """
 
 import argparse
